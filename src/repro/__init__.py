@@ -9,7 +9,7 @@ Approach to Reducing Leakage in Deep-Submicron High-Performance I-Caches"
 * :mod:`repro.memory` — the cache/memory-hierarchy substrate;
 * :mod:`repro.dri` — the Dynamically ResIzable i-cache (the paper's core
   contribution);
-* :mod:`repro.cpu` — branch prediction and out-of-order timing;
+* :mod:`repro.cpu` — out-of-order timing accounting;
 * :mod:`repro.workloads` — synthetic SPEC95-like phase-structured
   workloads;
 * :mod:`repro.energy` — the Section 5.2 energy accounting;

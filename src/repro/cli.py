@@ -27,13 +27,12 @@ names), ``--instructions`` (trace length), ``--quick`` (a reduced scale
 for a fast sanity pass), ``--jobs`` (worker processes for the parameter
 sweeps; 0 means all cores, clamped to the task count), ``--chunk``
 (tasks per pool chunk; default adaptive), and ``--engine``
-(``auto``/``kernel-fused``/``kernel``/``batched``/``scalar`` replay
-engine; ``auto`` prefers the fused DRI kernel engine when Numba is
-installed).  With more than one job the
-figure drivers flatten every (benchmark, grid point) pair into one
-*persistent* worker pool — forked once per command, reused across every
-grid and sensitivity pass — so the pool stays saturated across benchmark
-boundaries and never pays repeated spin-up.  Output goes to stdout as
+(``auto``/``kernel-fused``/``batched``/``scalar`` replay engine; ``auto``
+prefers the fused DRI kernel engine when Numba is installed).  With more
+than one job the figure drivers flatten every (benchmark, grid point)
+pair into one *persistent* worker pool — forked once per command, reused
+across every grid and sensitivity pass — so the pool stays saturated
+across benchmark boundaries and never pays repeated spin-up.  Output goes to stdout as
 the same text tables the benchmark harness writes under
 ``benchmarks/results/``.
 """
@@ -166,10 +165,10 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
             "replay engine (default auto: the fused DRI kernel engine when "
             "Numba is importable, else the batched numpy engine; all "
             "engines are bit-identical — kernel-fused compiles the whole "
-            "sense-interval loop and falls back to the chunked kernel for "
-            "runs it cannot take, scalar is the per-address reference "
-            "loop, and an explicit 'kernel' or 'kernel-fused' without "
-            "Numba errors naming the [kernel] install extra)"
+            "sense-interval loop and falls back to batched for runs it "
+            "cannot take, scalar is the per-address reference loop, and "
+            "an explicit 'kernel-fused' without Numba errors naming the "
+            "[kernel] install extra)"
         ),
     )
 

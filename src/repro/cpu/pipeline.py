@@ -2,7 +2,8 @@
 
 The paper runs SimpleScalar's cycle-accurate ``sim-outorder``; this
 reproduction uses a first-order analytical model of the same Table 1 core
-(8-wide issue, 128-entry ROB, 128-entry LSQ, 2-level hybrid predictor).
+(8-wide issue, 128-entry ROB, 128-entry LSQ).  There is no branch
+predictor model: mispredictions are folded into the base CPI below.
 The model is deliberately simple — the DRI evaluation needs only the
 *relative* execution time between a conventional i-cache and a DRI
 i-cache, and that difference is driven almost entirely by the extra L1
@@ -16,9 +17,7 @@ branch mispredictions).  On top of that it charges, per instruction-fetch
 miss, the miss latency reduced by an **overlap factor**: an out-of-order
 core can hide part of a front-end stall by draining instructions already
 in the reorder buffer, and the deeper the ROB relative to the miss
-latency, the more of it is hidden.  Branch mispredictions charge the
-pipeline-refill penalty when the caller chooses to model branches
-explicitly through the :class:`~repro.cpu.branch.HybridPredictor`.
+latency, the more of it is hidden.
 """
 
 from __future__ import annotations
@@ -34,12 +33,11 @@ class TimingBreakdown:
 
     base_cycles: float = 0.0
     fetch_stall_cycles: float = 0.0
-    branch_penalty_cycles: float = 0.0
 
     @property
     def total_cycles(self) -> int:
         """Total execution time in whole cycles."""
-        return int(round(self.base_cycles + self.fetch_stall_cycles + self.branch_penalty_cycles))
+        return int(round(self.base_cycles + self.fetch_stall_cycles))
 
 
 @dataclass
@@ -51,9 +49,8 @@ class TimingModel:
     pipeline:
         The Table 1 core parameters.
     base_cpi:
-        Cycles per instruction of everything except i-cache misses and the
-        explicitly modelled branch penalties; workload models provide a
-        per-benchmark value.
+        Cycles per instruction of everything except i-cache misses;
+        workload models provide a per-benchmark value.
     """
 
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
@@ -107,10 +104,6 @@ class TimingModel:
             return
         exposed = miss_latency * (1.0 - self.fetch_stall_overlap(miss_latency))
         self._breakdown.fetch_stall_cycles += exposed * count
-
-    def account_branch_misprediction(self) -> None:
-        """Charge one branch misprediction (pipeline refill)."""
-        self._breakdown.branch_penalty_cycles += self.pipeline.branch_misprediction_penalty
 
     # ------------------------------------------------------------------
     # Results

@@ -36,7 +36,7 @@ int64 array, throttle state as an int64 triple, one call per interval
 boundary — and the controller is its scalar driver: ``end_of_interval``
 asks the policy for a direction, then applies the *same compiled step*
 (operating on the *same live throttle array*) that the fused DRI kernel
-applies in-loop, so the scalar oracle, the chunked engines, and the
+applies in-loop, so the scalar oracle, the batched engine, and the
 fused engine share the mechanism verbatim.  After a fused chunk the
 kernel has already run the mechanism for every closed interval;
 :meth:`ResizeController.adopt_fused` folds the resulting size and

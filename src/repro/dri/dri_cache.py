@@ -97,7 +97,7 @@ class DRIICache(Cache):
         instructions_per_access: int = 1,
         policy=None,
     ) -> None:
-        super().__init__(geometry, name=name, replacement="lru")
+        super().__init__(geometry, name=name)
         if instructions_per_access < 1:
             raise ValueError("instructions_per_access must be at least 1")
         self.parameters = parameters
@@ -159,7 +159,7 @@ class DRIICache(Cache):
             self.end_interval()
         return result
 
-    def _access_batch_chunks(self, addresses: np.ndarray, kernel: bool = False) -> np.ndarray:
+    def _access_batch_chunks(self, addresses: np.ndarray) -> np.ndarray:
         """Vectorised lookup under the current size mask and min-size tags.
 
         Chunks are split internally at sense-interval boundaries (in auto
@@ -167,8 +167,7 @@ class DRIICache(Cache):
         and resize points; the active set count is re-read after every
         boundary because a resize may have changed it.  The classification
         itself is the base cache's (direct-mapped or wavefront
-        set-associative, or the compiled kernel when ``kernel=True``)
-        over the masked indices.
+        set-associative) over the masked indices.
         """
         total = addresses.shape[0]
         hits = np.empty(total, dtype=bool)
@@ -183,7 +182,7 @@ class DRIICache(Cache):
             block = (chunk >> np.uint64(self._offset_bits)).astype(np.int64)
             set_indices = block & (self.controller.current_sets - 1)
             tags = block >> self._min_index_bits
-            chunk_hits = self._classify_chunk(set_indices, tags, kernel=kernel)
+            chunk_hits = self._classify_chunk(set_indices, tags)
             misses = take - int(np.count_nonzero(chunk_hits))
             self.dri_stats.record_accesses(take, misses)
             self._interval_accesses += take
@@ -209,9 +208,9 @@ class DRIICache(Cache):
         would for the chunk's miss stream.
 
         The caller (the fused engine) is responsible for eligibility:
-        manual interval driving, LRU state on both levels, an L2 block at
-        least as large as the L1's, and a policy whose ``compiled_step``
-        matches the in-kernel rule.
+        manual interval driving, an L2 block at least as large as the
+        L1's, and a policy whose ``compiled_step`` matches the in-kernel
+        rule.
         """
         if self.auto_interval:
             raise ValueError("the fused path requires auto_interval=False")
@@ -256,8 +255,8 @@ class DRIICache(Cache):
         l2_hits = int(counters[C_L2_HITS])
         l2_misses = int(counters[C_L2_MISSES])
 
-        # L1 statistics: one bulk update, exactly what the chunked
-        # engines accumulate access by access.
+        # L1 statistics: one bulk update, exactly what the scalar and
+        # batched engines accumulate access by access.
         self.stats.accesses += count
         self.stats.hits += count - l1_misses
         self.stats.misses += l1_misses

@@ -74,7 +74,7 @@ class CompiledPolicyStep:
     must produce exactly the direction :meth:`ResizePolicy.observe`
     would, with no internal policy state — which is why stateful policies
     (hysteresis, PID, phase-detect, predictive) return ``None`` and run
-    on the chunked kernel engine instead.
+    on the batched engine instead.
 
     ``kind`` names the compiled rule; the only kind the fused kernel
     implements today is ``"miss-bound"`` (the paper's default policy),
@@ -148,7 +148,7 @@ class ResizePolicy(ABC):
         The fused DRI engine calls this capability probe to decide
         whether a run can stay inside the compiled interval loop; a
         ``None`` (the default — stateful or custom policies) makes the
-        run fall back to the chunked kernel engine, where ``observe``
+        run fall back to the batched engine, where ``observe``
         runs in Python at every boundary exactly as before.
         """
         return None

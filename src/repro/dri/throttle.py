@@ -13,7 +13,7 @@ The throttle's state lives in a three-slot int64 array (``state``) and
 every update goes through the compiled step functions of
 :mod:`repro.memory.kernels.dri_fused` — the *same* functions the fused
 DRI kernel calls inside its interval loop.  The scalar oracle, the
-chunked engines, and the fused kernel therefore share one implementation
+batched engine, and the fused kernel therefore share one implementation
 of the throttle semantics (and, on the fused path, one live array), so
 they cannot drift.
 """

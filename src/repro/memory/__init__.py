@@ -3,33 +3,20 @@
 from repro.memory.cache import AccessResult, Cache, CacheStatistics
 from repro.memory.hierarchy import (
     HierarchyResponse,
-    InstructionMemoryPath,
     MainMemory,
     MemoryHierarchy,
     ServiceLevel,
 )
-from repro.memory.replacement import (
-    DEFAULT_RANDOM_SEED,
-    FIFOState,
-    LRUState,
-    RandomState,
-    ReplacementState,
-    make_replacement,
-)
+from repro.memory.replacement import LRUState, ReplacementState
 
 __all__ = [
     "AccessResult",
     "Cache",
     "CacheStatistics",
     "HierarchyResponse",
-    "InstructionMemoryPath",
     "MainMemory",
     "MemoryHierarchy",
     "ServiceLevel",
-    "DEFAULT_RANDOM_SEED",
-    "FIFOState",
     "LRUState",
-    "RandomState",
     "ReplacementState",
-    "make_replacement",
 ]

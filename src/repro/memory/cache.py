@@ -8,10 +8,9 @@ the CPU model, and energy by :mod:`repro.energy`.
 Design notes
 ------------
 * The tag store is a dense ``(num_sets, associativity)`` int64 **tag
-  plane** (-1 = invalid frame), with a parallel cache-wide replacement
-  state (:mod:`repro.memory.replacement`): LRU recency ranks, FIFO
-  next-way pointers, or per-set LCG states, all held in numpy arrays
-  parallel to the plane.  There are no per-set Python objects, so the
+  plane** (-1 = invalid frame), with a parallel cache-wide LRU state
+  (:mod:`repro.memory.replacement`): one array of recency ranks the
+  shape of the plane.  There are no per-set Python objects, so the
   batched path can classify and fill whole chunks of accesses without
   entering the interpreter per address.
 * :meth:`Cache.access_batch` classifies a chunk vectorised at any
@@ -39,8 +38,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.config.system import CacheGeometry
-from repro.memory.kernels.classify import classify_chunk as _kernel_classify_chunk
-from repro.memory.replacement import DEFAULT_RANDOM_SEED, make_replacement
+from repro.memory.replacement import LRUState
 
 MIN_WAVEFRONT_SETS = 8
 """Below this many still-active sets, a wavefront stops paying for numpy
@@ -102,7 +100,7 @@ class AccessResult:
 
 
 class Cache:
-    """A set-associative cache with configurable replacement.
+    """A set-associative cache with LRU replacement.
 
     Parameters
     ----------
@@ -110,24 +108,11 @@ class Cache:
         Capacity, block size, associativity, and latency.
     name:
         Label used in statistics reports (e.g. ``"L1I"``).
-    replacement:
-        Replacement policy name ("lru", "fifo", or "random").
-    replacement_seed:
-        Seed of the per-set LCGs when ``replacement="random"`` (kept by
-        ``invalidate_set``/``flush``, so a re-enabled set's victim stream
-        matches a fresh cache built with the same seed).
     """
 
-    def __init__(
-        self,
-        geometry: CacheGeometry,
-        name: str = "cache",
-        replacement: str = "lru",
-        replacement_seed: int = DEFAULT_RANDOM_SEED,
-    ) -> None:
+    def __init__(self, geometry: CacheGeometry, name: str = "cache") -> None:
         self.geometry = geometry
         self.name = name
-        self.replacement_name = replacement
         self.stats = CacheStatistics()
         self._offset_bits = geometry.offset_bits
         self._num_sets = geometry.num_sets
@@ -140,9 +125,7 @@ class Cache:
         # Direct-mapped scalar probes use a flat view of the single column:
         # `item()`/scalar stores on it keep the whole probe in plain ints.
         self._dm_plane = self._tag_plane[:, 0] if self._associativity == 1 else None
-        self._policy = make_replacement(
-            replacement, self._num_sets, self._associativity, seed=replacement_seed
-        )
+        self._policy = LRUState(self._num_sets, self._associativity)
 
     # ------------------------------------------------------------------
     # Address decomposition
@@ -236,7 +219,7 @@ class Cache:
     # ------------------------------------------------------------------
     # Batched access (the simulation engine's fast path)
     # ------------------------------------------------------------------
-    def access_batch(self, addresses: np.ndarray, kernel: bool = False) -> np.ndarray:
+    def access_batch(self, addresses: np.ndarray) -> np.ndarray:
         """Look up a whole chunk of addresses; returns a boolean hit mask.
 
         Statistics (accesses, hits, misses, evictions) and the resulting
@@ -244,55 +227,25 @@ class Cache:
         address in order.  Every associativity takes a vectorised path:
         direct-mapped chunks collapse to one shifted comparison,
         set-associative chunks are processed in per-set wavefronts.
-
-        With ``kernel=True`` the chunk is instead classified by the
-        compiled kernel layer (:mod:`repro.memory.kernels`): one in-order
-        loop over the same tag plane and replacement-state arrays —
-        Numba-compiled when available, the bit-identical pure-Python
-        fallback otherwise.
         """
         addresses = np.ascontiguousarray(addresses, dtype=np.uint64)
         if addresses.ndim != 1:
             raise ValueError("addresses must be a one-dimensional array")
-        return self._access_batch_chunks(addresses, kernel=kernel)
+        return self._access_batch_chunks(addresses)
 
-    def _access_batch_chunks(self, addresses: np.ndarray, kernel: bool = False) -> np.ndarray:
+    def _access_batch_chunks(self, addresses: np.ndarray) -> np.ndarray:
         """Decompose and classify a validated batch (no interval boundaries
         to respect in a plain cache; the DRI cache overrides this)."""
         block = (addresses >> np.uint64(self._offset_bits)).astype(np.int64)
         set_indices = block & self._index_mask
         tags = block >> self._index_bits
-        return self._classify_chunk(set_indices, tags, kernel=kernel)
+        return self._classify_chunk(set_indices, tags)
 
-    def _classify_chunk(
-        self, set_indices: np.ndarray, tags: np.ndarray, kernel: bool = False
-    ) -> np.ndarray:
+    def _classify_chunk(self, set_indices: np.ndarray, tags: np.ndarray) -> np.ndarray:
         """Classify one chunk of (set, tag) probes and apply the fills."""
-        if kernel:
-            return self._classify_chunk_kernel(set_indices, tags)
         if self._associativity == 1:
             return self._classify_chunk_direct(set_indices, tags)
         return self._classify_chunk_assoc(set_indices, tags)
-
-    def _classify_chunk_kernel(self, set_indices: np.ndarray, tags: np.ndarray) -> np.ndarray:
-        """Classify one chunk through the compiled kernel layer.
-
-        The kernel mutates the tag plane and replacement state in place
-        and returns the hit mask plus the miss/eviction counts; only the
-        statistics update happens in Python, once per chunk.
-        """
-        hits, misses, evictions = _kernel_classify_chunk(
-            np.ascontiguousarray(set_indices, dtype=np.int64),
-            np.ascontiguousarray(tags, dtype=np.int64),
-            self._tag_plane,
-            self._policy,
-        )
-        count = set_indices.shape[0]
-        self.stats.accesses += count
-        self.stats.hits += count - int(misses)
-        self.stats.misses += int(misses)
-        self.stats.evictions += int(evictions)
-        return hits
 
     def _classify_chunk_direct(self, set_indices: np.ndarray, tags: np.ndarray) -> np.ndarray:
         """Direct-mapped classification: one shifted comparison per chunk.
@@ -367,9 +320,9 @@ class Cache:
         sorted_hits = np.empty(count, dtype=bool)
 
         # A probe repeating its set's previous tag always hits the
-        # most-recent way, which no policy reacts to (an LRU touch of the
-        # MRU way is a no-op; FIFO and random ignore hits) — so duplicate
-        # runs are classified up front and drop out of the wavefronts.
+        # most-recent way, and an LRU touch of the MRU way is a no-op —
+        # so duplicate runs are classified up front and drop out of the
+        # wavefronts.
         duplicate = np.empty(count, dtype=bool)
         duplicate[0] = False
         duplicate[1:] = (sorted_sets[1:] == sorted_sets[:-1]) & (
@@ -424,9 +377,9 @@ class Cache:
                 victims = empty_matrix.argmax(axis=1)
                 full = np.nonzero(~has_empty)[0]
                 if full.size:
-                    # Only full sets consult the policy (and advance any
-                    # PRNG state), exactly as the scalar path does; their
-                    # victims always hold valid blocks, so each one evicts.
+                    # Only full sets consult the policy, exactly as the
+                    # scalar path does; their victims always hold valid
+                    # blocks, so each one evicts.
                     victims[full] = policy.victims_block(policy_work, miss_rows[full])
                     evictions += full.size
                 ways[miss_rows] = victims

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class MemoryHierarchy:
     def __init__(self, system: SystemConfig, name: str = "hierarchy") -> None:
         self.system = system
         self.name = name
-        self.l2 = Cache(system.l2_cache, name="L2", replacement="lru")
+        self.l2 = Cache(system.l2_cache, name="L2")
         self.memory = MainMemory(system.memory)
         self.l2_accesses = 0
         self.l2_misses = 0
@@ -86,23 +86,20 @@ class MemoryHierarchy:
         latency += self.memory.access(self.system.l2_cache.block_size)
         return HierarchyResponse(latency=latency, level=ServiceLevel.MEMORY)
 
-    def access_batch_from_l1_misses(
-        self, addresses: np.ndarray, kernel: bool = False
-    ) -> Tuple[int, int]:
+    def access_batch_from_l1_misses(self, addresses: np.ndarray) -> Tuple[int, int]:
         """Service a chunk of L1 misses; returns ``(l2_hits, l2_misses)``.
 
         Bit-identical to calling :meth:`access_from_l1_miss` on each
         address in order — the L2 is classified through its own vectorised
         :meth:`~repro.memory.cache.Cache.access_batch` (the 4-way unified
-        L2 takes the wavefront path, or the compiled kernel when
-        ``kernel=True``), and each L2 miss costs one main memory access
-        of one L2 block, so only the counts are needed to reproduce the
-        scalar latency accounting.
+        L2 takes the wavefront path), and each L2 miss costs one main
+        memory access of one L2 block, so only the counts are needed to
+        reproduce the scalar latency accounting.
         """
         count = int(addresses.shape[0])
         if count == 0:
             return 0, 0
-        hits = self.l2.access_batch(addresses, kernel=kernel)
+        hits = self.l2.access_batch(addresses)
         l2_hits = int(np.count_nonzero(hits))
         l2_misses = count - l2_hits
         self.l2_accesses += count
@@ -124,34 +121,3 @@ class MemoryHierarchy:
         self.l2_misses = 0
         self.memory.accesses = 0
 
-
-class InstructionMemoryPath:
-    """A convenience wrapper: an L1 i-cache in front of a shared hierarchy.
-
-    ``fetch`` returns the total fetch latency for one instruction address,
-    counting the L1 latency plus any miss servicing below it, and records
-    the L1/L2 statistics the energy model needs.
-    """
-
-    def __init__(
-        self,
-        l1_icache: Cache,
-        hierarchy: MemoryHierarchy,
-        l1_latency: Optional[int] = None,
-    ) -> None:
-        self.l1 = l1_icache
-        self.hierarchy = hierarchy
-        self.l1_latency = l1_latency if l1_latency is not None else l1_icache.geometry.latency
-
-    def fetch(self, address: int) -> int:
-        """Fetch the instruction at ``address``; returns the latency in cycles."""
-        result = self.l1.access(address)
-        latency = self.l1_latency
-        if not result.hit:
-            latency += self.hierarchy.access_from_l1_miss(address).latency
-        return latency
-
-    @property
-    def miss_rate(self) -> float:
-        """L1 i-cache miss rate observed so far."""
-        return self.l1.stats.miss_rate

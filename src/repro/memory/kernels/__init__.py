@@ -1,19 +1,12 @@
-"""Compiled classification kernels (optional Numba layer, DESIGN.md §10).
+"""The compiled fused DRI loop (optional Numba layer, DESIGN.md §10/§12).
 
-The kernels consume the same dense tag plane and replacement-state
-arrays as the batched numpy classifiers, but process each access of a
-chunk in order in one tight compiled loop.  Importing this package never
-requires Numba: without it, the same functions run as bit-identical
-pure-Python fallbacks (see :mod:`repro.memory.kernels.runtime`).
+:mod:`~repro.memory.kernels.dri_fused` runs the whole DRI sense-interval
+cycle over the same dense tag plane and LRU rank arrays the batched numpy
+classifiers use.  Importing this package never requires Numba: without
+it, the same functions run as bit-identical pure-Python fallbacks (see
+:mod:`repro.memory.kernels.runtime`).
 """
 
-from repro.memory.kernels.classify import (
-    classify_chunk,
-    classify_direct,
-    classify_fifo,
-    classify_lru,
-    classify_random,
-)
 from repro.memory.kernels.dri_fused import (
     DECISION_NAMES,
     fused_dri_chunk,
@@ -34,11 +27,6 @@ from repro.memory.kernels.runtime import (
 )
 
 __all__ = [
-    "classify_chunk",
-    "classify_direct",
-    "classify_fifo",
-    "classify_lru",
-    "classify_random",
     "DECISION_NAMES",
     "fused_dri_chunk",
     "ladder_down",

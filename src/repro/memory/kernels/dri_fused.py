@@ -1,8 +1,8 @@
 """The fused DRI interval loop: the whole sense-interval cycle in one kernel.
 
-The chunked kernel engine (DESIGN.md §10) still returns to Python at every
-sense interval to run ``end_interval`` — a boundary the conventional
-replay never pays.  This module removes it: :func:`fused_dri_chunk` owns
+The batched engine returns to Python at every sense interval to run
+``end_interval`` — a boundary the conventional replay never pays.  This
+module removes it: :func:`fused_dri_chunk` owns
 per-access classification over the tag plane, interval-boundary
 detection, the miss-bound resize decision, size-ladder stepping, throttle
 accounting, set gating (invalidation), and the in-order L2 drain, so a
@@ -18,7 +18,7 @@ throttle, the hold window) lives here as pure array-state step functions
 * the scalar oracle — :class:`~repro.dri.controller.ResizeController`
   and :class:`~repro.dri.throttle.ResizeThrottle` call these exact
   functions one interval at a time;
-* the chunked engines — same controller path at chunk boundaries;
+* the batched engine — same controller path at chunk boundaries;
 * the fused kernel — njit-to-njit calls inside the compiled loop.
 
 so the three paths cannot drift.  This module must not import from
@@ -48,7 +48,7 @@ Array contracts (DESIGN.md §12)
 
 Only the miss-bound policy compiles today (``requested`` is derived
 in-kernel from ``interval_misses`` vs ``miss_bound``); other policies
-fall back to the chunked kernel engine via the per-policy
+fall back to the batched engine via the per-policy
 ``compiled_step`` capability probe (see
 :meth:`repro.dri.policies.base.ResizePolicy.compiled_step`).
 """
@@ -293,8 +293,8 @@ def fused_dri_chunk(
                 l1_evictions += 1
             plane[set_index, way] = tag
             # In-order L2 drain: the L1 miss stream fully determines the
-            # L2 state, so probing here is bit-identical to the chunked
-            # engines' deferred drain.
+            # L2 state, so probing here is bit-identical to the batched
+            # engine's deferred drain.
             l2_block = block >> l2_shift
             l2_set = l2_block & l2_index_mask
             l2_tag = l2_block >> l2_index_bits

@@ -1,19 +1,19 @@
-"""Guarded Numba runtime for the compiled classification kernels.
+"""Guarded Numba runtime for the compiled fused DRI loop.
 
 Importing :mod:`repro` (or any kernel module) must never hard-require
-Numba: the tier-1 environment is numpy-only, and the kernel layer is an
-optional extra (``pip install .[kernel]``).  This module centralises the
-one guarded import:
+Numba: the tier-1 environment is numpy-only, and the compiled engine is
+an optional extra (``pip install .[kernel]``).  This module centralises
+the one guarded import:
 
 * :data:`NUMBA_AVAILABLE` — True iff ``import numba`` succeeded;
 * :func:`numba_version` — the installed version string, or ``None``;
 * :func:`kernel_jit` — ``numba.njit(cache=True, ...)`` when Numba is
-  importable, otherwise the identity decorator, so every kernel in
-  :mod:`repro.memory.kernels.classify` is *also* a plain-Python function
+  importable, otherwise the identity decorator, so every function in
+  :mod:`repro.memory.kernels.dri_fused` is *also* a plain-Python function
   with identical semantics (the fallback the equivalence suite runs in
   Numba-free environments);
 * :func:`require_numba` — the clear error the engine selector raises
-  when ``engine="kernel"`` is requested explicitly without Numba
+  when ``engine="kernel-fused"`` is requested explicitly without Numba
   (``engine="auto"`` never raises: it silently falls back to
   ``batched``).
 
@@ -23,20 +23,16 @@ The fallback matrix (see DESIGN.md §10/§12):
 engine request    Numba present               Numba absent
 ================  ==========================  ==================================
 ``auto``          ``kernel-fused``            ``batched`` (silent fallback)
-``kernel-fused``  ``kernel-fused``; chunked   :class:`KernelUnavailableError`
-                  ``kernel`` for runs the
+``kernel-fused``  ``kernel-fused``;           :class:`KernelUnavailableError`
+                  ``batched`` for runs the
                   fused loop cannot take
-                  (non-compilable policy,
-                  conventional caches)
-``kernel``        ``kernel``                  :class:`KernelUnavailableError`
 ``batched``       ``batched``                 ``batched``
 ``scalar``        ``scalar``                  ``scalar``
 ================  ==========================  ==================================
 
-``Cache.access_batch(..., kernel=True)`` bypasses the selector and runs
-the kernel functions directly — compiled when Numba is present, the
-bit-identical pure-Python loops when it is not — which is how the
-equivalence tests gate the kernel semantics everywhere.
+The runs the fused loop cannot take are conventional and fixed-size
+replays, policies without a ``compiled_step``, and an L2 block smaller
+than the L1's.
 """
 
 from __future__ import annotations
@@ -49,14 +45,14 @@ except ImportError:  # pragma: no cover
     _numba = None
 
 NUMBA_AVAILABLE: bool = _numba is not None
-"""True iff Numba imported; the ``auto``/``kernel`` selectors key off this."""
+"""True iff Numba imported; the ``auto``/``kernel-fused`` selectors key off this."""
 
 KERNEL_EXTRA = "kernel"
 """Name of the optional install extra that provides Numba."""
 
 
 class KernelUnavailableError(RuntimeError):
-    """Raised when ``engine="kernel"`` is requested without Numba installed."""
+    """Raised when ``engine="kernel-fused"`` is requested without Numba installed."""
 
 
 def numba_version() -> Optional[str]:
@@ -66,7 +62,7 @@ def numba_version() -> Optional[str]:
     return _numba.__version__
 
 
-def require_numba(engine: str = "kernel") -> None:
+def require_numba(engine: str = "kernel-fused") -> None:
     """Raise :class:`KernelUnavailableError` unless Numba is importable.
 
     Keys off :data:`NUMBA_AVAILABLE` (not the private import) so the
@@ -86,8 +82,7 @@ def kernel_jit(function: Callable) -> Callable:
 
     ``cache=True`` persists the compiled machine code on disk so repeated
     processes (sweep workers, CLI invocations) skip recompilation;
-    ``nogil=True`` releases the GIL inside the classification loop, which
-    the future multi-host sweep direction can exploit with threads.
+    ``nogil=True`` releases the GIL inside the compiled loop.
     """
     if _numba is None:
         return function

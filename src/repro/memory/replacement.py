@@ -1,19 +1,13 @@
-"""Replacement strategies over the dense tag-plane substrate.
+"""LRU replacement state over the dense tag-plane substrate.
 
-The paper's caches use LRU (Table 1 lists the L1 d-cache as "2-way
-(LRU)"); FIFO and random strategies are provided for ablation studies.
+The paper's caches use LRU throughout (Table 1 lists the L1 d-cache as
+"2-way (LRU)"), and so does every cache this reproduction builds.
 
-Unlike the classic one-policy-object-per-set design, a strategy here is a
+Unlike the classic one-policy-object-per-set design, the state here is a
 single object per *cache* that keeps the victim-selection state for every
-set in dense numpy arrays parallel to the cache's ``(num_sets,
-associativity)`` tag plane:
-
-* **LRU** — a ``(num_sets, associativity)`` array of recency ranks
-  (0 = most recently used, ``associativity - 1`` = victim);
-* **FIFO** — a ``(num_sets,)`` array of next-victim way pointers;
-* **random** — a ``(num_sets,)`` array of per-set linear-congruential
-  generator states (deterministic for a given seed, so simulations stay
-  reproducible without touching Python's global random state).
+set in one dense ``(num_sets, associativity)`` array of recency ranks
+(0 = most recently used, ``associativity - 1`` = victim), parallel to the
+cache's tag plane.
 
 The per-set methods (``touch_one`` / ``fill_one`` / ``victim_one``) drive
 the scalar reference path.  The batched classifier of
@@ -26,10 +20,7 @@ state back.  Rows of a work array always correspond to *distinct* sets,
 which the classifier guarantees by construction.
 
 ``reset_range`` restores a span of sets to the exact state of a freshly
-constructed strategy (used when the DRI i-cache gates sets off).  The
-random strategy resets to its *configured* seed, not the default — the
-legacy per-set policy objects reset via ``self.__init__(associativity)``
-and silently dropped a custom seed.
+constructed strategy (used when the DRI i-cache gates sets off).
 """
 
 from __future__ import annotations
@@ -37,13 +28,6 @@ from __future__ import annotations
 import abc
 
 import numpy as np
-
-DEFAULT_RANDOM_SEED = 12345
-"""Seed of the per-set LCGs when the cache does not configure one."""
-
-_LCG_MULTIPLIER = 1103515245
-_LCG_INCREMENT = 12345
-_LCG_MASK = 0x7FFFFFFF
 
 
 class ReplacementState(abc.ABC):
@@ -78,7 +62,7 @@ class ReplacementState(abc.ABC):
 
     @abc.abstractmethod
     def victim_one(self, set_index: int) -> int:
-        """The way ``set_index`` would evict next (advances any PRNG state)."""
+        """The way ``set_index`` would evict next."""
 
     # ------------------------------------------------------------------
     # Batched path (work arrays over distinct sets)
@@ -94,8 +78,7 @@ class ReplacementState(abc.ABC):
 
     @abc.abstractmethod
     def victims_block(self, work: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Victim ways for the work rows ``indices`` (all of them full
-        sets); advances any PRNG state in the work array."""
+        """Victim ways for the work rows ``indices`` (all of them full sets)."""
 
     @abc.abstractmethod
     def update_block(
@@ -171,117 +154,3 @@ class LRUState(ReplacementState):
 
     def reset_range(self, start: int, stop: int) -> None:
         self.ranks[start:stop] = np.arange(self.associativity, dtype=np.int64)
-
-
-class FIFOState(ReplacementState):
-    """First-in-first-out replacement: hits do not update the order."""
-
-    name = "fifo"
-
-    def __init__(self, num_sets: int, associativity: int) -> None:
-        super().__init__(num_sets, associativity)
-        self.next_way = np.zeros(num_sets, dtype=np.int64)
-
-    def touch_one(self, set_index: int, way: int) -> None:
-        """Hits do not affect FIFO order."""
-
-    def fill_one(self, set_index: int, way: int) -> None:
-        self.next_way[set_index] = (way + 1) % self.associativity
-
-    def victim_one(self, set_index: int) -> int:
-        return int(self.next_way[set_index])
-
-    def gather(self, sets: np.ndarray) -> np.ndarray:
-        return self.next_way[sets]
-
-    def scatter(self, sets: np.ndarray, work: np.ndarray) -> None:
-        self.next_way[sets] = work
-
-    def victims_block(self, work: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return work[indices]
-
-    def update_block(
-        self, work: np.ndarray, active: int, ways: np.ndarray, hit_mask: np.ndarray
-    ) -> None:
-        # Only fills rotate the pointer; hits leave FIFO order alone.
-        fills = np.nonzero(~hit_mask)[0]
-        if fills.size:
-            work[fills] = (ways[fills] + 1) % self.associativity
-
-    def reset_range(self, start: int, stop: int) -> None:
-        self.next_way[start:stop] = 0
-
-
-class RandomState(ReplacementState):
-    """Pseudo-random replacement using per-set linear-congruential generators.
-
-    Each set owns an LCG state; picking a victim advances only that set's
-    state, so the victim stream of one set is independent of how other
-    sets are exercised — exactly the behaviour of the historical
-    one-policy-object-per-set design.
-    """
-
-    name = "random"
-
-    def __init__(
-        self, num_sets: int, associativity: int, seed: int = DEFAULT_RANDOM_SEED
-    ) -> None:
-        super().__init__(num_sets, associativity)
-        self.seed = (seed & _LCG_MASK) or 1
-        self.states = np.full(num_sets, self.seed, dtype=np.int64)
-
-    def touch_one(self, set_index: int, way: int) -> None:
-        """Hits do not affect random replacement."""
-
-    def fill_one(self, set_index: int, way: int) -> None:
-        """Fills do not affect random replacement."""
-
-    def victim_one(self, set_index: int) -> int:
-        state = (_LCG_MULTIPLIER * int(self.states[set_index]) + _LCG_INCREMENT) & _LCG_MASK
-        self.states[set_index] = state
-        return state % self.associativity
-
-    def gather(self, sets: np.ndarray) -> np.ndarray:
-        return self.states[sets]
-
-    def scatter(self, sets: np.ndarray, work: np.ndarray) -> None:
-        self.states[sets] = work
-
-    def victims_block(self, work: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        # States stay below 2**31, so the multiply fits comfortably in int64.
-        states = (_LCG_MULTIPLIER * work[indices] + _LCG_INCREMENT) & _LCG_MASK
-        work[indices] = states
-        return states % self.associativity
-
-    def update_block(
-        self, work: np.ndarray, active: int, ways: np.ndarray, hit_mask: np.ndarray
-    ) -> None:
-        """Neither hits nor fills affect random replacement."""
-
-    def reset_range(self, start: int, stop: int) -> None:
-        self.states[start:stop] = self.seed
-
-
-STRATEGY_FACTORIES = {
-    "lru": LRUState,
-    "fifo": FIFOState,
-    "random": RandomState,
-}
-
-
-def make_replacement(
-    name: str,
-    num_sets: int,
-    associativity: int,
-    seed: int = DEFAULT_RANDOM_SEED,
-) -> ReplacementState:
-    """Create a cache-wide replacement strategy by name ("lru", "fifo", "random")."""
-    try:
-        factory = STRATEGY_FACTORIES[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown replacement policy {name!r}; expected one of {sorted(STRATEGY_FACTORIES)}"
-        ) from None
-    if factory is RandomState:
-        return RandomState(num_sets, associativity, seed=seed)
-    return factory(num_sets, associativity)

@@ -1,8 +1,8 @@
-"""The batched trace-replay engine.
+"""The trace-replay engines.
 
 Conventional, fixed-size, and DRI runs all replay an instruction-fetch
 stream through an L1 i-cache in front of the Table 1 L2/memory hierarchy.
-This module provides that replay loop in two interchangeable forms:
+This module provides that replay loop in three interchangeable forms:
 
 * :func:`replay_scalar` — the original per-address Python loop (one dict
   probe per access), kept as the semantic reference;
@@ -13,11 +13,6 @@ This module provides that replay loop in two interchangeable forms:
   (:meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch_from_l1_misses`),
   and DRI resize decisions are applied at chunk boundaries only — exactly
   where the scalar loop applies them;
-* :func:`replay_kernel` — the same chunked loop, but every chunk (L1
-  classification and L2 drain alike) goes through the compiled kernel
-  layer (:mod:`repro.memory.kernels`, DESIGN.md §10): one in-order
-  Numba-compiled loop over the tag-plane and replacement-state arrays,
-  with no argsort, wavefronts, or scalar tail;
 * :func:`replay_fused` — the fused DRI engine (DESIGN.md §12): for DRI
   runs whose resize policy compiles
   (:meth:`~repro.dri.policies.base.ResizePolicy.compiled_step`), the
@@ -28,28 +23,28 @@ This module provides that replay loop in two interchangeable forms:
   (:func:`~repro.memory.kernels.dri_fused.fused_dri_chunk`), with zero
   Python per interval.  Runs the fused loop cannot take (non-compilable
   policies, auto-interval caches, conventional replays) transparently
-  fall back to the chunked kernel engine, chunk boundaries and all.
+  fall back to the batched engine.
 
 Engine selection: ``"auto"`` resolves to ``"kernel-fused"`` when Numba is
 importable and silently to ``"batched"`` otherwise; asking for
-``engine="kernel"`` or ``"kernel-fused"`` explicitly without Numba raises
-a :class:`~repro.memory.kernels.KernelUnavailableError` naming the
-install extra (the pure-Python kernel fallback is bit-identical but far
-slower than batched, so it is never selected as an *engine* implicitly —
-``Cache.access_batch(..., kernel=True)`` reaches it directly for the
-equivalence tests).  :func:`engine_for_run` concretises a resolved
-engine for one specific run (the fused engine's per-run fallback), so
-results and sweep memo keys record the engine that actually executed.
+``engine="kernel-fused"`` explicitly without Numba raises a
+:class:`~repro.memory.kernels.KernelUnavailableError` naming the install
+extra (the pure-Python fused loop is bit-identical but far slower than
+batched, so it is never selected as an *engine* implicitly — the
+equivalence tests call :func:`replay_fused` directly).
+:func:`engine_for_run` concretises a resolved engine for one specific
+run (the fused engine's per-run fallback), so results and sweep memo
+keys record the engine that actually executed.
 
-Both engines consume any
+Every engine consumes any
 :class:`~repro.workloads.source.TraceSource` — an in-memory
 :class:`~repro.workloads.trace.InstructionTrace` is coerced to one — and
-never ask for more than one chunk at a time, so a streamed or mmapped
-source replays a 100M-access trace at flat memory.  Both produce
+never asks for more than one chunk at a time, so a streamed or mmapped
+source replays a 100M-access trace at flat memory.  All produce
 bit-identical hit/miss/eviction counts, DRI statistics, resize
 trajectories, and cycle totals; the batched form is an order of magnitude
-faster because the hot per-access work — at every associativity, L1 and
-L2 alike — never enters the Python interpreter.
+faster than the scalar one because the hot per-access work — at every
+associativity, L1 and L2 alike — never enters the Python interpreter.
 
 Chunking policy
 ---------------
@@ -72,7 +67,6 @@ from repro.dri.policies import build_policy
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.kernels import runtime as kernel_runtime
-from repro.memory.replacement import LRUState
 from repro.workloads.source import TraceSource, as_trace_source
 from repro.workloads.trace import InstructionTrace
 
@@ -82,7 +76,7 @@ TraceLike = Union[InstructionTrace, TraceSource]
 DEFAULT_CHUNK_ACCESSES = 1 << 16
 """Chunk length (in accesses) for runs without sense-interval boundaries."""
 
-ENGINE_KINDS = ("auto", "kernel-fused", "kernel", "batched", "scalar")
+ENGINE_KINDS = ("auto", "kernel-fused", "batched", "scalar")
 """Accepted engine selectors: "auto" prefers the fused kernel engine when
 Numba is importable and falls back to the batched engine otherwise."""
 
@@ -93,16 +87,15 @@ def resolve_engine(kind: str) -> str:
     ``"auto"`` resolves to ``"kernel-fused"`` when Numba is importable,
     else silently to ``"batched"`` (the graceful-degradation contract: a
     numpy-only install never errors and never silently runs the slow
-    pure-Python kernel loop).  An *explicit* ``"kernel"`` or
-    ``"kernel-fused"`` without Numba raises
-    :class:`~repro.memory.kernels.KernelUnavailableError` naming the
-    missing install extra.
+    pure-Python fused loop).  An *explicit* ``"kernel-fused"`` without
+    Numba raises :class:`~repro.memory.kernels.KernelUnavailableError`
+    naming the missing install extra.
     """
     if kind not in ENGINE_KINDS:
         raise ValueError(f"engine must be one of {ENGINE_KINDS}, got {kind!r}")
     if kind == "auto":
         return "kernel-fused" if kernel_runtime.NUMBA_AVAILABLE else "batched"
-    if kind in ("kernel", "kernel-fused"):
+    if kind == "kernel-fused":
         kernel_runtime.require_numba(kind)
     return kind
 
@@ -118,7 +111,7 @@ def engine_for_run(
     no DRI parameters (conventional/fixed-size replay), a resize policy
     without a compiled form, or an L2 block smaller than the L1's (the
     in-kernel drain needs a non-negative block-address shift) — executes
-    on the chunked kernel engine instead.  Sweep memoisation and
+    on the batched engine instead.  Sweep memoisation and
     :class:`~repro.simulation.results.SimulationResult` record *this*
     name, never the ambiguous selector, so memo keys can never alias two
     different execution paths.
@@ -126,12 +119,12 @@ def engine_for_run(
     if resolved != "kernel-fused":
         return resolved
     if parameters is None:
-        return "kernel"
+        return "batched"
     step = build_policy(parameters.policy, parameters).compiled_step()
     if step is None or step.kind != "miss-bound":
-        return "kernel"
+        return "batched"
     if system.l2_cache.offset_bits < system.l1_icache.offset_bits:
-        return "kernel"
+        return "batched"
     return "kernel-fused"
 
 
@@ -198,7 +191,6 @@ def replay_batched(
     base_cpi: float,
     system: SystemConfig,
     dri: Optional[DRIParameters] = None,
-    kernel: bool = False,
 ) -> int:
     """Replay ``trace`` in interval-aligned chunks; returns the cycle count.
 
@@ -211,10 +203,6 @@ def replay_batched(
     asked for chunks of exactly the interval length, so the chunk
     boundaries *are* the decision points even when the stream is being
     generated or read from disk on the fly.
-
-    ``kernel=True`` routes every chunk classification — the L1 lookup
-    and the L2 miss drain alike — through the compiled kernel layer
-    instead of the numpy classifiers (this is :func:`replay_kernel`).
     """
     source = as_trace_source(trace)
     timing = TimingModel(pipeline=system.pipeline, base_cpi=base_cpi)
@@ -235,11 +223,9 @@ def replay_batched(
 
     for chunk in source.chunks(chunk_accesses):
         accesses += chunk.shape[0]
-        hits = icache.access_batch(chunk, kernel=kernel)
+        hits = icache.access_batch(chunk)
         if not hits.all():
-            l2_hits, l2_misses = hierarchy.access_batch_from_l1_misses(
-                chunk[~hits], kernel=kernel
-            )
+            l2_hits, l2_misses = hierarchy.access_batch_from_l1_misses(chunk[~hits])
             miss_l2 += l2_hits
             miss_memory += l2_misses
         if dri_cache is not None:
@@ -265,26 +251,6 @@ def replay_batched(
     return timing.cycles
 
 
-def replay_kernel(
-    trace: TraceLike,
-    icache: Cache,
-    hierarchy: MemoryHierarchy,
-    base_cpi: float,
-    system: SystemConfig,
-    dri: Optional[DRIParameters] = None,
-) -> int:
-    """Replay ``trace`` through the compiled kernel engine.
-
-    The chunking, interval alignment, and L2 drain are exactly
-    :func:`replay_batched`'s; only the per-chunk classification differs
-    (one in-order compiled loop instead of the numpy classifiers), so
-    the bit-identity contract is inherited chunk for chunk.  Runs the
-    bit-identical pure-Python fallback when Numba is absent — callers
-    wanting the absence to be an error go through :func:`resolve_engine`.
-    """
-    return replay_batched(trace, icache, hierarchy, base_cpi, system, dri, kernel=True)
-
-
 def replay_fused(
     trace: TraceLike,
     icache: Cache,
@@ -295,14 +261,14 @@ def replay_fused(
 ) -> int:
     """Replay ``trace`` through the fused DRI engine.
 
-    Eligible runs — a manually-driven :class:`DRIICache` with LRU state
-    on both levels, an L2 block at least as large as the L1's, and a
-    policy whose :meth:`compiled_step` the kernel implements — stream
+    Eligible runs — a manually-driven :class:`DRIICache`, an L2 block at
+    least as large as the L1's, and a policy whose :meth:`compiled_step`
+    the kernel implements — stream
     :data:`DEFAULT_CHUNK_ACCESSES`-sized chunks straight into
     :meth:`DRIICache.fused_chunk`; interval boundaries fall wherever
     they fall inside a chunk and are handled entirely in compiled code,
     so the chunking no longer needs to align with sense intervals at
-    all.  Every other run falls back to :func:`replay_kernel`
+    all.  Every other run falls back to :func:`replay_batched`
     (bit-identical, interval-aligned chunks, Python ``end_interval`` at
     each boundary).  :func:`engine_for_run` predicts this fallback from
     the run parameters alone so callers can key caches correctly.
@@ -311,14 +277,12 @@ def replay_fused(
     if (
         dri_cache is None
         or dri_cache.auto_interval
-        or not isinstance(dri_cache._policy, LRUState)
-        or not isinstance(hierarchy.l2._policy, LRUState)
         or hierarchy.l2.geometry.offset_bits < dri_cache.geometry.offset_bits
     ):
-        return replay_kernel(trace, icache, hierarchy, base_cpi, system, dri)
+        return replay_batched(trace, icache, hierarchy, base_cpi, system, dri)
     step = dri_cache.controller.policy.compiled_step()
     if step is None or step.kind != "miss-bound":
-        return replay_kernel(trace, icache, hierarchy, base_cpi, system, dri)
+        return replay_batched(trace, icache, hierarchy, base_cpi, system, dri)
 
     source = as_trace_source(trace)
     timing = TimingModel(pipeline=system.pipeline, base_cpi=base_cpi)
@@ -356,8 +320,6 @@ def replay(
     resolved = resolve_engine(engine)
     if resolved == "kernel-fused":
         return replay_fused(trace, icache, hierarchy, base_cpi, system, dri)
-    if resolved == "kernel":
-        return replay_kernel(trace, icache, hierarchy, base_cpi, system, dri)
     if resolved == "batched":
         return replay_batched(trace, icache, hierarchy, base_cpi, system, dri)
     return replay_scalar(trace, icache, hierarchy, base_cpi, system, dri)

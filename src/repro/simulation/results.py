@@ -40,8 +40,8 @@ class SimulationResult:
         conventional runs).
     engine:
         The replay engine that actually executed the run — always a
-        concrete name (``"kernel-fused"``, ``"kernel"``, ``"batched"``,
-        ``"scalar"``), never ``"auto"``, and reflecting the fused
+        concrete name (``"kernel-fused"``, ``"batched"``, ``"scalar"``),
+        never ``"auto"``, and reflecting the fused
         engine's per-run fallback (see
         :func:`~repro.simulation.engine.engine_for_run`).  Empty for
         results built by callers that predate the field.

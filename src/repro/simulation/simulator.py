@@ -13,15 +13,14 @@ benchmark, many cache configurations).
 
 The replay itself lives in :mod:`repro.simulation.engine`; the simulator
 is a thin wrapper that builds the caches and selects the scalar, batched,
-compiled-kernel, or fused engine (``engine="auto"`` resolves to the
-fused ``"kernel-fused"`` engine when Numba is importable and to batched
+or fused engine (``engine="auto"`` resolves to the fused
+``"kernel-fused"`` engine when Numba is importable and to batched
 otherwise; all engines are bit-identical — the dense tag-plane substrate
-vectorises direct-mapped and set-associative classification alike, the
-kernel layer compiles the per-chunk loop outright, and the fused engine
-compiles the whole DRI sense-interval cycle, see DESIGN.md §6/§10/§12).
-Every :class:`SimulationResult` records the *concrete* engine that
-executed it (:meth:`Simulator.engine_for`), including the fused engine's
-per-run fallback to the chunked kernel.
+vectorises direct-mapped and set-associative classification alike, and
+the fused engine compiles the whole DRI sense-interval cycle, see
+DESIGN.md §6/§10/§12).  Every :class:`SimulationResult` records the
+*concrete* engine that executed it (:meth:`Simulator.engine_for`),
+including the fused engine's per-run fallback to batched.
 
 Workloads resolve to a :class:`~repro.workloads.source.TraceSource`:
 benchmark names and specs become (cached) in-memory traces, while any
@@ -69,14 +68,13 @@ class Simulator:
     engine:
         Replay engine: ``"auto"`` (default; resolves to the fused
         ``"kernel-fused"`` engine when Numba is importable, else to
-        ``"batched"``), ``"kernel-fused"``, ``"kernel"``, ``"batched"``,
-        or ``"scalar"``.  The engines are bit-identical; ``"scalar"``
+        ``"batched"``), ``"kernel-fused"``, ``"batched"``, or
+        ``"scalar"``.  The engines are bit-identical; ``"scalar"``
         exists as the semantic reference and for the throughput
         benchmarks, ``"kernel-fused"`` transparently runs ineligible
         runs (non-compilable policies, conventional replays) on the
-        chunked kernel engine, and an explicit ``"kernel"`` or
-        ``"kernel-fused"`` without Numba raises a clear error naming the
-        ``[kernel]`` install extra.
+        batched engine, and an explicit ``"kernel-fused"`` without Numba
+        raises a clear error naming the ``[kernel]`` install extra.
     """
 
     def __init__(
@@ -99,7 +97,7 @@ class Simulator:
 
         Identical to :attr:`engine` except under ``"kernel-fused"``,
         where ineligible runs (no DRI parameters, non-compilable policy,
-        L2 block smaller than the L1's) fall back to ``"kernel"`` — the
+        L2 block smaller than the L1's) fall back to ``"batched"`` — the
         name results and sweep memo keys must record.
         """
         return engine_for_run(self.engine, self.system, parameters)

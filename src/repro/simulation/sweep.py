@@ -375,11 +375,11 @@ class ParameterSweep:
         The engine identity in the key is the *per-run concrete* engine
         (:meth:`Simulator.engine_for`), never the ambiguous session
         selector: under ``"kernel-fused"``, a run whose policy cannot
-        compile executes on the chunked kernel engine, and its memo entry
-        must record that — the engines are bit-identical, but a memo
-        entry must record *which* engine produced it so a campaign that
-        switches engines (e.g. a kernel run next to a batched
-        cross-check) never conflates provenance.
+        compile executes on the batched engine, and its memo entry must
+        record that — the engines are bit-identical, but a memo entry
+        must record *which* engine produced it so a campaign that
+        switches engines (e.g. a fused run next to a scalar cross-check)
+        never conflates provenance.
         """
         return (
             trace.name,

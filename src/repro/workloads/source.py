@@ -263,16 +263,35 @@ class TraceStore(TraceSource):
 
     @classmethod
     def open(cls, path: str | Path) -> "TraceStore":
-        """Open an existing store (the data file is mmapped on first read)."""
-        metadata = json.loads(cls.sidecar_path(path).read_text(encoding="utf-8"))
+        """Open an existing store, mmapping and checking its data file.
+
+        Raises ``ValueError`` naming the offending file when the sidecar
+        lacks a required key or the data is not a 1-D integer array.
+        """
+        sidecar = cls.sidecar_path(path)
+        metadata = json.loads(sidecar.read_text(encoding="utf-8"))
+        missing = [
+            key for key in ("name", "instructions_per_line", "line_size") if key not in metadata
+        ]
+        if missing:
+            raise ValueError(f"{sidecar}: missing key(s) {', '.join(map(repr, missing))}")
+        data_path = cls.data_path(path)
+        data = np.load(data_path, mmap_mode="r")
+        if data.ndim != 1 or data.dtype.kind not in "iu":
+            raise ValueError(
+                f"{data_path}: expected a 1-D integer address array, "
+                f"got shape {data.shape} of {data.dtype}"
+            )
         base_name = metadata.get("base_name")
-        return cls(
+        store = cls(
             path=cls._base_path(path),
             name=metadata["name"],
             instructions_per_line=int(metadata["instructions_per_line"]),
             line_size=int(metadata["line_size"]),
             base_name=None if base_name == metadata["name"] else base_name,
         )
+        store._mmap = data
+        return store
 
     # -- TraceSource -----------------------------------------------------
     @property
@@ -362,7 +381,7 @@ class DinTraceSource(TraceSource):
         mask = ~np.uint64(self.line_size - 1)
         with self._open_text() as stream:
             block: list = []
-            for line in stream:
+            for number, line in enumerate(stream, start=1):
                 parts = line.split()
                 if not parts or parts[0].startswith("#"):
                     continue
@@ -372,7 +391,16 @@ class DinTraceSource(TraceSource):
                     address = parts[1]
                 else:
                     continue
-                block.append(int(address, 16))
+                try:
+                    value = int(address, 16)
+                except ValueError:
+                    value = -1
+                if not 0 <= value < 1 << 64:
+                    raise ValueError(
+                        f"{self.path}:{number}: address field {address!r} is not "
+                        "a 64-bit hexadecimal address"
+                    )
+                block.append(value)
                 if len(block) >= self.PARSE_BLOCK_LINES:
                     yield np.array(block, dtype=np.uint64) & mask
                     block = []

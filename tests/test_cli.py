@@ -34,6 +34,13 @@ class TestParser:
         args = build_parser().parse_args(["figure3"])
         assert args.chunk is None
 
+    def test_engine_choices_exclude_the_retired_kernel_engine(self):
+        assert build_parser().parse_args(["figure3", "--engine", "kernel-fused"]).engine == (
+            "kernel-fused"
+        )
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["figure3", "--engine", "kernel"])
+
     def test_run_command_requires_known_benchmark(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "vortex"])

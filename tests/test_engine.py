@@ -315,8 +315,8 @@ class TestAccessBatch:
 
 class TestSetAssociativeEquivalence:
     """The wavefront classifier is bit-identical to the scalar reference
-    at every associativity and replacement policy: same statistics, same
-    eviction counts, same per-access hit outcomes, same final contents."""
+    at every associativity: same statistics, same eviction counts, same
+    per-access hit outcomes, same final contents and LRU ranks."""
 
     def _mixed_trace(self, rng, loop_lines=64, loop_repeats=40, scatter=2_000, span=2**20):
         """Scattered accesses around a hot loop: exercises empty-way fills,
@@ -329,27 +329,26 @@ class TestSetAssociativeEquivalence:
         return np.concatenate([noise, loop, noise])
 
     @pytest.mark.parametrize("associativity", [2, 4, 8])
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
-    def test_randomized_traces_match_scalar(self, associativity, policy):
+    def test_randomized_traces_match_scalar(self, associativity):
         rng = np.random.default_rng(100 + associativity)
         addresses = self._mixed_trace(rng)
         geometry = CacheGeometry(
             size_bytes=8 * 1024, block_size=32, associativity=associativity
         )
-        reference = Cache(geometry, replacement=policy)
+        reference = Cache(geometry)
         reference_hits = np.array(
             [reference.access(address).hit for address in addresses.tolist()]
         )
-        batched = Cache(geometry, replacement=policy)
+        batched = Cache(geometry)
         hits = np.concatenate(
             [batched.access_batch(chunk) for chunk in np.array_split(addresses, 5)]
         )
         assert np.array_equal(hits, reference_hits)
         assert _cache_stats_tuple(batched.stats) == _cache_stats_tuple(reference.stats)
         assert np.array_equal(batched._tag_plane, reference._tag_plane)
+        assert np.array_equal(batched._policy.ranks, reference._policy.ranks)
 
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
-    def test_single_hot_set_takes_the_scalar_tail(self, policy):
+    def test_single_hot_set_takes_the_scalar_tail(self):
         """A chunk dominated by one set exceeds the wavefront width cutoff
         and must finish on the scalar tail with identical results."""
         rng = np.random.default_rng(23)
@@ -357,20 +356,21 @@ class TestSetAssociativeEquivalence:
         # 16 sets: every address maps to set 3, tags drawn from a small pool.
         tags = rng.integers(0, 9, size=4_000, dtype=np.uint64)
         addresses = (tags << np.uint64(9)) | np.uint64(3 << 5)
-        reference = Cache(geometry, replacement=policy)
+        reference = Cache(geometry)
         reference_hits = np.array(
             [reference.access(address).hit for address in addresses.tolist()]
         )
-        batched = Cache(geometry, replacement=policy)
+        batched = Cache(geometry)
         hits = batched.access_batch(addresses)
         assert np.array_equal(hits, reference_hits)
         assert _cache_stats_tuple(batched.stats) == _cache_stats_tuple(reference.stats)
         assert np.array_equal(batched._tag_plane, reference._tag_plane)
+        assert np.array_equal(batched._policy.ranks, reference._policy.ranks)
 
     @pytest.mark.parametrize("associativity", [2, 4])
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
-    def test_replay_engines_match_on_policies(self, associativity, policy):
-        """Full-replay equivalence (L1 + batched L2 drain) beyond LRU."""
+    def test_replay_engines_match_set_associative(self, associativity):
+        """Full-replay equivalence (L1 + batched L2 drain) on a
+        set-associative L1."""
         from repro.memory.hierarchy import MemoryHierarchy
         from repro.simulation.engine import replay
 
@@ -380,7 +380,7 @@ class TestSetAssociativeEquivalence:
         system = SystemConfig().with_icache(16 * 1024, associativity=associativity)
         outcomes = {}
         for engine in ("scalar", "batched"):
-            icache = Cache(system.l1_icache, name="L1I", replacement=policy)
+            icache = Cache(system.l1_icache, name="L1I")
             hierarchy = MemoryHierarchy(system)
             cycles = replay(
                 trace, icache, hierarchy, 0.75, system, dri=None, engine=engine
@@ -408,30 +408,6 @@ class TestSetAssociativeEquivalence:
         assert a.cycles == b.cycles
         assert a.dri_stats.size_trajectory() == b.dri_stats.size_trajectory()
         assert _interval_tuples(a.dri_stats) == _interval_tuples(b.dri_stats)
-
-    def test_custom_random_seed_survives_invalidation(self):
-        """Regression: a re-enabled set's victim stream must match a fresh
-        cache built with the same (custom) seed — the legacy per-set
-        policies reset to the default seed instead."""
-        geometry = CacheGeometry(size_bytes=1024, block_size=32, associativity=4)
-
-        def eviction_pattern(cache):
-            # Overfill set 0 (8 sets: block address stride 8) and record
-            # which tags get evicted.
-            pattern = []
-            for tag in range(12):
-                result = cache.access(tag << 8)
-                pattern.append(result.evicted_tag)
-            return pattern
-
-        seeded = Cache(geometry, replacement="random", replacement_seed=777)
-        fresh = Cache(geometry, replacement="random", replacement_seed=777)
-        assert seeded._policy.seed == 777  # the seed is threaded through
-        first = eviction_pattern(seeded)
-        assert first == eviction_pattern(fresh)
-        seeded.invalidate_set(0)
-        rerun = Cache(geometry, replacement="random", replacement_seed=777)
-        assert eviction_pattern(seeded) == eviction_pattern(rerun)
 
 
 class TestSenseIntervalUnits:

@@ -1,7 +1,7 @@
-"""Tests for the fused DRI interval-loop engine (DESIGN.md §12).
+"""Tests for the fused DRI interval-loop engine and the engine selector.
 
-The fused engine's contract is the chunked kernel engine's bit-identity
-plus three extras of its own:
+The fused engine (DESIGN.md §12) carries the batched engine's
+bit-identity contract plus three extras of its own:
 
 * **whole-cycle parity** — one compiled call per trace chunk covers
   classification, interval boundaries, the resize decision, throttling,
@@ -12,9 +12,13 @@ plus three extras of its own:
 * **zero Python per interval** — on the fused path ``end_interval`` is
   never called (the counter smoke below pins it);
 * **transparent per-run fallback** — runs the fused loop cannot take
-  (non-compilable policies, conventional replays) execute on the chunked
-  kernel engine, and results/memo keys record the engine that actually
-  ran.
+  (non-compilable policies, conventional replays) execute on the batched
+  engine, and results/memo keys record the engine that actually ran.
+
+The selector's graceful degradation is pinned here too: importing
+:mod:`repro` never requires Numba, ``engine="auto"`` silently falls back
+to the batched engine, and an *explicit* ``engine="kernel-fused"``
+without Numba raises a clear error naming the ``[kernel]`` install extra.
 
 Without Numba the suite runs the bit-identical pure-Python fallback
 (``kernel_jit`` is the identity decorator); the CI ``kernel`` job runs
@@ -23,18 +27,25 @@ the same tests compiled.
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import repro.memory.kernels.runtime as kernel_runtime
 from repro.config.parameters import DRIParameters, ThrottleConfig
-from repro.config.system import SystemConfig
+from repro.config.system import CacheGeometry, SystemConfig
 from repro.dri.dri_cache import DRIICache
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.kernels import numba_version
 from repro.simulation.engine import (
+    ENGINE_KINDS,
     engine_for_run,
+    replay_batched,
     replay_fused,
-    replay_kernel,
     replay_scalar,
     resolve_engine,
 )
@@ -224,20 +235,20 @@ class TestFusedEquivalence:
             trace, system, parameters, fused_trace=_RaggedSource(trace)
         )
 
-    def test_fused_matches_kernel_engine(self):
-        """The fused and chunked-kernel engines agree with each other too
-        (both already agree with scalar; this pins the pair directly)."""
+    def test_fused_matches_batched_engine(self):
+        """The fused and batched engines agree with each other too (both
+        already agree with scalar; this pins the pair directly)."""
         trace = generate_trace(
             get_benchmark("swim"), total_instructions=INSTRUCTIONS, seed=SEED
         )
         system = SystemConfig()
         parameters = DRIParameters(miss_bound=40, size_bound=1024, sense_interval=5_000)
-        cycles_k, cache_k, hier_k = _run_dri(replay_kernel, trace, system, parameters)
-        cycles_f, cache_f, hier_f = _run_dri(replay_fused, trace, system, parameters)
-        assert cycles_f == cycles_k
-        assert _cache_stats_tuple(cache_f.stats) == _cache_stats_tuple(cache_k.stats)
-        assert _interval_tuples(cache_f.dri_stats) == _interval_tuples(cache_k.dri_stats)
-        assert np.array_equal(cache_f._tag_plane, cache_k._tag_plane)
+        cycles_b, cache_b, _ = _run_dri(replay_batched, trace, system, parameters)
+        cycles_f, cache_f, _ = _run_dri(replay_fused, trace, system, parameters)
+        assert cycles_f == cycles_b
+        assert _cache_stats_tuple(cache_f.stats) == _cache_stats_tuple(cache_b.stats)
+        assert _interval_tuples(cache_f.dri_stats) == _interval_tuples(cache_b.dri_stats)
+        assert np.array_equal(cache_f._tag_plane, cache_b._tag_plane)
 
 
 class _CountingDRIICache(DRIICache):
@@ -279,39 +290,49 @@ class TestZeroPythonPerInterval:
         assert len(icache.dri_stats.intervals) > 0
 
     def test_chunked_path_calls_end_interval_per_interval(self):
-        """Contrast: the chunked kernel engine pays the Python boundary
-        once per closed interval (what the fused engine removes)."""
-        icache = self._counted_replay(replay_kernel)
+        """Contrast: the batched engine pays the Python boundary once per
+        closed interval (what the fused engine removes)."""
+        icache = self._counted_replay(replay_batched)
         closed = sum(1 for r in icache.dri_stats.intervals if r.accesses == icache.interval_length_accesses)
         assert icache.end_interval_calls == closed
         assert icache.end_interval_calls > 0
 
 
+def _same_run(a, b):
+    """Two SimulationResults agree on every simulated output."""
+    assert (a.l1_accesses, a.l1_misses, a.l2_accesses, a.l2_misses, a.cycles) == (
+        b.l1_accesses,
+        b.l1_misses,
+        b.l2_accesses,
+        b.l2_misses,
+        b.cycles,
+    )
+    if a.dri_stats is not None:
+        assert _interval_tuples(a.dri_stats) == _interval_tuples(b.dri_stats)
+
+
 class TestFallbackMatrix:
     """Per-run and per-environment fallbacks, and what gets recorded."""
 
-    def test_non_compilable_policy_falls_back_to_chunked_kernel(self, fused_selectable):
+    @pytest.mark.parametrize("policy", ["pid", "phase-detect"])
+    def test_non_compilable_policy_falls_back_to_batched(self, fused_selectable, policy):
         parameters = DRIParameters(
             miss_bound=30, size_bound=2048, sense_interval=5_000
-        ).with_policy("pid")
+        ).with_policy(policy)
         fused = Simulator(trace_instructions=40_000, seed=SEED, engine="kernel-fused")
-        batched = Simulator(trace_instructions=40_000, seed=SEED, engine="batched")
-        assert fused.engine_for(parameters) == "kernel"
-        a = fused.run_dri("compress", parameters)
-        b = batched.run_dri("compress", parameters)
-        assert a.engine == "kernel"
-        assert (a.l1_accesses, a.l1_misses, a.cycles) == (
-            b.l1_accesses,
-            b.l1_misses,
-            b.cycles,
-        )
-        assert _interval_tuples(a.dri_stats) == _interval_tuples(b.dri_stats)
+        scalar = Simulator(trace_instructions=40_000, seed=SEED, engine="scalar")
+        assert fused.engine_for(parameters) == "batched"
+        result = fused.run_dri("compress", parameters)
+        assert result.engine == "batched"
+        _same_run(result, scalar.run_dri("compress", parameters))
 
-    def test_conventional_run_records_kernel(self, fused_selectable):
+    def test_conventional_run_records_batched(self, fused_selectable):
         simulator = Simulator(trace_instructions=40_000, seed=SEED, engine="kernel-fused")
-        assert simulator.engine_for(None) == "kernel"
+        scalar = Simulator(trace_instructions=40_000, seed=SEED, engine="scalar")
+        assert simulator.engine_for(None) == "batched"
         result = simulator.run_conventional("compress")
-        assert result.engine == "kernel"
+        assert result.engine == "batched"
+        _same_run(result, scalar.run_conventional("compress"))
 
     def test_compilable_run_records_fused(self, fused_selectable):
         parameters = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
@@ -330,19 +351,30 @@ class TestFallbackMatrix:
     def test_engine_for_run_passthrough(self):
         system = SystemConfig()
         parameters = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
-        for resolved in ("scalar", "batched", "kernel"):
+        for resolved in ("scalar", "batched"):
             assert engine_for_run(resolved, system, parameters) == resolved
             assert engine_for_run(resolved, system, None) == resolved
         assert engine_for_run("kernel-fused", system, parameters) == "kernel-fused"
-        assert engine_for_run("kernel-fused", system, None) == "kernel"
+        assert engine_for_run("kernel-fused", system, None) == "batched"
         assert (
             engine_for_run("kernel-fused", system, parameters.with_policy("phase-detect"))
-            == "kernel"
+            == "batched"
         )
+        small_l2_blocks = SystemConfig(
+            l2_cache=CacheGeometry(size_bytes=1024 * 1024, block_size=16, associativity=4)
+        )
+        assert engine_for_run("kernel-fused", small_l2_blocks, parameters) == "batched"
+
+    def test_retired_kernel_engine_is_rejected(self):
+        assert ENGINE_KINDS == ("auto", "kernel-fused", "batched", "scalar")
+        with pytest.raises(ValueError):
+            resolve_engine("kernel")
+        with pytest.raises(ValueError):
+            Simulator(engine="kernel")
 
     def test_memo_keys_record_per_run_engine(self, fused_selectable):
         """One fused sweep, two policies: the memo must key the compilable
-        run under kernel-fused and the fallback run under kernel."""
+        run under kernel-fused and the fallback run under batched."""
         compilable = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
         fallback = compilable.with_policy("pid")
         sweep = ParameterSweep(
@@ -351,7 +383,54 @@ class TestFallbackMatrix:
         sweep.evaluate("compress", compilable)
         sweep.evaluate("compress", fallback)
         engines = {key[3].policy.name: key[2] for key in sweep._dri_cache}
-        assert engines == {"miss-bound": "kernel-fused", "pid": "kernel"}
+        assert engines == {"miss-bound": "kernel-fused", "pid": "batched"}
+
+    def test_memo_key_separates_engines(self):
+        """A sweep's memo records which engine produced each entry."""
+        parameters = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
+        batched = ParameterSweep(
+            Simulator(trace_instructions=40_000, seed=SEED, engine="batched")
+        )
+        scalar = ParameterSweep(
+            Simulator(trace_instructions=40_000, seed=SEED, engine="scalar")
+        )
+        batched.evaluate("compress", parameters)
+        scalar.evaluate("compress", parameters)
+        (key_b,) = batched._dri_cache.keys()
+        (key_s,) = scalar._dri_cache.keys()
+        assert key_b != key_s
+        assert "batched" in key_b and "scalar" in key_s
+
+    def test_fused_task_pickles_through_warm_pool(self, fused_selectable):
+        """A kernel-fused sweep round-trips through the persistent pool.
+
+        Fork workers inherit the widened selector, so one task runs the
+        fused loop and one (a non-compilable policy) its batched fallback;
+        with Numba present the fused task runs compiled.
+        """
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("monkeypatched selector needs fork workers")
+        compilable = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
+        tasks = [("compress", compilable), ("swim", compilable.with_policy("phase-detect"))]
+        # The tasks (with their PolicySpecs) must survive the pickle
+        # boundary the pool ships them across.
+        assert pickle.loads(pickle.dumps(tasks)) == tasks
+
+        fused_sweep = ParameterSweep(
+            Simulator(trace_instructions=40_000, seed=SEED, engine="kernel-fused")
+        )
+        serial = ParameterSweep(
+            Simulator(trace_instructions=40_000, seed=SEED, engine="batched")
+        )
+        try:
+            pooled = fused_sweep.evaluate_many(tasks, jobs=2)
+        finally:
+            fused_sweep.close()
+        assert [point.simulation.engine for point in pooled] == ["kernel-fused", "batched"]
+        for point, (name, parameters) in zip(pooled, tasks):
+            reference = serial.evaluate(name, parameters)
+            assert point.parameters == reference.parameters
+            _same_run(point.simulation, reference.simulation)
 
 
 @pytest.fixture
@@ -370,8 +449,28 @@ def forced_absent_numba(monkeypatch):
 
 
 class TestGracefulDegradation:
+    def test_numba_version_reports_reality(self):
+        version = numba_version()
+        if kernel_runtime.NUMBA_AVAILABLE:
+            assert isinstance(version, str) and version
+        else:
+            assert version is None
+
     def test_auto_without_numba_resolves_to_batched(self, forced_absent_numba):
         assert resolve_engine("auto") == "batched"
+
+    def test_auto_with_numba_present_prefers_fused_kernel(self, monkeypatch):
+        monkeypatch.setattr(kernel_runtime, "NUMBA_AVAILABLE", True)
+        assert resolve_engine("auto") == "kernel-fused"
+
+    def test_auto_fallback_stats_identical_to_batched(self, forced_absent_numba):
+        auto = Simulator(trace_instructions=40_000, seed=SEED, engine="auto")
+        batched = Simulator(trace_instructions=40_000, seed=SEED, engine="batched")
+        assert auto.engine == "batched"
+        parameters = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
+        a = auto.run_dri("compress", parameters)
+        assert a.engine == "batched"
+        _same_run(a, batched.run_dri("compress", parameters))
 
     def test_explicit_fused_without_numba_raises_named_extra(self, forced_absent_numba):
         with pytest.raises(forced_absent_numba.KernelUnavailableError) as excinfo:
@@ -383,3 +482,18 @@ class TestGracefulDegradation:
     def test_simulator_explicit_fused_raises_at_construction(self, forced_absent_numba):
         with pytest.raises(forced_absent_numba.KernelUnavailableError):
             Simulator(engine="kernel-fused")
+
+    def test_importing_repro_does_not_import_numba(self):
+        """The tier-1 environment is numpy-only: nothing in the package
+        import graph may pull Numba in eagerly (the runtime module's
+        guarded import is the single sanctioned touch point)."""
+        code = (
+            "import sys; sys.modules['numba'] = None; "
+            "import repro, repro.simulation.engine, repro.memory.kernels; "
+            "print('ok')"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"

@@ -5,13 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config.system import MemoryTiming, SystemConfig
-from repro.memory.cache import Cache
-from repro.memory.hierarchy import (
-    InstructionMemoryPath,
-    MainMemory,
-    MemoryHierarchy,
-    ServiceLevel,
-)
+from repro.memory.hierarchy import MainMemory, MemoryHierarchy, ServiceLevel
 
 
 @pytest.fixture
@@ -67,28 +61,3 @@ class TestMemoryHierarchy:
         # The block is still cached, so the next access is an L2 hit.
         assert hierarchy.access_from_l1_miss(0x4000).level is ServiceLevel.L2
 
-
-class TestInstructionMemoryPath:
-    def test_hit_costs_l1_latency(self, hierarchy, system):
-        path = InstructionMemoryPath(Cache(system.l1_icache, name="L1I"), hierarchy)
-        path.fetch(0x1000)  # warm
-        assert path.fetch(0x1000) == system.l1_icache.latency
-
-    def test_miss_adds_l2_latency(self, hierarchy, system):
-        path = InstructionMemoryPath(Cache(system.l1_icache, name="L1I"), hierarchy)
-        hierarchy.access_from_l1_miss(0x1000)  # warm the L2
-        latency = path.fetch(0x1000)
-        assert latency == system.l1_icache.latency + system.l2_cache.latency
-
-    def test_cold_miss_adds_memory_latency(self, hierarchy, system):
-        path = InstructionMemoryPath(Cache(system.l1_icache, name="L1I"), hierarchy)
-        latency = path.fetch(0x1000)
-        assert latency == (
-            system.l1_icache.latency + system.l2_cache.latency + system.l2_miss_penalty
-        )
-
-    def test_miss_rate_tracks_l1(self, hierarchy, system):
-        path = InstructionMemoryPath(Cache(system.l1_icache, name="L1I"), hierarchy)
-        path.fetch(0x1000)
-        path.fetch(0x1000)
-        assert path.miss_rate == pytest.approx(0.5)

@@ -30,26 +30,12 @@ class TestAccounting:
             loop.breakdown.fetch_stall_cycles
         )
 
-    def test_branch_misprediction_penalty(self):
-        timing = TimingModel()
-        timing.account_branch_misprediction()
-        assert timing.breakdown.branch_penalty_cycles == pytest.approx(
-            timing.pipeline.branch_misprediction_penalty
-        )
-
     def test_total_is_sum_of_components(self):
         timing = TimingModel(base_cpi=1.0)
         timing.account_instructions(100)
         timing.account_fetch_miss(12)
-        timing.account_branch_misprediction()
         breakdown = timing.breakdown
-        assert timing.cycles == int(
-            round(
-                breakdown.base_cycles
-                + breakdown.fetch_stall_cycles
-                + breakdown.branch_penalty_cycles
-            )
-        )
+        assert timing.cycles == int(round(breakdown.base_cycles + breakdown.fetch_stall_cycles))
 
     def test_reset_zeroes_counters(self):
         timing = TimingModel()

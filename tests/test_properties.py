@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from itertools import cycle
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config.parameters import DRIParameters
-from repro.config.system import CacheGeometry
-from repro.cpu.branch import SaturatingCounter
+from repro.config.parameters import DRIParameters, ThrottleConfig
+from repro.config.system import CacheGeometry, SystemConfig
 from repro.dri.dri_cache import DRIICache
 from repro.dri.mask import SizeMask
+from repro.dri.policies import policy_names
 from repro.energy.model import EnergyModel, RunStatistics
 from repro.memory.cache import Cache
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.replacement import LRUState
+from repro.simulation.engine import replay_batched, replay_fused, replay_scalar
+from repro.workloads.source import TraceSource
+from repro.workloads.trace import InstructionTrace
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -211,20 +218,114 @@ class TestEnergyProperties:
 
 
 # ----------------------------------------------------------------------
-# Saturating counter invariants
+# Engine differential: scalar == batched == fused
 # ----------------------------------------------------------------------
-class TestCounterProperties:
-    @given(
-        bits=st.integers(min_value=1, max_value=6),
-        operations=st.lists(st.booleans(), min_size=0, max_size=200),
+class _CutSource(TraceSource):
+    """Serves every requested chunk further cut at the drawn lengths, so
+    no piece is ever longer than the length the engine asked for."""
+
+    def __init__(self, trace: InstructionTrace, cuts):
+        self.trace = trace
+        self.name = trace.name
+        self.instructions_per_line = trace.instructions_per_line
+        self.line_size = trace.line_size
+        self.cuts = cuts
+
+    @property
+    def num_accesses(self):
+        return len(self.trace)
+
+    def chunks(self, chunk_accesses=1 << 16):
+        addresses = self.trace.line_addresses
+        cuts = cycle(self.cuts or [chunk_accesses])
+        for start in range(0, addresses.shape[0], chunk_accesses):
+            chunk = addresses[start : start + chunk_accesses]
+            position = 0
+            while position < chunk.shape[0]:
+                take = next(cuts)
+                yield chunk[position : position + take]
+                position += take
+
+
+@st.composite
+def engine_cases(draw):
+    """A random hierarchy, DRI configuration, policy, and chunked trace."""
+    l1_block_log = draw(st.integers(4, 6))
+    l1_block = 1 << l1_block_log
+    l1_ways = 1 << draw(st.integers(0, 3))
+    l1_sets_log = draw(st.integers(1, 6))
+    # Mostly L2 blocks at least the L1's (fused-eligible), sometimes smaller.
+    l2_block = 1 << max(4, l1_block_log + draw(st.sampled_from([-2, -1, 0, 1, 2])))
+    l2 = CacheGeometry(
+        size_bytes=l2_block << draw(st.integers(2, 8)),
+        block_size=l2_block,
+        associativity=1 << draw(st.integers(0, 2)),
+        latency=12,
     )
-    @settings(max_examples=50, deadline=None)
-    def test_counter_stays_in_range(self, bits, operations):
-        counter = SaturatingCounter(bits=bits)
-        maximum = (1 << bits) - 1
-        for increment in operations:
-            if increment:
-                counter.increment()
-            else:
-                counter.decrement()
-            assert 0 <= counter.value <= maximum
+    l1 = CacheGeometry(size_bytes=(l1_block * l1_ways) << l1_sets_log, block_size=l1_block,
+                       associativity=l1_ways)
+    interval = draw(st.integers(1, 100))  # accesses per sense interval
+    parameters = DRIParameters(
+        miss_bound=draw(st.integers(0, interval)),
+        size_bound=(l1_block * l1_ways) << draw(st.integers(0, l1_sets_log)),
+        sense_interval=interval * 8 + draw(st.integers(0, 7)),
+        divisibility=draw(st.sampled_from([2, 4])),
+        throttle=ThrottleConfig(counter_bits=draw(st.integers(1, 2)),
+                                hold_intervals=draw(st.integers(0, 4))),
+    ).with_policy(draw(st.sampled_from(["miss-bound"] + sorted(policy_names()))))
+    # 0 to a few intervals plus a partial one, so some never close one.
+    length = draw(st.integers(0, 5)) * interval + draw(st.integers(0, interval - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    footprint = int(rng.integers(1, 2 * (l1.size_bytes // 32) + 2))
+    if draw(st.booleans()):
+        lines = rng.integers(0, footprint, size=length)
+    else:
+        body = rng.integers(0, footprint, size=int(rng.integers(1, 64)))
+        lines = np.resize(body, length)
+    trace = InstructionTrace(name="fuzz", line_addresses=lines.astype(np.uint64) * 32)
+    cuts = draw(st.lists(st.integers(1, 150), max_size=5))
+    return SystemConfig(l1_icache=l1, l2_cache=l2), parameters, _CutSource(trace, cuts)
+
+
+def _counters(stats):
+    return (stats.accesses, stats.hits, stats.misses, stats.evictions, stats.invalidations)
+
+
+def _replay_outcome(engine, system, parameters, source):
+    icache = DRIICache(
+        system.l1_icache,
+        parameters,
+        address_bits=system.address_bits,
+        auto_interval=False,
+        instructions_per_access=source.instructions_per_line,
+    )
+    hierarchy = MemoryHierarchy(system)
+    cycles = engine(source, icache, hierarchy, 0.75, system, dri=parameters)
+    icache.finalize()
+    dri = icache.dri_stats
+    return (
+        cycles,
+        _counters(icache.stats),
+        _counters(hierarchy.l2.stats),
+        (hierarchy.l2_accesses, hierarchy.l2_misses, hierarchy.memory.accesses),
+        dri.intervals,
+        (dri.upsizings, dri.downsizings, dri.throttled_downsizings, dri.size_histogram),
+        icache._tag_plane.tolist(),
+        icache._policy.ranks.tolist(),
+        hierarchy.l2._tag_plane.tolist(),
+        hierarchy.l2._policy.ranks.tolist(),
+        icache.controller.throttle.state.tolist(),
+    )
+
+
+class TestEngineDifferential:
+    @given(case=engine_cases())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_scalar_batched_and_fused_agree(self, case):
+        """Counters, every interval record, the tag planes, and the LRU
+        ranks agree across the three engines; the fused loop runs as pure
+        Python without Numba and compiled where Numba is installed."""
+        system, parameters, source = case
+        scalar = _replay_outcome(replay_scalar, system, parameters, source)
+        assert _replay_outcome(replay_batched, system, parameters, source) == scalar
+        assert _replay_outcome(replay_fused, system, parameters, source) == scalar

@@ -1,16 +1,11 @@
-"""Tests for the dense cache-wide replacement strategies."""
+"""Tests for the dense cache-wide LRU replacement state."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.memory.replacement import (
-    FIFOState,
-    LRUState,
-    RandomState,
-    make_replacement,
-)
+from repro.memory.replacement import LRUState
 
 
 class TestLRU:
@@ -75,118 +70,6 @@ class TestLRU:
             state.touch_one(int(rng.integers(0, 4)), int(rng.integers(0, 8)))
         for row in state.ranks:
             assert sorted(row.tolist()) == list(range(8))
-
-
-class TestFIFO:
-    def test_fills_rotate_victim(self):
-        state = FIFOState(num_sets=2, associativity=4)
-        assert state.victim_one(0) == 0
-        state.fill_one(0, 0)
-        assert state.victim_one(0) == 1
-        state.fill_one(0, 1)
-        assert state.victim_one(0) == 2
-        assert state.victim_one(1) == 0  # untouched set unaffected
-
-    def test_touch_does_not_change_order(self):
-        state = FIFOState(num_sets=1, associativity=4)
-        state.fill_one(0, 0)
-        state.touch_one(0, 0)
-        assert state.victim_one(0) == 1
-
-    def test_wraps_around(self):
-        state = FIFOState(num_sets=1, associativity=2)
-        state.fill_one(0, 0)
-        state.fill_one(0, 1)
-        assert state.victim_one(0) == 0
-
-    def test_work_array_round_trip_matches_scalar(self):
-        batched = FIFOState(num_sets=4, associativity=4)
-        scalar = FIFOState(num_sets=4, associativity=4)
-        sets = np.array([0, 2, 3])
-        ways = np.array([3, 1, 2])
-        hit_mask = np.array([False, True, False])  # hits must not rotate
-        work = batched.gather(sets)
-        batched.update_block(work, sets.shape[0], ways, hit_mask)
-        batched.scatter(sets, work)
-        for set_index, way, hit in zip(sets.tolist(), ways.tolist(), hit_mask.tolist()):
-            if hit:
-                scalar.touch_one(set_index, way)
-            else:
-                scalar.fill_one(set_index, way)
-        assert np.array_equal(batched.next_way, scalar.next_way)
-
-
-class TestRandom:
-    def test_victims_within_range(self):
-        state = RandomState(num_sets=1, associativity=4, seed=99)
-        for _ in range(100):
-            assert 0 <= state.victim_one(0) < 4
-
-    def test_deterministic_for_same_seed(self):
-        first = RandomState(num_sets=1, associativity=8, seed=5)
-        second = RandomState(num_sets=1, associativity=8, seed=5)
-        assert [first.victim_one(0) for _ in range(20)] == [
-            second.victim_one(0) for _ in range(20)
-        ]
-
-    def test_different_seeds_differ(self):
-        first = [RandomState(1, 8, seed=1).victim_one(0) for _ in range(10)]
-        second = [RandomState(1, 8, seed=2).victim_one(0) for _ in range(10)]
-        # Not all positions should match for different seeds.
-        assert first != second
-
-    def test_sets_have_independent_streams(self):
-        """Advancing one set's LCG must not perturb another's."""
-        state = RandomState(num_sets=2, associativity=8, seed=7)
-        reference = RandomState(num_sets=2, associativity=8, seed=7)
-        for _ in range(10):
-            state.victim_one(0)
-        assert [state.victim_one(1) for _ in range(10)] == [
-            reference.victim_one(1) for _ in range(10)
-        ]
-
-    def test_work_array_round_trip_matches_scalar(self):
-        batched = RandomState(num_sets=8, associativity=4, seed=11)
-        scalar = RandomState(num_sets=8, associativity=4, seed=11)
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            sets = rng.permutation(8)[: int(rng.integers(1, 9))]
-            work = batched.gather(sets)
-            victims = batched.victims_block(work, np.arange(sets.shape[0]))
-            batched.scatter(sets, work)
-            expected = [scalar.victim_one(s) for s in sets.tolist()]
-            assert victims.tolist() == expected
-        assert np.array_equal(batched.states, scalar.states)
-
-    def test_reset_preserves_configured_seed(self):
-        """Regression: the legacy per-set policies reset via
-        ``self.__init__(associativity)`` and silently dropped a custom
-        seed, so a re-enabled set's victim stream differed from a fresh
-        cache built with the same seed."""
-        custom = RandomState(num_sets=1, associativity=4, seed=777)
-        fresh = RandomState(num_sets=1, associativity=4, seed=777)
-        fresh_stream = [fresh.victim_one(0) for _ in range(10)]
-        for _ in range(5):
-            custom.victim_one(0)
-        custom.reset_one(0)
-        assert [custom.victim_one(0) for _ in range(10)] == fresh_stream
-
-
-class TestFactory:
-    def test_make_lru(self):
-        assert isinstance(make_replacement("lru", 4, 2), LRUState)
-
-    def test_make_fifo_case_insensitive(self):
-        assert isinstance(make_replacement("FIFO", 4, 2), FIFOState)
-
-    def test_make_random_threads_seed(self):
-        state = make_replacement("random", 4, 2, seed=42)
-        assert isinstance(state, RandomState)
-        assert state.seed == 42
-
-    def test_unknown_policy_raises(self):
-        with pytest.raises(ValueError):
-            make_replacement("plru", 4, 2)
 
     def test_rejects_zero_associativity(self):
         with pytest.raises(ValueError):

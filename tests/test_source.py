@@ -12,6 +12,7 @@ benchmark shipping.
 from __future__ import annotations
 
 import gzip
+import json
 import pickle
 import tracemalloc
 
@@ -231,6 +232,39 @@ class TestDinReader:
         assert source._num_accesses is None
         list(source.chunks(2))
         assert source._num_accesses == 4
+
+
+class TestIngestErrors:
+    """Malformed input fails with a ValueError naming the file and field."""
+
+    @pytest.mark.parametrize("field", ["zz", "-40", "1ffffffffffffffffff"])
+    def test_bad_din_address_names_path_line_and_field(self, tmp_path, field):
+        path = tmp_path / "bad.din"
+        path.write_text(f"2 1000\n# comment\n2 {field}\n", encoding="ascii")
+        with pytest.raises(ValueError) as excinfo:
+            list(DinTraceSource(path).chunks())
+        message = str(excinfo.value)
+        assert f"{path}:3" in message
+        assert repr(field) in message
+
+    def test_sidecar_missing_key_names_sidecar_and_key(self, tmp_path):
+        TraceStore.save(toy_trace(), tmp_path / "t")
+        sidecar = tmp_path / "t.json"
+        metadata = json.loads(sidecar.read_text(encoding="utf-8"))
+        del metadata["name"]
+        sidecar.write_text(json.dumps(metadata), encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            TraceStore.open(tmp_path / "t")
+        assert str(sidecar) in str(excinfo.value)
+        assert "'name'" in str(excinfo.value)
+
+    def test_store_rejects_data_that_is_not_a_1d_integer_array(self, tmp_path):
+        TraceStore.save(toy_trace(), tmp_path / "t")
+        np.save(tmp_path / "t.npy", np.zeros((4, 2)))
+        with pytest.raises(ValueError) as excinfo:
+            TraceStore.open(tmp_path / "t")
+        assert str(tmp_path / "t.npy") in str(excinfo.value)
+        assert "(4, 2)" in str(excinfo.value)
 
 
 class TestGeneratedStreaming:
