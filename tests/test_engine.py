@@ -328,7 +328,8 @@ class TestSetAssociativeEquivalence:
         noise = (rng.integers(0, span, size=scatter, dtype=np.uint64) // 32) * 32
         return np.concatenate([noise, loop, noise])
 
-    @pytest.mark.parametrize("associativity", [2, 4, 8])
+    # Case ids name the replacement (LRU, the only one) and the associativity.
+    @pytest.mark.parametrize("associativity", [2, 4, 8], ids=lambda a: f"lru-{a}")
     def test_randomized_traces_match_scalar(self, associativity):
         rng = np.random.default_rng(100 + associativity)
         addresses = self._mixed_trace(rng)
@@ -348,11 +349,14 @@ class TestSetAssociativeEquivalence:
         assert np.array_equal(batched._tag_plane, reference._tag_plane)
         assert np.array_equal(batched._policy.ranks, reference._policy.ranks)
 
-    def test_single_hot_set_takes_the_scalar_tail(self):
+    @pytest.mark.parametrize("associativity", [4], ids=["lru"])
+    def test_single_hot_set_takes_the_scalar_tail(self, associativity):
         """A chunk dominated by one set exceeds the wavefront width cutoff
         and must finish on the scalar tail with identical results."""
         rng = np.random.default_rng(23)
-        geometry = CacheGeometry(size_bytes=2 * 1024, block_size=32, associativity=4)
+        geometry = CacheGeometry(
+            size_bytes=2 * 1024, block_size=32, associativity=associativity
+        )
         # 16 sets: every address maps to set 3, tags drawn from a small pool.
         tags = rng.integers(0, 9, size=4_000, dtype=np.uint64)
         addresses = (tags << np.uint64(9)) | np.uint64(3 << 5)
@@ -367,10 +371,10 @@ class TestSetAssociativeEquivalence:
         assert np.array_equal(batched._tag_plane, reference._tag_plane)
         assert np.array_equal(batched._policy.ranks, reference._policy.ranks)
 
-    @pytest.mark.parametrize("associativity", [2, 4])
-    def test_replay_engines_match_set_associative(self, associativity):
+    @pytest.mark.parametrize("associativity", [2, 4], ids=lambda a: f"lru-{a}")
+    def test_replay_engines_match_on_policies(self, associativity):
         """Full-replay equivalence (L1 + batched L2 drain) on a
-        set-associative L1."""
+        set-associative L1 under its replacement policy."""
         from repro.memory.hierarchy import MemoryHierarchy
         from repro.simulation.engine import replay
 

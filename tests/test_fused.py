@@ -15,10 +15,12 @@ bit-identity contract plus three extras of its own:
   (non-compilable policies, conventional replays) execute on the batched
   engine, and results/memo keys record the engine that actually ran.
 
-The selector's graceful degradation is pinned here too: importing
-:mod:`repro` never requires Numba, ``engine="auto"`` silently falls back
-to the batched engine, and an *explicit* ``engine="kernel-fused"``
-without Numba raises a clear error naming the ``[kernel]`` install extra.
+The selector's fused-engine guard is pinned here too: ``engine="auto"``
+without Numba resolves to the batched engine, and an *explicit*
+``engine="kernel-fused"`` without Numba raises a clear error naming the
+``[kernel]`` install extra.  The rest of the runtime guard (the import
+graph, ``numba_version``, the warm-pool plumbing) is pinned in
+``tests/test_kernels.py``.
 
 Without Numba the suite runs the bit-identical pure-Python fallback
 (``kernel_jit`` is the identity decorator); the CI ``kernel`` job runs
@@ -27,20 +29,13 @@ the same tests compiled.
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-import repro.memory.kernels.runtime as kernel_runtime
 from repro.config.parameters import DRIParameters, ThrottleConfig
 from repro.config.system import CacheGeometry, SystemConfig
 from repro.dri.dri_cache import DRIICache
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.kernels import numba_version
 from repro.simulation.engine import (
     ENGINE_KINDS,
     engine_for_run,
@@ -76,19 +71,6 @@ def _interval_tuples(dri_stats):
         )
         for record in dri_stats.intervals
     ]
-
-
-@pytest.fixture
-def fused_selectable(monkeypatch):
-    """Make ``kernel-fused`` selectable regardless of Numba.
-
-    The engine *selector* refuses the name without Numba; the engine
-    *semantics* are identical either way (pure-Python fallback), so the
-    equivalence suite widens the selector and runs everywhere.
-    """
-    if not kernel_runtime.NUMBA_AVAILABLE:
-        monkeypatch.setattr(kernel_runtime, "NUMBA_AVAILABLE", True)
-    return kernel_runtime
 
 
 class _RaggedSource(TraceSource):
@@ -369,8 +351,6 @@ class TestFallbackMatrix:
         assert ENGINE_KINDS == ("auto", "kernel-fused", "batched", "scalar")
         with pytest.raises(ValueError):
             resolve_engine("kernel")
-        with pytest.raises(ValueError):
-            Simulator(engine="kernel")
 
     def test_memo_keys_record_per_run_engine(self, fused_selectable):
         """One fused sweep, two policies: the memo must key the compilable
@@ -385,92 +365,10 @@ class TestFallbackMatrix:
         engines = {key[3].policy.name: key[2] for key in sweep._dri_cache}
         assert engines == {"miss-bound": "kernel-fused", "pid": "batched"}
 
-    def test_memo_key_separates_engines(self):
-        """A sweep's memo records which engine produced each entry."""
-        parameters = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
-        batched = ParameterSweep(
-            Simulator(trace_instructions=40_000, seed=SEED, engine="batched")
-        )
-        scalar = ParameterSweep(
-            Simulator(trace_instructions=40_000, seed=SEED, engine="scalar")
-        )
-        batched.evaluate("compress", parameters)
-        scalar.evaluate("compress", parameters)
-        (key_b,) = batched._dri_cache.keys()
-        (key_s,) = scalar._dri_cache.keys()
-        assert key_b != key_s
-        assert "batched" in key_b and "scalar" in key_s
-
-    def test_fused_task_pickles_through_warm_pool(self, fused_selectable):
-        """A kernel-fused sweep round-trips through the persistent pool.
-
-        Fork workers inherit the widened selector, so one task runs the
-        fused loop and one (a non-compilable policy) its batched fallback;
-        with Numba present the fused task runs compiled.
-        """
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("monkeypatched selector needs fork workers")
-        compilable = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
-        tasks = [("compress", compilable), ("swim", compilable.with_policy("phase-detect"))]
-        # The tasks (with their PolicySpecs) must survive the pickle
-        # boundary the pool ships them across.
-        assert pickle.loads(pickle.dumps(tasks)) == tasks
-
-        fused_sweep = ParameterSweep(
-            Simulator(trace_instructions=40_000, seed=SEED, engine="kernel-fused")
-        )
-        serial = ParameterSweep(
-            Simulator(trace_instructions=40_000, seed=SEED, engine="batched")
-        )
-        try:
-            pooled = fused_sweep.evaluate_many(tasks, jobs=2)
-        finally:
-            fused_sweep.close()
-        assert [point.simulation.engine for point in pooled] == ["kernel-fused", "batched"]
-        for point, (name, parameters) in zip(pooled, tasks):
-            reference = serial.evaluate(name, parameters)
-            assert point.parameters == reference.parameters
-            _same_run(point.simulation, reference.simulation)
-
-
-@pytest.fixture
-def forced_absent_numba(monkeypatch):
-    """Force the selector to see Numba as absent.
-
-    Patches the public :data:`NUMBA_AVAILABLE` flag rather than
-    reloading the runtime module: a reload would recreate
-    :class:`KernelUnavailableError`, breaking ``except``/``raises``
-    clauses elsewhere in the session that imported the original class.
-    ``require_numba`` keys off the same flag, so selector and guard
-    stay in agreement.
-    """
-    monkeypatch.setattr(kernel_runtime, "NUMBA_AVAILABLE", False)
-    return kernel_runtime
-
 
 class TestGracefulDegradation:
-    def test_numba_version_reports_reality(self):
-        version = numba_version()
-        if kernel_runtime.NUMBA_AVAILABLE:
-            assert isinstance(version, str) and version
-        else:
-            assert version is None
-
     def test_auto_without_numba_resolves_to_batched(self, forced_absent_numba):
         assert resolve_engine("auto") == "batched"
-
-    def test_auto_with_numba_present_prefers_fused_kernel(self, monkeypatch):
-        monkeypatch.setattr(kernel_runtime, "NUMBA_AVAILABLE", True)
-        assert resolve_engine("auto") == "kernel-fused"
-
-    def test_auto_fallback_stats_identical_to_batched(self, forced_absent_numba):
-        auto = Simulator(trace_instructions=40_000, seed=SEED, engine="auto")
-        batched = Simulator(trace_instructions=40_000, seed=SEED, engine="batched")
-        assert auto.engine == "batched"
-        parameters = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
-        a = auto.run_dri("compress", parameters)
-        assert a.engine == "batched"
-        _same_run(a, batched.run_dri("compress", parameters))
 
     def test_explicit_fused_without_numba_raises_named_extra(self, forced_absent_numba):
         with pytest.raises(forced_absent_numba.KernelUnavailableError) as excinfo:
@@ -483,17 +381,3 @@ class TestGracefulDegradation:
         with pytest.raises(forced_absent_numba.KernelUnavailableError):
             Simulator(engine="kernel-fused")
 
-    def test_importing_repro_does_not_import_numba(self):
-        """The tier-1 environment is numpy-only: nothing in the package
-        import graph may pull Numba in eagerly (the runtime module's
-        guarded import is the single sanctioned touch point)."""
-        code = (
-            "import sys; sys.modules['numba'] = None; "
-            "import repro, repro.simulation.engine, repro.memory.kernels; "
-            "print('ok')"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "ok"

@@ -1,27 +1,33 @@
-"""Tests for the compiled classification kernel layer.
+"""Tests for the compiled kernel layer, :mod:`repro.memory.kernels`.
 
-The kernel layer's contract is the same bit-identity the batched engine
-carries, plus two extras of its own:
+The layer is one compiled loop, the fused DRI interval loop
+(:func:`~repro.memory.kernels.dri_fused.fused_dri_chunk`, reached
+through :meth:`DRIICache.fused_chunk <repro.dri.dri_cache.DRIICache.fused_chunk>`),
+behind one guarded Numba import (:mod:`repro.memory.kernels.runtime`).
+Its contract is the bit-identity the batched engine carries, plus:
 
-* **replacement-state parity** — after a kernel chunk, the LRU ranks,
-  FIFO pointers, and per-set LCG states equal the scalar oracle's, frame
-  for frame (so engines can be switched mid-campaign);
+* **replacement-state parity** — after any kernel chunk, the tag planes
+  and LRU ranks of both cache levels equal the scalar oracle's, frame
+  for frame, so engines can be switched mid-campaign;
 * **graceful degradation** — importing :mod:`repro` never requires
   Numba, ``engine="auto"`` silently falls back to the batched engine,
-  and an *explicit* ``engine="kernel"`` without Numba raises a clear
-  error naming the ``[kernel]`` install extra.
+  an *explicit* compiled-engine request without Numba raises a clear
+  error naming the ``[kernel]`` install extra, and the retired
+  ``engine="kernel"`` name is refused outright.
 
-``Cache.access_batch(..., kernel=True)`` bypasses the engine selector
-and runs the kernel functions directly (compiled when Numba is present,
-the bit-identical pure-Python fallback otherwise), which is how this
-suite pins the kernel semantics in Numba-free environments too.
+``tests/test_fused.py`` pins the fused engine at the replay level on
+generated benchmark traces; this suite drives the kernel chunk by chunk
+on synthetic address streams (scattered fills, a hot loop, single-set
+pressure) and through the engine selector.  Without Numba the kernel
+runs as its bit-identical pure-Python fallback; the CI ``kernel`` job
+runs the same tests compiled.
 """
 
 from __future__ import annotations
 
-import importlib
 import multiprocessing
 import pickle
+import subprocess
 import sys
 
 import numpy as np
@@ -29,20 +35,24 @@ import pytest
 
 import repro.memory.kernels.runtime as kernel_runtime
 from repro.config.parameters import DRIParameters
-from repro.config.system import CacheGeometry, SystemConfig
+from repro.config.system import SystemConfig
 from repro.dri.dri_cache import DRIICache
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.kernels import (
-    KernelUnavailableError,
-    classify_chunk,
-    numba_version,
+from repro.memory.kernels import KernelUnavailableError, numba_version
+from repro.simulation.engine import (
+    engine_for_run,
+    replay,
+    replay_batched,
+    replay_fused,
+    replay_scalar,
+    resolve_engine,
 )
-from repro.simulation.engine import replay, resolve_engine
 from repro.simulation.simulator import Simulator
 from repro.simulation.sweep import ParameterSweep
 from repro.workloads.generator import generate_trace
 from repro.workloads.spec95 import get_benchmark
+from repro.workloads.trace import InstructionTrace
 
 INSTRUCTIONS = 80_000
 SEED = 7
@@ -67,27 +77,8 @@ def _interval_tuples(dri_stats):
     ]
 
 
-def _policy_state_arrays(cache: Cache):
-    """The replacement-state arrays whose parity the kernels guarantee."""
-    policy = cache._policy
-    arrays = {}
-    for name in ("ranks", "next_way", "states"):
-        value = getattr(policy, name, None)
-        if value is not None:
-            arrays[name] = value
-    return arrays
-
-
-def _assert_state_parity(kernel_cache: Cache, reference: Cache):
-    a = _policy_state_arrays(kernel_cache)
-    b = _policy_state_arrays(reference)
-    assert a.keys() == b.keys()
-    for name in a:
-        assert np.array_equal(a[name], b[name]), f"{name} diverged"
-
-
 def _mixed_trace(rng, loop_lines=64, loop_repeats=40, scatter=2_000, span=2**20):
-    """Scattered accesses around a hot loop: empty-way fills, policy
+    """Scattered accesses around a hot loop: empty-way fills, LRU
     victims, in-chunk reuse, and single-set pressure alike."""
     loop = np.tile(
         (rng.integers(0, span // 16, size=loop_lines, dtype=np.uint64) // 32) * 32,
@@ -97,117 +88,139 @@ def _mixed_trace(rng, loop_lines=64, loop_repeats=40, scatter=2_000, span=2**20)
     return np.concatenate([noise, loop, noise])
 
 
-class TestKernelClassifyEquivalence:
-    """access_batch(kernel=True) against the scalar oracle, per policy."""
+def _as_trace(addresses):
+    """One access per instruction, so sense intervals count accesses."""
+    return InstructionTrace(name="synthetic", line_addresses=addresses, instructions_per_line=1)
 
-    @pytest.mark.parametrize("associativity", [1, 2, 4, 8])
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
-    def test_kernel_matches_scalar(self, associativity, policy):
+
+def _dri_run(system, parameters):
+    """A manually-driven DRI L1 and its hierarchy, ready for any engine."""
+    icache = DRIICache(
+        system.l1_icache, parameters, address_bits=system.address_bits, auto_interval=False
+    )
+    return icache, MemoryHierarchy(system)
+
+
+def _scalar_reference(addresses, system, parameters):
+    icache, hierarchy = _dri_run(system, parameters)
+    replay_scalar(_as_trace(addresses), icache, hierarchy, 0.75, system, dri=parameters)
+    icache.finalize()
+    return icache, hierarchy
+
+
+def _kernel_chunks(addresses, system, parameters, pieces):
+    """Feed ``addresses`` to the fused kernel in ``pieces`` uneven chunks."""
+    icache, hierarchy = _dri_run(system, parameters)
+    for chunk in np.array_split(addresses, pieces):
+        icache.fused_chunk(chunk, hierarchy)
+    icache.finalize()
+    return icache, hierarchy
+
+
+def _assert_same_run(run, reference):
+    """Statistics, interval records, and every state array agree."""
+    (icache, hierarchy), (ref_icache, ref_hierarchy) = run, reference
+    assert _cache_stats_tuple(icache.stats) == _cache_stats_tuple(ref_icache.stats)
+    assert _cache_stats_tuple(hierarchy.l2.stats) == _cache_stats_tuple(
+        ref_hierarchy.l2.stats
+    )
+    assert (hierarchy.l2_accesses, hierarchy.l2_misses, hierarchy.memory.accesses) == (
+        ref_hierarchy.l2_accesses,
+        ref_hierarchy.l2_misses,
+        ref_hierarchy.memory.accesses,
+    )
+    assert _interval_tuples(icache.dri_stats) == _interval_tuples(ref_icache.dri_stats)
+    assert np.array_equal(icache._tag_plane, ref_icache._tag_plane)
+    assert np.array_equal(icache._policy.ranks, ref_icache._policy.ranks)
+    assert np.array_equal(hierarchy.l2._tag_plane, ref_hierarchy.l2._tag_plane)
+    assert np.array_equal(hierarchy.l2._policy.ranks, ref_hierarchy.l2._policy.ranks)
+    assert np.array_equal(
+        icache.controller.throttle.state, ref_icache.controller.throttle.state
+    )
+    assert icache.current_size_bytes == ref_icache.current_size_bytes
+
+
+class TestKernelClassifyEquivalence:
+    """The fused kernel, chunk by chunk, against the scalar oracle."""
+
+    # Case ids name the replacement (LRU, the only one) and the associativity.
+    @pytest.mark.parametrize("associativity", [1, 2, 4, 8], ids=lambda a: f"lru-{a}")
+    def test_kernel_matches_scalar(self, associativity):
         rng = np.random.default_rng(200 + associativity)
         addresses = _mixed_trace(rng)
-        geometry = CacheGeometry(
-            size_bytes=8 * 1024, block_size=32, associativity=associativity
-        )
-        reference = Cache(geometry, replacement=policy)
-        reference_hits = np.array(
-            [reference.access(address).hit for address in addresses.tolist()]
-        )
-        kernelled = Cache(geometry, replacement=policy)
-        hits = np.concatenate(
-            [
-                kernelled.access_batch(chunk, kernel=True)
-                for chunk in np.array_split(addresses, 5)
-            ]
-        )
-        assert np.array_equal(hits, reference_hits)
-        assert _cache_stats_tuple(kernelled.stats) == _cache_stats_tuple(reference.stats)
-        assert np.array_equal(kernelled._tag_plane, reference._tag_plane)
-        _assert_state_parity(kernelled, reference)
+        system = SystemConfig().with_icache(8 * 1024, associativity=associativity)
+        parameters = DRIParameters(miss_bound=60, size_bound=1024, sense_interval=300)
+        reference = _scalar_reference(addresses, system, parameters)
+        run = _kernel_chunks(addresses, system, parameters, pieces=5)
+        _assert_same_run(run, reference)
+        assert run[0].dri_stats.upsizings + run[0].dri_stats.downsizings > 0
 
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
-    def test_single_hot_set(self, policy):
-        """A chunk dominated by one set (the batched engine's scalar-tail
-        case) is just another in-order stretch for the kernel."""
+    @pytest.mark.parametrize("associativity", [4], ids=["lru"])
+    def test_single_hot_set(self, associativity):
+        """A stream that lands on one set (nine tags competing for four
+        ways) is just another in-order stretch for the kernel."""
         rng = np.random.default_rng(23)
-        geometry = CacheGeometry(size_bytes=2 * 1024, block_size=32, associativity=4)
+        system = SystemConfig().with_icache(2 * 1024, associativity=associativity)
         tags = rng.integers(0, 9, size=4_000, dtype=np.uint64)
         addresses = (tags << np.uint64(9)) | np.uint64(3 << 5)
-        reference = Cache(geometry, replacement=policy)
-        reference_hits = np.array(
-            [reference.access(address).hit for address in addresses.tolist()]
-        )
-        kernelled = Cache(geometry, replacement=policy)
-        hits = kernelled.access_batch(addresses, kernel=True)
-        assert np.array_equal(hits, reference_hits)
-        assert _cache_stats_tuple(kernelled.stats) == _cache_stats_tuple(reference.stats)
-        assert np.array_equal(kernelled._tag_plane, reference._tag_plane)
-        _assert_state_parity(kernelled, reference)
+        parameters = DRIParameters(miss_bound=400, size_bound=512, sense_interval=500)
+        reference = _scalar_reference(addresses, system, parameters)
+        _assert_same_run(_kernel_chunks(addresses, system, parameters, pieces=3), reference)
 
     def test_kernel_chunking_is_invariant(self):
         rng = np.random.default_rng(13)
         addresses = _mixed_trace(rng)
-        geometry = CacheGeometry(size_bytes=4 * 1024, block_size=32, associativity=4)
-        whole = Cache(geometry)
-        hits_whole = whole.access_batch(addresses, kernel=True)
-        pieces = Cache(geometry)
-        collected = [
-            pieces.access_batch(chunk, kernel=True)
-            for chunk in np.array_split(addresses, 7)
-        ]
-        assert np.array_equal(hits_whole, np.concatenate(collected))
-        assert _cache_stats_tuple(whole.stats) == _cache_stats_tuple(pieces.stats)
-        _assert_state_parity(whole, pieces)
+        system = SystemConfig().with_icache(4 * 1024, associativity=4)
+        parameters = DRIParameters(miss_bound=60, size_bound=1024, sense_interval=300)
+        whole = _kernel_chunks(addresses, system, parameters, pieces=1)
+        _assert_same_run(_kernel_chunks(addresses, system, parameters, pieces=7), whole)
 
     def test_kernel_and_batched_interoperate(self):
-        """Chunks can alternate between the kernel and the numpy
-        classifiers mid-stream: the shared state arrays stay coherent."""
+        """Stretches of one stream can alternate between the fused kernel
+        and the batched engine: the shared state arrays stay coherent."""
         rng = np.random.default_rng(17)
         addresses = _mixed_trace(rng)
-        geometry = CacheGeometry(size_bytes=4 * 1024, block_size=32, associativity=4)
-        reference = Cache(geometry)
-        reference.access_batch(addresses)
-        mixed = Cache(geometry)
-        for index, chunk in enumerate(np.array_split(addresses, 6)):
-            mixed.access_batch(chunk, kernel=bool(index % 2))
-        assert _cache_stats_tuple(mixed.stats) == _cache_stats_tuple(reference.stats)
-        assert np.array_equal(mixed._tag_plane, reference._tag_plane)
-        _assert_state_parity(mixed, reference)
-
-    def test_classify_chunk_rejects_unknown_policy(self):
-        plane = np.full((4, 2), -1, dtype=np.int64)
-        with pytest.raises(TypeError):
-            classify_chunk(
-                np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), plane, object()
-            )
+        system = SystemConfig().with_icache(4 * 1024, associativity=4)
+        parameters = DRIParameters(miss_bound=60, size_bound=1024, sense_interval=300)
+        reference = _scalar_reference(addresses, system, parameters)
+        icache, hierarchy = _dri_run(system, parameters)
+        # The batched engine opens a fresh interval per call, so the
+        # stretches are cut on interval boundaries.
+        stretch = 4 * icache.interval_length_accesses
+        for index, start in enumerate(range(0, addresses.shape[0], stretch)):
+            engine = replay_fused if index % 2 else replay_batched
+            piece = _as_trace(addresses[start : start + stretch])
+            engine(piece, icache, hierarchy, 0.75, system, dri=parameters)
+        icache.finalize()
+        _assert_same_run((icache, hierarchy), reference)
 
     def test_dri_masked_index_path(self):
-        """The DRI cache's masked indices and min-size tags flow through
-        the kernel with intervals split exactly as the scalar path's."""
+        """After a downsize the kernel indexes through the size mask with
+        min-size tags: it must resize where the scalar path resizes and
+        leave the same blocks resident under the current mapping."""
         rng = np.random.default_rng(19)
         addresses = _mixed_trace(rng, span=2**18)
-        geometry = CacheGeometry(size_bytes=8 * 1024, block_size=32, associativity=1)
-        parameters = DRIParameters(miss_bound=20, size_bound=1024, sense_interval=300)
-        reference = DRIICache(geometry, parameters, auto_interval=True)
-        for address in addresses.tolist():
-            reference.access(address)
-        kernelled = DRIICache(geometry, parameters, auto_interval=True)
-        kernelled.access_batch(addresses, kernel=True)
-        assert _cache_stats_tuple(kernelled.stats) == _cache_stats_tuple(reference.stats)
-        assert (
-            kernelled.dri_stats.size_trajectory() == reference.dri_stats.size_trajectory()
-        )
-        assert _interval_tuples(kernelled.dri_stats) == _interval_tuples(
-            reference.dri_stats
-        )
-        assert kernelled.current_size_bytes == reference.current_size_bytes
+        system = SystemConfig().with_icache(8 * 1024, associativity=1)
+        parameters = DRIParameters(miss_bound=60, size_bound=1024, sense_interval=300)
+        reference = _scalar_reference(addresses, system, parameters)
+        run = _kernel_chunks(addresses, system, parameters, pieces=4)
+        icache, ref_icache = run[0], reference[0]
+        assert min(icache.dri_stats.size_trajectory()) < 8 * 1024
+        assert icache.dri_stats.size_trajectory() == ref_icache.dri_stats.size_trajectory()
+        probes = addresses[::97].tolist()
+        assert [icache.contains(a) for a in probes] == [ref_icache.contains(a) for a in probes]
+        _assert_same_run(run, reference)
 
 
 class TestKernelReplayEquivalence:
-    """Full replays (L1 + batched L2 drain) through replay_kernel."""
+    """Full replays through the selector's compiled engine,
+    ``replay(..., engine="kernel-fused")``: DRI runs take the fused
+    kernel, conventional runs its batched fallback, and both equal the
+    scalar loop."""
 
     def _kernel_vs_scalar(self, system, trace, parameters=None):
         outcomes = {}
-        for kernel in (False, True):
+        for engine in ("scalar", "kernel-fused"):
             if parameters is None:
                 icache = Cache(system.l1_icache, name="L1I")
             else:
@@ -219,104 +232,79 @@ class TestKernelReplayEquivalence:
                     instructions_per_access=trace.instructions_per_line,
                 )
             hierarchy = MemoryHierarchy(system)
-            from repro.simulation.engine import replay_kernel, replay_scalar
-
-            run = replay_kernel if kernel else replay_scalar
-            cycles = run(trace, icache, hierarchy, 0.75, system, dri=parameters)
+            cycles = replay(
+                trace, icache, hierarchy, 0.75, system, dri=parameters, engine=engine
+            )
             if parameters is not None:
                 icache.finalize()
-            outcomes[kernel] = (
+            outcomes[engine] = (
                 cycles,
                 _cache_stats_tuple(icache.stats),
                 hierarchy.l2_accesses,
                 hierarchy.l2_misses,
                 hierarchy.memory.accesses,
                 _interval_tuples(icache.dri_stats) if parameters is not None else None,
+                icache._tag_plane.tobytes(),
+                icache._policy.ranks.tobytes(),
             )
-        assert outcomes[True] == outcomes[False]
+        assert outcomes["kernel-fused"] == outcomes["scalar"]
+        return outcomes
 
     @pytest.mark.parametrize("associativity", [1, 2, 4, 8])
-    def test_conventional_replay(self, associativity):
+    def test_conventional_replay(self, fused_selectable, associativity):
         trace = generate_trace(
             get_benchmark("compress"), total_instructions=40_000, seed=SEED
         )
         system = SystemConfig().with_icache(16 * 1024, associativity=associativity)
+        assert engine_for_run("kernel-fused", system, None) == "batched"
         self._kernel_vs_scalar(system, trace)
 
     @pytest.mark.parametrize("associativity", [1, 4])
-    def test_dri_replay(self, associativity):
+    def test_dri_replay(self, fused_selectable, associativity):
         trace = generate_trace(
             get_benchmark("li"), total_instructions=INSTRUCTIONS, seed=SEED
         )
         system = SystemConfig().with_icache(64 * 1024, associativity=associativity)
         parameters = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
+        assert engine_for_run("kernel-fused", system, parameters) == "kernel-fused"
         self._kernel_vs_scalar(system, trace, parameters)
 
-    def test_trailing_partial_interval(self):
+    def test_trailing_partial_interval(self, fused_selectable):
         """82_400 instructions = 16 full 5_000-instruction intervals plus a
-        300-access tail; the kernel engine leaves the tail open for
-        ``finalize`` exactly as the scalar loop does."""
+        300-access tail; the kernel leaves the tail open for ``finalize``
+        exactly as the scalar loop does."""
         trace = generate_trace(
             get_benchmark("hydro2d"), total_instructions=82_400, seed=SEED
         )
         system = SystemConfig()
         parameters = DRIParameters(miss_bound=30, size_bound=1024, sense_interval=5_000)
-        self._kernel_vs_scalar(system, trace, parameters)
+        outcomes = self._kernel_vs_scalar(system, trace, parameters)
+        intervals = outcomes["kernel-fused"][5]
+        assert intervals[-1][2] < intervals[0][2]  # a short, flushed tail
+        assert intervals[-1][6] == "none"
 
     def test_replay_kernel_engine_string(self):
-        """replay(engine="kernel") needs Numba; replay(..., kernel replays
-        forced through replay_kernel) work everywhere.  When Numba is
-        present, the selector path must agree with the scalar loop too."""
+        """``replay`` refuses the retired ``"kernel"`` name everywhere;
+        ``"kernel-fused"`` needs Numba, and with Numba present the
+        selector path agrees with the scalar loop."""
         trace = generate_trace(
             get_benchmark("swim"), total_instructions=40_000, seed=SEED
         )
         system = SystemConfig()
+        parameters = DRIParameters(miss_bound=30, size_bound=1024, sense_interval=5_000)
+        with pytest.raises(ValueError, match="engine must be one of"):
+            replay(
+                trace, Cache(system.l1_icache), MemoryHierarchy(system), 0.75, system,
+                engine="kernel",
+            )
         if not kernel_runtime.NUMBA_AVAILABLE:
             with pytest.raises(KernelUnavailableError):
                 replay(
-                    trace,
-                    Cache(system.l1_icache),
-                    MemoryHierarchy(system),
-                    0.75,
-                    system,
-                    engine="kernel",
+                    trace, Cache(system.l1_icache), MemoryHierarchy(system), 0.75, system,
+                    engine="kernel-fused",
                 )
             return
-        outcomes = {}
-        for engine in ("scalar", "kernel"):
-            icache = Cache(system.l1_icache)
-            hierarchy = MemoryHierarchy(system)
-            cycles = replay(trace, icache, hierarchy, 0.75, system, engine=engine)
-            outcomes[engine] = (cycles, _cache_stats_tuple(icache.stats))
-        assert outcomes["kernel"] == outcomes["scalar"]
-
-
-_MISSING = object()
-
-
-@pytest.fixture
-def forced_absent_numba():
-    """Reload the kernel runtime with ``import numba`` guaranteed to fail.
-
-    ``sys.modules["numba"] = None`` makes the import raise ImportError
-    even when Numba is installed, so this pins the degradation contract
-    in every environment.  The runtime module object is shared (engine.py
-    holds a reference to the module, not to its attributes), so the
-    reload flips what ``resolve_engine`` sees; a second reload restores
-    the real state afterwards.
-    """
-    saved = sys.modules.get("numba", _MISSING)
-    sys.modules["numba"] = None
-    try:
-        importlib.reload(kernel_runtime)
-        assert not kernel_runtime.NUMBA_AVAILABLE
-        yield kernel_runtime
-    finally:
-        if saved is _MISSING:
-            sys.modules.pop("numba", None)
-        else:
-            sys.modules["numba"] = saved
-        importlib.reload(kernel_runtime)
+        self._kernel_vs_scalar(system, trace, parameters)
 
 
 class TestGracefulDegradation:
@@ -330,12 +318,12 @@ class TestGracefulDegradation:
     def test_explicit_kernel_without_numba_raises_named_extra(
         self, forced_absent_numba
     ):
-        # The reloaded module defines a fresh exception class, so the
-        # expected class is looked up on the module, not via the import.
+        """The runtime guard behind every explicit compiled-engine request."""
         with pytest.raises(forced_absent_numba.KernelUnavailableError) as excinfo:
-            resolve_engine("kernel")
+            forced_absent_numba.require_numba()
         message = str(excinfo.value)
         assert "numba" in message.lower()
+        assert "'kernel-fused'" in message  # the engine it guards by default
         assert "[kernel]" in message  # names the install extra verbatim
         assert "pip install" in message
 
@@ -343,11 +331,13 @@ class TestGracefulDegradation:
         assert resolve_engine("auto") == "batched"
         assert Simulator(engine="auto").engine == "batched"
 
-    def test_simulator_explicit_kernel_raises_at_construction(
-        self, forced_absent_numba
-    ):
-        with pytest.raises(forced_absent_numba.KernelUnavailableError):
-            Simulator(engine="kernel")
+    def test_simulator_explicit_kernel_raises_at_construction(self, monkeypatch):
+        """The retired chunked ``engine="kernel"`` is refused when the
+        simulator is built, whether or not Numba is importable."""
+        for available in (False, True):
+            monkeypatch.setattr(kernel_runtime, "NUMBA_AVAILABLE", available)
+            with pytest.raises(ValueError, match="engine must be one of"):
+                Simulator(engine="kernel")
 
     def test_auto_fallback_stats_identical_to_batched(self, forced_absent_numba):
         auto = Simulator(trace_instructions=40_000, seed=SEED, engine="auto")
@@ -355,6 +345,7 @@ class TestGracefulDegradation:
         parameters = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
         a = auto.run_dri("compress", parameters)
         b = batched.run_dri("compress", parameters)
+        assert a.engine == "batched"
         assert (a.l1_accesses, a.l1_misses, a.cycles) == (
             b.l1_accesses,
             b.l1_misses,
@@ -370,8 +361,6 @@ class TestGracefulDegradation:
         """The tier-1 environment is numpy-only: nothing in the package
         import graph may pull Numba in eagerly (the runtime module's
         guarded import is the single sanctioned touch point)."""
-        import subprocess
-
         code = (
             "import sys; sys.modules['numba'] = None; "
             "import repro, repro.simulation.engine, repro.memory.kernels; "
@@ -385,7 +374,7 @@ class TestGracefulDegradation:
 
 
 class TestKernelSweepPlumbing:
-    """The kernel engine through the warm worker pool and the memo."""
+    """The compiled engine through the warm worker pool and the memo."""
 
     def test_memo_key_separates_engines(self):
         """A sweep's memo records which engine produced each entry."""
@@ -403,50 +392,38 @@ class TestKernelSweepPlumbing:
         assert key_b != key_s
         assert "batched" in key_b and "scalar" in key_s
 
-    def test_kernel_task_pickles_through_warm_pool(self, monkeypatch):
-        """A kernel-engine sweep round-trips through the persistent pool.
+    def test_kernel_task_pickles_through_warm_pool(self, fused_selectable):
+        """A kernel-fused sweep round-trips through the persistent pool.
 
-        Without Numba the kernel engine cannot be *selected*, so the
-        selector is widened for the test (fork workers inherit the
-        patch); the kernel functions themselves run the bit-identical
-        fallback.  With Numba present this runs the real compiled path.
+        Fork workers inherit the widened selector, so one task runs the
+        fused loop and one (a non-compilable policy) its batched fallback;
+        with Numba present the fused task runs compiled.
         """
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("monkeypatched selector needs fork workers")
-        if not kernel_runtime.NUMBA_AVAILABLE:
-            monkeypatch.setattr(kernel_runtime, "NUMBA_AVAILABLE", True)
-            monkeypatch.setattr(
-                kernel_runtime, "require_numba", lambda engine="kernel": None
-            )
-        parameters = DRIParameters(
-            miss_bound=30, size_bound=2048, sense_interval=5_000
-        ).with_policy("phase-detect")
-        # The task (with its kernel-enabled PolicySpec) must survive the
-        # pickle boundary the pool ships it across.
-        task = ("compress", parameters)
-        assert pickle.loads(pickle.dumps(task)) == task
+        compilable = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
+        tasks = [("compress", compilable), ("swim", compilable.with_policy("phase-detect"))]
+        # The tasks (with their PolicySpecs) must survive the pickle
+        # boundary the pool ships them across.
+        assert pickle.loads(pickle.dumps(tasks)) == tasks
 
         kernel_sweep = ParameterSweep(
-            Simulator(trace_instructions=40_000, seed=SEED, engine="kernel")
+            Simulator(trace_instructions=40_000, seed=SEED, engine="kernel-fused")
         )
         serial = ParameterSweep(
             Simulator(trace_instructions=40_000, seed=SEED, engine="batched")
         )
         try:
-            pooled = kernel_sweep.evaluate_many(
-                [("compress", parameters), ("swim", parameters)], jobs=2
-            )
+            pooled = kernel_sweep.evaluate_many(tasks, jobs=2)
         finally:
             kernel_sweep.close()
-        reference = [
-            serial.evaluate(name, params)
-            for name, params in (("compress", parameters), ("swim", parameters))
-        ]
-        for a, b in zip(pooled, reference):
-            assert a.parameters == b.parameters
-            assert a.simulation.l1_misses == b.simulation.l1_misses
-            assert a.simulation.cycles == b.simulation.cycles
+        assert [point.simulation.engine for point in pooled] == ["kernel-fused", "batched"]
+        for point, (name, parameters) in zip(pooled, tasks):
+            reference = serial.evaluate(name, parameters)
+            assert point.parameters == reference.parameters
+            assert point.simulation.l1_misses == reference.simulation.l1_misses
+            assert point.simulation.cycles == reference.simulation.cycles
             assert (
-                a.simulation.dri_stats.size_trajectory()
-                == b.simulation.dri_stats.size_trajectory()
+                point.simulation.dri_stats.size_trajectory()
+                == reference.simulation.dri_stats.size_trajectory()
             )
