@@ -92,9 +92,11 @@ class MemoryHierarchy:
         Bit-identical to calling :meth:`access_from_l1_miss` on each
         address in order — the L2 is classified through its own vectorised
         :meth:`~repro.memory.cache.Cache.access_batch` (the 4-way unified
-        L2 takes the wavefront path), and each L2 miss costs one main
-        memory access of one L2 block, so only the counts are needed to
-        reproduce the scalar latency accounting.
+        L2 takes the wavefront path, sorting its 8,192 set indices as
+        uint16 keys), and each L2 miss costs one main memory access of one
+        L2 block, so only the counts are needed to reproduce the scalar
+        latency accounting.  The batched engine's only L2 entry point,
+        called once per drain period rather than once per interval.
         """
         count = int(addresses.shape[0])
         if count == 0:

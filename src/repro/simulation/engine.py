@@ -8,11 +8,12 @@ This module provides that replay loop in three interchangeable forms:
   probe per access), kept as the semantic reference;
 * :func:`replay_batched` — sense-interval-aligned numpy chunks: each chunk
   is classified hit/miss vectorised through
-  :meth:`~repro.memory.cache.Cache.access_batch`, the chunk's misses are
-  drained through the hierarchy in one vectorised L2 classification
-  (:meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch_from_l1_misses`),
-  and DRI resize decisions are applied at chunk boundaries only — exactly
-  where the scalar loop applies them;
+  :meth:`~repro.memory.cache.Cache.access_batch`, DRI resize decisions are
+  applied at chunk boundaries only — exactly where the scalar loop
+  applies them — and the buffered L1 misses are drained through the L2
+  in one vectorised call
+  (:meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch_from_l1_misses`)
+  per :data:`DEFAULT_CHUNK_ACCESSES` accesses, across sense intervals;
 * :func:`replay_fused` — the fused DRI engine (DESIGN.md §12): for DRI
   runs whose resize policy compiles
   (:meth:`~repro.dri.policies.base.ResizePolicy.compiled_step`), the
@@ -53,11 +54,19 @@ chunk boundaries).  Runs without resize decisions (conventional and
 fixed-size caches) have no boundaries to respect and use a fixed large
 chunk, :data:`DEFAULT_CHUNK_ACCESSES`, which bounds the working memory of
 the classification scratch arrays.
+
+The batched engine's L2 drain ignores interval boundaries: nothing
+upstream of the L2 reads its state (L1 hits and resize decisions read
+only L1 state, and an i-cache never writes back), so draining once per
+:data:`DEFAULT_CHUNK_ACCESSES` accesses feeds it the same misses in the
+same order, in fewer calls.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.config.parameters import DRIParameters
 from repro.config.system import SystemConfig
@@ -74,7 +83,8 @@ TraceLike = Union[InstructionTrace, TraceSource]
 """What the replay functions accept as the reference stream."""
 
 DEFAULT_CHUNK_ACCESSES = 1 << 16
-"""Chunk length (in accesses) for runs without sense-interval boundaries."""
+"""Chunk length (in accesses) for runs without sense-interval boundaries,
+and the batched engine's L2 drain period."""
 
 ENGINE_KINDS = ("auto", "kernel-fused", "batched", "scalar")
 """Accepted engine selectors: "auto" prefers the fused kernel engine when
@@ -203,6 +213,14 @@ def replay_batched(
     asked for chunks of exactly the interval length, so the chunk
     boundaries *are* the decision points even when the stream is being
     generated or read from disk on the fly.
+
+    Drain rule: chunk misses are buffered and drained through
+    :meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch_from_l1_misses`
+    in one call per :data:`DEFAULT_CHUNK_ACCESSES` classified accesses,
+    plus one at the end.  Exact because L1 hits and resize decisions read
+    only L1 state and the i-cache never writes back: the L2 sees the same
+    misses in the same order.  The buffer holds at most one drain period
+    plus one chunk of misses.
     """
     source = as_trace_source(trace)
     timing = TimingModel(pipeline=system.pipeline, base_cpi=base_cpi)
@@ -220,14 +238,22 @@ def replay_batched(
     miss_memory = 0
     accesses = 0
     interval_fill = 0
+    # L1 misses not yet drained, and accesses classified since the last drain.
+    pending = []
+    undrained = 0
 
     for chunk in source.chunks(chunk_accesses):
         accesses += chunk.shape[0]
         hits = icache.access_batch(chunk)
         if not hits.all():
-            l2_hits, l2_misses = hierarchy.access_batch_from_l1_misses(chunk[~hits])
+            pending.append(chunk[~hits])
+        undrained += chunk.shape[0]
+        if undrained >= DEFAULT_CHUNK_ACCESSES:
+            l2_hits, l2_misses = _drain(hierarchy, pending)
             miss_l2 += l2_hits
             miss_memory += l2_misses
+            pending = []
+            undrained = 0
         if dri_cache is not None:
             # Count accesses into the open interval rather than trusting
             # each chunk to be exactly interval-sized: a source that cuts
@@ -244,11 +270,22 @@ def replay_batched(
             if interval_fill == chunk_accesses:
                 dri_cache.end_interval(instructions=interval_fill * instructions_per_line)
                 interval_fill = 0
+    l2_hits, l2_misses = _drain(hierarchy, pending)
+    miss_l2 += l2_hits
+    miss_memory += l2_misses
 
     timing.account_instructions(accesses * instructions_per_line)
     timing.account_fetch_misses(l2_latency, miss_l2)
     timing.account_fetch_misses(memory_latency, miss_memory)
     return timing.cycles
+
+
+def _drain(hierarchy: MemoryHierarchy, pending: List[np.ndarray]) -> Tuple[int, int]:
+    """Service buffered L1 misses through the L2 in one call, in order;
+    returns ``(l2_hits, l2_misses)``."""
+    if not pending:
+        return 0, 0
+    return hierarchy.access_batch_from_l1_misses(np.concatenate(pending))
 
 
 def replay_fused(

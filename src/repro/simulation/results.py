@@ -32,7 +32,8 @@ class SimulationResult:
     l1_accesses / l1_misses:
         L1 i-cache line accesses and misses.
     l2_accesses / l2_misses:
-        Accesses to and misses in the unified L2 caused by i-fetch.
+        Accesses to and misses in the unified L2 caused by i-fetch, so
+        ``l2_accesses == l1_misses``; construction checks this law too.
     dri_stats:
         Resizing statistics (None for conventional runs).
     resizing_tag_bits:
@@ -72,6 +73,19 @@ class SimulationResult:
         )
         if min(counts) < 0:
             raise ValueError("counts cannot be negative")
+        # Conservation laws of an i-fetch-only hierarchy; O(intervals).
+        if self.l1_misses > self.l1_accesses:
+            raise ValueError("conservation: l1_misses exceeds l1_accesses")
+        if self.l2_misses > self.l2_accesses:
+            raise ValueError("conservation: l2_misses exceeds l2_accesses")
+        if self.l2_accesses != self.l1_misses:
+            raise ValueError("conservation: l2_accesses differs from l1_misses")
+        if self.dri_stats is not None:
+            intervals = self.dri_stats.intervals
+            if sum(record.accesses for record in intervals) != self.l1_accesses:
+                raise ValueError("conservation: interval accesses do not sum to l1_accesses")
+            if sum(record.misses for record in intervals) != self.l1_misses:
+                raise ValueError("conservation: interval misses do not sum to l1_misses")
 
     @property
     def l1_miss_rate(self) -> float:

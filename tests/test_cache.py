@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.config.system import CacheGeometry
@@ -153,3 +154,37 @@ class TestCapacityInvariant:
         for address in range(0, 512, 32):
             assert cache.access(address).hit
         assert cache.stats.misses == misses_before
+
+
+class TestWideSetIndexBatch:
+    """A cache with more than 65,536 sets sorts its set indices as uint32
+    keys; the batched classifiers must still match per-address access."""
+
+    NUM_SETS = 131_072
+
+    @pytest.mark.parametrize("associativity", [1, 2], ids=["direct", "2-way"])
+    def test_access_batch_matches_per_address_access(self, associativity):
+        geometry = CacheGeometry(
+            size_bytes=self.NUM_SETS * 32 * associativity,
+            block_size=32,
+            associativity=associativity,
+        )
+        rng = np.random.default_rng(131_072 + associativity)
+        # Hot sets in pairs s and s + 65,536, which share their low 16 bits,
+        # with a few tags each: hits, fills and evictions in every pair.
+        low = rng.choice(1 << 16, size=256, replace=False)
+        hot_sets = np.concatenate([low, low + (1 << 16)])
+        lines = rng.integers(0, 5, size=20_000) * self.NUM_SETS + rng.choice(hot_sets, size=20_000)
+        addresses = lines.astype(np.uint64) * 32
+
+        reference = Cache(geometry)
+        expected = [reference.access(address).hit for address in addresses.tolist()]
+        batched = Cache(geometry)
+        assert batched._set_key_dtype == np.uint32
+        hits = batched.access_batch(addresses)
+
+        assert hits.tolist() == expected
+        assert batched.stats == reference.stats
+        assert reference.stats.evictions > 0
+        assert np.array_equal(batched._tag_plane, reference._tag_plane)
+        assert np.array_equal(batched._policy.ranks, reference._policy.ranks)

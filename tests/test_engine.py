@@ -558,6 +558,105 @@ class TestMisalignedSource:
         assert _interval_tuples(a.dri_stats) == _interval_tuples(b.dri_stats)
 
 
+class TestDeferredL2Drain:
+    """The batched engine buffers L1 misses across sense intervals and
+    drains them through the L2 once per ``DEFAULT_CHUNK_ACCESSES``
+    classified accesses.  These replays are longer than one drain period,
+    so mid-run drains happen and must leave the L2 exactly where the
+    scalar loop leaves it."""
+
+    @staticmethod
+    def _replay(engine, trace, system, icache, monkeypatch, dri=None):
+        """Replay on a fresh hierarchy; returns the outcome to compare and
+        the size of every batched L2 drain call."""
+        from repro.memory.hierarchy import MemoryHierarchy
+
+        hierarchy = MemoryHierarchy(system)
+        drain_sizes = []
+        drain = hierarchy.access_batch_from_l1_misses
+
+        def counting_drain(addresses):
+            drain_sizes.append(int(addresses.shape[0]))
+            return drain(addresses)
+
+        monkeypatch.setattr(hierarchy, "access_batch_from_l1_misses", counting_drain)
+        cycles = engine(trace, icache, hierarchy, 0.75, system, dri=dri)
+        if isinstance(icache, DRIICache):
+            icache.finalize()
+        outcome = (
+            cycles,
+            _cache_stats_tuple(icache.stats),
+            _cache_stats_tuple(hierarchy.l2.stats),
+            (hierarchy.l2_accesses, hierarchy.l2_misses, hierarchy.memory.accesses),
+            hierarchy.l2._tag_plane.tolist(),
+            hierarchy.l2._policy.ranks.tolist(),
+        )
+        if isinstance(icache, DRIICache):
+            outcome += (_interval_tuples(icache.dri_stats),)
+        return outcome, drain_sizes
+
+    def test_dri_replay_drains_once_per_drain_period(self, monkeypatch):
+        from repro.simulation.engine import (
+            DEFAULT_CHUNK_ACCESSES,
+            replay_batched,
+            replay_scalar,
+        )
+
+        trace = generate_trace(
+            get_benchmark("gcc"), total_instructions=1_600_000, seed=SEED
+        )
+        fetches = len(trace)
+        assert fetches == 200_000
+        system = SystemConfig()
+        # 1,000-fetch sense intervals: 200 boundaries, far more than drains.
+        parameters = DRIParameters(
+            miss_bound=40,
+            size_bound=1024,
+            sense_interval=1_000 * trace.instructions_per_line,
+        )
+
+        def dri_cache():
+            return DRIICache(
+                system.l1_icache,
+                parameters,
+                address_bits=system.address_bits,
+                auto_interval=False,
+                instructions_per_access=trace.instructions_per_line,
+            )
+
+        batched, drain_sizes = self._replay(
+            replay_batched, trace, system, dri_cache(), monkeypatch, dri=parameters
+        )
+        scalar, _ = self._replay(
+            replay_scalar, trace, system, dri_cache(), monkeypatch, dri=parameters
+        )
+        assert len(drain_sizes) <= -(-fetches // DEFAULT_CHUNK_ACCESSES) + 1
+        assert sum(drain_sizes) == batched[1][2]  # every L1 miss drained once
+        assert batched == scalar
+        intervals = batched[-1]
+        assert len(intervals) == 200
+        assert any(record[6] != "none" for record in intervals)  # it resized
+
+    def test_conventional_replay_longer_than_a_drain_period(self, monkeypatch):
+        from repro.simulation.engine import (
+            DEFAULT_CHUNK_ACCESSES,
+            replay_batched,
+            replay_scalar,
+        )
+
+        trace = generate_trace(get_benchmark("gcc"), total_instructions=1_200_000, seed=SEED)
+        assert len(trace) > 2 * DEFAULT_CHUNK_ACCESSES
+        system = SystemConfig().with_icache(16 * 1024, associativity=1)
+        batched, drain_sizes = self._replay(
+            replay_batched, trace, system, Cache(system.l1_icache), monkeypatch
+        )
+        scalar, _ = self._replay(
+            replay_scalar, trace, system, Cache(system.l1_icache), monkeypatch
+        )
+        assert len(drain_sizes) == -(-len(trace) // DEFAULT_CHUNK_ACCESSES)
+        assert batched == scalar
+
+
 class TestParallelSweep:
     def _sweep(self, **kwargs) -> ParameterSweep:
         simulator = Simulator(trace_instructions=INSTRUCTIONS, seed=SEED)

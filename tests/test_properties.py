@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import cycle
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -276,15 +277,30 @@ def engine_cases(draw):
     # 0 to a few intervals plus a partial one, so some never close one.
     length = draw(st.integers(0, 5)) * interval + draw(st.integers(0, interval - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    footprint = int(rng.integers(1, 2 * (l1.size_bytes // 32) + 2))
-    if draw(st.booleans()):
-        lines = rng.integers(0, footprint, size=length)
-    else:
-        body = rng.integers(0, footprint, size=int(rng.integers(1, 64)))
+
+    def footprint():
+        return int(rng.integers(1, 2 * (l1.size_bytes // 32) + 2))
+
+    shape = draw(st.sampled_from(["random", "looping", "phased"]))
+    if shape == "random":
+        lines = rng.integers(0, footprint(), size=length)
+    elif shape == "looping":
+        body = rng.integers(0, footprint(), size=int(rng.integers(1, 64)))
         lines = np.resize(body, length)
+    else:
+        # 2-3 phases, each with its own footprint and base address.
+        bounds = np.sort(rng.integers(0, length + 1, size=int(rng.integers(1, 3))))
+        lines = np.concatenate([
+            int(rng.integers(0, 1 << 20)) + rng.integers(0, footprint(), size=size)
+            for size in np.diff(bounds, prepend=0, append=length)
+        ])
     trace = InstructionTrace(name="fuzz", line_addresses=lines.astype(np.uint64) * 32)
     cuts = draw(st.lists(st.integers(1, 150), max_size=5))
-    return SystemConfig(l1_icache=l1, l2_cache=l2), parameters, _CutSource(trace, cuts)
+    # The batched engine's L2 drain period; every engine is chunking
+    # invariant, so any period is legal and short ones drain mid-run.
+    drain_period = draw(st.integers(1, 300))
+    system = SystemConfig(l1_icache=l1, l2_cache=l2)
+    return system, parameters, _CutSource(trace, cuts), drain_period
 
 
 def _counters(stats):
@@ -323,9 +339,11 @@ class TestEngineDifferential:
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_scalar_batched_and_fused_agree(self, case):
         """Counters, every interval record, the tag planes, and the LRU
-        ranks agree across the three engines; the fused loop runs as pure
-        Python without Numba and compiled where Numba is installed."""
-        system, parameters, source = case
-        scalar = _replay_outcome(replay_scalar, system, parameters, source)
-        assert _replay_outcome(replay_batched, system, parameters, source) == scalar
-        assert _replay_outcome(replay_fused, system, parameters, source) == scalar
+        ranks agree across the three engines, at a drawn L2 drain period;
+        the fused loop runs as pure Python without Numba and compiled
+        where Numba is installed."""
+        system, parameters, source, drain_period = case
+        with mock.patch("repro.simulation.engine.DEFAULT_CHUNK_ACCESSES", drain_period):
+            scalar = _replay_outcome(replay_scalar, system, parameters, source)
+            assert _replay_outcome(replay_batched, system, parameters, source) == scalar
+            assert _replay_outcome(replay_fused, system, parameters, source) == scalar

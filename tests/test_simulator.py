@@ -190,3 +190,37 @@ class TestResultValidation:
     def test_bad_cache_kind_is_rejected(self):
         with pytest.raises(ValueError, match="cache_kind"):
             self._result(cache_kind="victim")
+
+    def test_more_l1_misses_than_accesses_is_rejected(self):
+        with pytest.raises(ValueError, match="conservation: l1_misses exceeds l1_accesses"):
+            self._result(l1_accesses=9, l1_misses=10)
+
+    def test_more_l2_misses_than_accesses_is_rejected(self):
+        with pytest.raises(ValueError, match="conservation: l2_misses exceeds l2_accesses"):
+            self._result(l2_misses=11)
+
+    def test_l2_accesses_must_equal_l1_misses(self):
+        with pytest.raises(ValueError, match="conservation: l2_accesses differs from l1_misses"):
+            self._result(l2_accesses=12)
+
+    @pytest.mark.parametrize("field", ["accesses", "misses"])
+    def test_dri_interval_records_must_sum_to_run_totals(self, field):
+        from repro.dri.stats import DRIStatistics
+
+        def dri_stats(accesses, misses):
+            stats = DRIStatistics(full_size_bytes=64 * 1024)
+            for part, part_misses in ((accesses // 2, misses), (accesses - accesses // 2, 0)):
+                stats.record_interval(
+                    instructions=4 * part,
+                    accesses=part,
+                    misses=part_misses,
+                    size_bytes_during=64 * 1024,
+                    size_bytes_at_end=64 * 1024,
+                    resized="none",
+                )
+            return stats
+
+        self._result(cache_kind="dri", dri_stats=dri_stats(250, 10))  # consistent
+        broken = dri_stats(251, 10) if field == "accesses" else dri_stats(250, 9)
+        with pytest.raises(ValueError, match=f"conservation: interval {field} do not sum"):
+            self._result(cache_kind="dri", dri_stats=broken)
