@@ -26,6 +26,8 @@ performance trajectory is tracked across PRs.  The JSON schema:
       },
       "streamed": {"accesses": 10000000, "batched_accesses_per_s": ...,
                    "peak_python_mib": ..., "materialised_trace_mib": ...},
+      "lockstep": {"runs": 17, "per_run_s": ..., "one_pass_s": ...,
+                   "speedup": ..., "identical": true},
       "sweep": {"grid_points": 64, "cpu_count": ...,
                 "wall_clock_s": {"jobs=1": ..., "jobs=2": ..., "jobs=4": ...},
                 "identical_across_jobs": true, "speedup_jobs4": ...,
@@ -42,6 +44,14 @@ The ``policies`` section tracks the resize-policy layer: per-policy
 batched DRI replay throughput (the strategy indirection must stay in the
 interval-boundary noise, not the access path) and the policy shootout's
 per-policy suite means.
+
+The ``lockstep`` section replays one benchmark's 16-point Figure 3 grid
+plus its conventional baseline on the batched engine twice: once per run
+(seventeen passes over the trace, each classified alone, which is also
+how the single-run ``replay`` rows run) and in one lockstep pass
+(``Simulator.run_many``).  Each form is timed over windows of at least
+``LOCKSTEP_WINDOW_S``; the two must agree bit for bit, and the ratio is
+reported with no floor.
 
 The scalar direct-mapped rows measure the specialised pure-int probe
 (one flat ``item()`` read per access, no numpy row gather); the
@@ -65,6 +75,7 @@ import json
 import os
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
@@ -223,6 +234,64 @@ def measure_streamed(accesses: int) -> Dict[str, float]:
     }
 
 
+LOCKSTEP_WINDOW_S = 0.5
+"""Shortest timed window of the lockstep section; short replays repeat
+inside it."""
+
+
+def _windowed(run, windows: int = 3) -> tuple:
+    """Best per-call seconds of ``run()`` over ``windows`` timed windows of
+    at least :data:`LOCKSTEP_WINDOW_S` each, and its last result."""
+    best = float("inf")
+    result = None
+    for _ in range(windows):
+        calls = 0
+        start = time.perf_counter()
+        while True:
+            result = run()
+            calls += 1
+            elapsed = time.perf_counter() - start
+            if elapsed >= LOCKSTEP_WINDOW_S:
+                break
+        best = min(best, elapsed / calls)
+    return best, result
+
+
+def measure_lockstep(instructions: int) -> Dict[str, object]:
+    """One benchmark's Figure 3 grid plus its baseline: per run and in one pass."""
+    from repro.simulation.experiments import DEFAULT_SCALE
+
+    simulator = Simulator(trace_instructions=instructions, engine="batched")
+    trace, base_cpi = simulator.resolve_workload(BENCHMARK)
+    base = DEFAULT_SCALE.base_parameters()
+    parameter_sets = [None] + [
+        replace(base, miss_bound=miss_bound, size_bound=size_bound)
+        for size_bound in DEFAULT_SCALE.size_bounds
+        for miss_bound in DEFAULT_SCALE.miss_bounds
+    ]
+    per_run_s, per_run = _windowed(
+        lambda: [simulator.run_many(trace, base_cpi, [p])[0] for p in parameter_sets]
+    )
+    one_pass_s, one_pass = _windowed(
+        lambda: simulator.run_many(trace, base_cpi, parameter_sets)
+    )
+
+    def key(result):
+        stats = result.dri_stats
+        return (result.cycles, result.l1_misses, result.l2_accesses, result.l2_misses,
+                None if stats is None else stats.intervals)
+
+    assert [key(r) for r in per_run] == [key(r) for r in one_pass]
+    return {
+        "runs": len(parameter_sets),
+        "sense_interval": base.sense_interval,
+        "per_run_s": per_run_s,
+        "one_pass_s": one_pass_s,
+        "speedup": per_run_s / one_pass_s,
+        "identical": True,
+    }
+
+
 SHOOTOUT_BENCHMARKS = ("compress", "li", "hydro2d", "mgrid")
 """Shootout benchmarks in the bench payload (one per behaviour class plus
 two class-1 codes); ``--quick`` cuts to the first two."""
@@ -363,6 +432,7 @@ def run_bench(quick: bool = False) -> Dict[str, object]:
         "scalar_dm_probe": "specialised pure-int probe (no numpy row gather)",
         "replay": measure_replay(instructions),
         "streamed": measure_streamed(streamed_accesses),
+        "lockstep": measure_lockstep(instructions),
         "sweep": measure_sweep(instructions, jobs_values=(1, 2, 4), quick=quick),
         "policies": {
             "replay_overhead": measure_policy_replay(instructions),
@@ -416,6 +486,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"{streamed['peak_python_mib']:.1f} MiB (bound "
           f"{streamed['peak_bound_mib']:.1f}, materialised: "
           f"{streamed['materialised_trace_mib']:.0f} MiB)")
+    lockstep = payload["lockstep"]
+    print(f"lockstep: {lockstep['runs']} runs of {BENCHMARK} in one pass "
+          f"{lockstep['one_pass_s'] * 1e3:.0f} ms vs per run "
+          f"{lockstep['per_run_s'] * 1e3:.0f} ms ({lockstep['speedup']:.2f}x, no floor)")
     sweep = payload["sweep"]
     print(
         f"sweep: {sweep['grid_points']}-point grid on {sweep['cpu_count']} core(s), "

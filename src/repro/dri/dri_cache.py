@@ -24,7 +24,7 @@ statistics needed by the Section 5.2 energy formulas are accumulated in a
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -181,17 +181,23 @@ class DRIICache(Cache):
             chunk = addresses[position : position + take]
             block = (chunk >> np.uint64(self._offset_bits)).astype(np.int64)
             set_indices = block & (self.controller.current_sets - 1)
-            tags = block >> self._min_index_bits
-            chunk_hits = self._classify_chunk(set_indices, tags)
-            misses = take - int(np.count_nonzero(chunk_hits))
-            self.dri_stats.record_accesses(take, misses)
-            self._interval_accesses += take
-            self._interval_misses += misses
+            chunk_hits = self._classify_chunk(set_indices, block >> self._min_index_bits)
+            self._record_batch(take, take - int(np.count_nonzero(chunk_hits)))
             hits[position : position + take] = chunk_hits
             position += take
             if self.auto_interval and self._interval_accesses >= self._interval_length_accesses:
                 self.end_interval()
         return hits
+
+    def _index_key(self) -> Tuple[int, int]:
+        """The active-set mask and the minimum-size tag shift."""
+        return self.controller.current_sets - 1, self._min_index_bits
+
+    def _record_batch(self, accesses: int, misses: int) -> None:
+        """Charge a classified batch to the statistics and the open interval."""
+        self.dri_stats.record_accesses(accesses, misses)
+        self._interval_accesses += accesses
+        self._interval_misses += misses
 
     def fused_chunk(self, addresses: np.ndarray, hierarchy, instructions_per_line: Optional[int] = None):
         """Replay one trace chunk through the fused DRI kernel.
@@ -299,13 +305,6 @@ class DRIICache(Cache):
         self._interval_misses = int(run_state[RUN_MISSES])
         return l2_hits, l2_misses
 
-    def contains(self, address: int) -> bool:
-        """True if the block is resident under the *current* mapping."""
-        block = self.block_address(address)
-        set_index = block & (self.controller.current_sets - 1)
-        tag = block >> self._min_index_bits
-        return bool((self._tag_plane[set_index] == tag).any())
-
     # ------------------------------------------------------------------
     # Interval handling
     # ------------------------------------------------------------------
@@ -347,7 +346,17 @@ class DRIICache(Cache):
     # Run finalisation
     # ------------------------------------------------------------------
     def finalize(self, instructions: Optional[int] = None) -> None:
-        """Flush a partial final interval into the statistics (no resize)."""
+        """Flush a partial final interval into the statistics (no resize).
+
+        Raises ``ValueError`` if a gated-off set (at or above
+        :attr:`current_sets`) holds a valid tag: gating must have wiped
+        it, and nothing indexes it until an upsize re-enables it empty.
+        """
+        if (self._tag_plane[self.current_sets :] != -1).any():
+            raise ValueError(
+                f"{self.name}: a gated-off set above the {self.current_sets} active "
+                f"sets holds a valid tag (parameters: {self.parameters})"
+            )
         if self._interval_accesses == 0:
             return
         accesses = self._interval_accesses

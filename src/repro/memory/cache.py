@@ -33,12 +33,14 @@ Design notes
 * The cache exposes ``invalidate_set`` and ``flush`` so the DRI i-cache can
   model the disabling of sets when downsizing (blocks in gated-off sets
   lose their contents).
+* :class:`CacheBank` stacks same-geometry caches on one plane, so the
+  lockstep engine classifies a chunk for all of them in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -217,11 +219,11 @@ class Cache:
         return False, evicted
 
     def contains(self, address: int) -> bool:
-        """True if the block holding ``address`` is currently cached (no side effects)."""
+        """True if the block holding ``address`` is resident under the
+        current mapping (no side effects)."""
         block = self.block_address(address)
-        set_index = block & self._index_mask
-        tag = block >> self._index_bits
-        return bool((self._tag_plane[set_index] == tag).any())
+        mask, shift = self._index_key()
+        return bool((self._tag_plane[block & mask] == block >> shift).any())
 
     # ------------------------------------------------------------------
     # Batched access (the simulation engine's fast path)
@@ -244,9 +246,17 @@ class Cache:
         """Decompose and classify a validated batch (no interval boundaries
         to respect in a plain cache; the DRI cache overrides this)."""
         block = (addresses >> np.uint64(self._offset_bits)).astype(np.int64)
-        set_indices = block & self._index_mask
-        tags = block >> self._index_bits
-        return self._classify_chunk(set_indices, tags)
+        mask, shift = self._index_key()
+        return self._classify_chunk(block & mask, block >> shift)
+
+    def _index_key(self) -> Tuple[int, int]:
+        """``(set mask, tag shift)`` of the current indexing; the DRI cache
+        masks to its active sets and keeps minimum-size tags."""
+        return self._index_mask, self._index_bits
+
+    def _record_batch(self, accesses: int, misses: int) -> None:
+        """Per-batch accounting beyond the L1 counters (the DRI cache
+        charges its open sense interval here)."""
 
     def _classify_chunk(self, set_indices: np.ndarray, tags: np.ndarray) -> np.ndarray:
         """Classify one chunk of (set, tag) probes and apply the fills."""
@@ -463,3 +473,88 @@ class Cache:
     def utilization(self) -> float:
         """Fraction of block frames currently holding valid blocks."""
         return self.resident_blocks() / self.geometry.num_blocks
+
+
+class CacheBank(Cache):
+    """Same-geometry caches stacked on one tag plane and classified together.
+
+    The lockstep engine replays one trace for K caches at once.  The bank
+    allocates one ``(K * sets, ways)`` tag plane and one LRU rank array;
+    member k owns rows ``k * sets`` up to ``(k + 1) * sets``, and its own
+    ``_tag_plane``, ``_dm_plane`` and ``_policy.ranks`` become row-slice
+    views of them, so invalidation, ``end_interval`` and every per-member
+    query keep working unchanged.  Member k probes the composite set
+    ``k * sets + (block & mask_k)`` with tag ``block >> shift_k`` (its
+    :meth:`Cache._index_key`).  The members' set ranges are disjoint and
+    the classifier's stable sort keeps each member's program order, so
+    one :meth:`_classify_chunk` call over all members equals K calls.
+    """
+
+    def __init__(self, members: Sequence[Cache]) -> None:
+        geometry = members[0].geometry
+        if any(member.geometry != geometry for member in members):
+            raise ValueError("the caches of a bank must share one geometry")
+        super().__init__(geometry, name="bank")
+        sets, ways = geometry.num_sets, geometry.associativity
+        self.members = list(members)
+        # The classifiers read only the plane, the ranks, the sort key
+        # type and the associativity; the bank itself is never indexed.
+        self._num_sets = len(members) * sets
+        self._set_key_dtype = np.min_scalar_type(self._num_sets - 1)
+        self._tag_plane = np.concatenate([member._tag_plane for member in members])
+        self._dm_plane = self._tag_plane[:, 0] if ways == 1 else None
+        self._policy = LRUState(self._num_sets, ways)
+        np.concatenate([member._policy.ranks for member in members], out=self._policy.ranks)
+        for index, member in enumerate(members):
+            rows = slice(index * sets, (index + 1) * sets)
+            member._tag_plane = self._tag_plane[rows]
+            member._dm_plane = member._tag_plane[:, 0] if ways == 1 else None
+            member._policy.ranks = self._policy.ranks[rows]
+        self._offsets = np.arange(len(members), dtype=np.int64)[:, None] * sets
+        self._baseline = [
+            (member.resident_blocks(), member.stats.invalidations, member.stats.misses)
+            for member in members
+        ]
+
+    def classify(self, addresses: np.ndarray, max_probes: int) -> np.ndarray:
+        """Classify one chunk for every member; returns the ``(K, n)`` hit mask.
+
+        Charges each member's accesses, hits and misses, and its
+        :meth:`~Cache._record_batch`, as :meth:`access_batch` would;
+        evictions are charged once, by :meth:`settle`.  Each classifier
+        call takes at most ``max_probes`` composite probes, which bounds
+        the scratch arrays and keeps numpy's cost per probe near its
+        minimum.
+        """
+        addresses = np.ascontiguousarray(addresses, dtype=np.uint64)
+        count = addresses.shape[0]
+        members = len(self.members)
+        blocks = (addresses >> np.uint64(self._offset_bits)).astype(np.int64)
+        keys = np.array([member._index_key() for member in self.members], dtype=np.int64)
+        masks, shifts = keys[:, :1], keys[:, 1:]
+        hits = np.empty((members, count), dtype=bool)
+        step = max(1, max_probes // members)
+        for start in range(0, count, step):
+            block = blocks[start : start + step]
+            sets = (block & masks) + self._offsets
+            probe_hits = self._classify_chunk(sets.ravel(), (block >> shifts).ravel())
+            hits[:, start : start + step] = probe_hits.reshape(members, -1)
+        misses = count - np.count_nonzero(hits, axis=1)
+        for member, member_misses in zip(self.members, misses.tolist()):
+            member.stats.accesses += count
+            member.stats.hits += count - member_misses
+            member.stats.misses += member_misses
+            member._record_batch(count, member_misses)
+        return hits
+
+    def settle(self) -> None:
+        """Charge each member's evictions, once, after its last classification.
+
+        A miss either fills an empty frame or evicts, and since the bank
+        was built a member's valid frames changed only by those fills and
+        by invalidations.  So its evictions are its misses minus the
+        growth in valid frames, with the invalidated frames added back.
+        """
+        for member, (valid, invalidations, misses) in zip(self.members, self._baseline):
+            fills = member.resident_blocks() - valid + member.stats.invalidations - invalidations
+            member.stats.evictions += member.stats.misses - misses - fills

@@ -14,6 +14,11 @@ This module provides that replay loop in three interchangeable forms:
   in one vectorised call
   (:meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch_from_l1_misses`)
   per :data:`DEFAULT_CHUNK_ACCESSES` accesses, across sense intervals;
+* :func:`replay_lockstep` — the same loop for every run that shares one
+  trace and one sense interval: their L1s are stacked into one
+  :class:`~repro.memory.cache.CacheBank` and each chunk is classified for
+  all of them at once, so the trace is generated or read once per group
+  rather than once per run (:func:`replay_batched` is its one-run call);
 * :func:`replay_fused` — the fused DRI engine (DESIGN.md §12): for DRI
   runs whose resize policy compiles
   (:meth:`~repro.dri.policies.base.ResizePolicy.compiled_step`), the
@@ -53,7 +58,8 @@ DRI runs use one chunk per sense interval (the decision points *are* the
 chunk boundaries).  Runs without resize decisions (conventional and
 fixed-size caches) have no boundaries to respect and use a fixed large
 chunk, :data:`DEFAULT_CHUNK_ACCESSES`, which bounds the working memory of
-the classification scratch arrays.
+the classification scratch arrays.  In a lockstep group they take the
+DRI members' interval chunks, which changes no outcome.
 
 The batched engine's L2 drain ignores interval boundaries: nothing
 upstream of the L2 reads its state (L1 hits and resize decisions read
@@ -64,7 +70,7 @@ same order, in fewer calls.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,7 +79,7 @@ from repro.config.system import SystemConfig
 from repro.cpu.pipeline import TimingModel
 from repro.dri.dri_cache import DRIICache
 from repro.dri.policies import build_policy
-from repro.memory.cache import Cache
+from repro.memory.cache import Cache, CacheBank
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.kernels import runtime as kernel_runtime
 from repro.workloads.source import TraceSource, as_trace_source
@@ -85,6 +91,14 @@ TraceLike = Union[InstructionTrace, TraceSource]
 DEFAULT_CHUNK_ACCESSES = 1 << 16
 """Chunk length (in accesses) for runs without sense-interval boundaries,
 and the batched engine's L2 drain period."""
+
+BANK_PROBES_PER_CALL = 1 << 14
+"""Composite probes per classifier call in a lockstep replay.  The cap
+bounds the scratch arrays and keeps each call where numpy's cost per probe
+is lowest.  On a 2-vCPU Xeon (4 MiB L2 per core, numpy 2.4) the streamed
+paper-scale campaign (perfbench's ``paper-scale-dm``) took 2.36-2.42 s at
+16,384 probes per call and 2.86-2.99 s at 65,536, where the classifier's
+arrays outgrow the L2."""
 
 ENGINE_KINDS = ("auto", "kernel-fused", "batched", "scalar")
 """Accepted engine selectors: "auto" prefers the fused kernel engine when
@@ -153,9 +167,7 @@ def replay_scalar(
     reference semantics.
     """
     source = as_trace_source(trace)
-    timing = TimingModel(pipeline=system.pipeline, base_cpi=base_cpi)
     l2_latency = system.l1_miss_penalty
-    memory_latency = l2_latency + system.l2_miss_penalty
     instructions_per_line = source.instructions_per_line
 
     # Interval driving is enabled only when the caller asks for it (dri
@@ -188,10 +200,7 @@ def replay_scalar(
                     )
                     since_interval = 0
 
-    timing.account_instructions(accesses * instructions_per_line)
-    timing.account_fetch_misses(l2_latency, miss_l2)
-    timing.account_fetch_misses(memory_latency, miss_memory)
-    return timing.cycles
+    return _cycles(system, base_cpi, accesses * instructions_per_line, miss_l2, miss_memory)
 
 
 def replay_batched(
@@ -204,63 +213,104 @@ def replay_batched(
 ) -> int:
     """Replay ``trace`` in interval-aligned chunks; returns the cycle count.
 
-    Bit-identical to :func:`replay_scalar`: the L1 hit/miss outcome of an
-    access depends only on L1 state, so classifying a chunk up front and
-    then draining its misses through the L2 in order preserves both the L1
-    and L2 reference streams; DRI decisions fire after every *complete*
-    interval, and a trailing partial interval is left open for
-    ``finalize`` exactly as the scalar loop leaves it.  The source is
-    asked for chunks of exactly the interval length, so the chunk
-    boundaries *are* the decision points even when the stream is being
-    generated or read from disk on the fly.
+    The one-member call of :func:`replay_lockstep`: a bank of one is the
+    cache itself, so each chunk is classified through
+    :meth:`~repro.memory.cache.Cache.access_batch`.
+    """
+    return replay_lockstep(trace, [(icache, hierarchy, dri)], base_cpi, system)[0]
 
-    Drain rule: chunk misses are buffered and drained through
+
+Member = Tuple[Cache, MemoryHierarchy, Optional[DRIParameters]]
+"""One run of a lockstep replay: its L1, its L2/memory, and its DRI
+parameters (``None`` for a run without interval decisions)."""
+
+
+def replay_lockstep(
+    trace: TraceLike,
+    members: Sequence[Member],
+    base_cpi: float,
+    system: SystemConfig,
+) -> List[int]:
+    """Replay ``trace`` once for every member; returns their cycle counts.
+
+    Each member's outcome is bit-identical to its own :func:`replay_scalar`
+    run.  The L1 hit/miss outcome of an access depends only on L1 state,
+    so classifying a chunk up front and then draining its misses through
+    the L2 in order preserves both the L1 and L2 reference streams.  The
+    members share one L1 geometry and, where they take DRI decisions, one
+    sense interval: the source is asked for chunks of exactly that length,
+    so the chunk boundaries *are* the decision points even when the stream
+    is generated or read from disk on the fly.  Every *complete* interval
+    ends with each DRI member's ``end_interval``; a trailing partial one is
+    left open for ``finalize``, exactly as the scalar loop leaves it.
+
+    With more than one member, the L1s are stacked into one
+    :class:`~repro.memory.cache.CacheBank` and each chunk is classified for
+    all of them in calls of at most :data:`BANK_PROBES_PER_CALL`
+    composite probes, so the trace is generated or read once, not once per
+    run.  A single member is classified through its own ``access_batch``.
+
+    Drain rule: each member's chunk misses are buffered and drained through
+    its own
     :meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch_from_l1_misses`
     in one call per :data:`DEFAULT_CHUNK_ACCESSES` classified accesses,
     plus one at the end.  Exact because L1 hits and resize decisions read
     only L1 state and the i-cache never writes back: the L2 sees the same
     misses in the same order.  The buffer holds at most one drain period
-    plus one chunk of misses.
+    plus one chunk of misses per member.
     """
     source = as_trace_source(trace)
-    timing = TimingModel(pipeline=system.pipeline, base_cpi=base_cpi)
-    l2_latency = system.l1_miss_penalty
-    memory_latency = l2_latency + system.l2_miss_penalty
     instructions_per_line = source.instructions_per_line
+    caches = [icache for icache, _, _ in members]
+    driven = [
+        icache
+        for icache, _, dri in members
+        if dri is not None and isinstance(icache, DRIICache)
+    ]
+    lengths = {icache.interval_length_accesses for icache in driven}
+    if len(lengths) > 1:
+        raise ValueError(f"lockstep members must share one sense interval, got {sorted(lengths)}")
+    chunk_accesses = lengths.pop() if lengths else DEFAULT_CHUNK_ACCESSES
+    bank = None
+    if len(caches) > 1:
+        if any(isinstance(icache, DRIICache) and icache.auto_interval for icache in caches):
+            raise ValueError("lockstep DRI members must be driven manually (auto_interval=False)")
+        bank = CacheBank(caches)
 
-    dri_cache = icache if dri is not None and isinstance(icache, DRIICache) else None
-    if dri_cache is not None:
-        chunk_accesses = dri_cache.interval_length_accesses
-    else:
-        chunk_accesses = DEFAULT_CHUNK_ACCESSES
-
-    miss_l2 = 0
-    miss_memory = 0
+    miss_l2 = [0] * len(members)
+    miss_memory = [0] * len(members)
     accesses = 0
     interval_fill = 0
-    # L1 misses not yet drained, and accesses classified since the last drain.
-    pending = []
+    # Per member: L1 misses not yet drained.  All members classify the
+    # same accesses, so one count since the last drain serves them all.
+    pending: List[List[np.ndarray]] = [[] for _ in members]
     undrained = 0
+
+    def drain() -> None:
+        for index, (_, hierarchy, _) in enumerate(members):
+            l2_hits, l2_misses = _drain(hierarchy, pending[index])
+            miss_l2[index] += l2_hits
+            miss_memory[index] += l2_misses
+            pending[index] = []
 
     for chunk in source.chunks(chunk_accesses):
         accesses += chunk.shape[0]
-        hits = icache.access_batch(chunk)
-        if not hits.all():
-            pending.append(chunk[~hits])
+        if bank is None:
+            hits = caches[0].access_batch(chunk)[None]
+        else:
+            hits = bank.classify(chunk, BANK_PROBES_PER_CALL)
+        for member_pending, member_hits in zip(pending, hits):
+            if not member_hits.all():
+                member_pending.append(chunk[~member_hits])
         undrained += chunk.shape[0]
         if undrained >= DEFAULT_CHUNK_ACCESSES:
-            l2_hits, l2_misses = _drain(hierarchy, pending)
-            miss_l2 += l2_hits
-            miss_memory += l2_misses
-            pending = []
+            drain()
             undrained = 0
-        if dri_cache is not None:
+        if driven:
             # Count accesses into the open interval rather than trusting
             # each chunk to be exactly interval-sized: a source that cuts
             # a short chunk mid-stream still closes intervals at the same
-            # points as the scalar loop.  A trailing partial interval is
-            # left open for ``finalize`` exactly as the scalar loop
-            # leaves it.
+            # points as the scalar loop.
             interval_fill += chunk.shape[0]
             if interval_fill > chunk_accesses:
                 raise ValueError(
@@ -268,16 +318,17 @@ def replay_batched(
                     f"({interval_fill} accesses into a {chunk_accesses}-access interval)"
                 )
             if interval_fill == chunk_accesses:
-                dri_cache.end_interval(instructions=interval_fill * instructions_per_line)
+                for icache in driven:
+                    icache.end_interval(instructions=interval_fill * instructions_per_line)
                 interval_fill = 0
-    l2_hits, l2_misses = _drain(hierarchy, pending)
-    miss_l2 += l2_hits
-    miss_memory += l2_misses
-
-    timing.account_instructions(accesses * instructions_per_line)
-    timing.account_fetch_misses(l2_latency, miss_l2)
-    timing.account_fetch_misses(memory_latency, miss_memory)
-    return timing.cycles
+    drain()
+    if bank is not None:
+        bank.settle()
+    instructions = accesses * instructions_per_line
+    return [
+        _cycles(system, base_cpi, instructions, l2_hits, l2_misses)
+        for l2_hits, l2_misses in zip(miss_l2, miss_memory)
+    ]
 
 
 def _drain(hierarchy: MemoryHierarchy, pending: List[np.ndarray]) -> Tuple[int, int]:
@@ -286,6 +337,18 @@ def _drain(hierarchy: MemoryHierarchy, pending: List[np.ndarray]) -> Tuple[int, 
     if not pending:
         return 0, 0
     return hierarchy.access_batch_from_l1_misses(np.concatenate(pending))
+
+
+def _cycles(
+    system: SystemConfig, base_cpi: float, instructions: int, miss_l2: int, miss_memory: int
+) -> int:
+    """Cycles of a run: its instructions at ``base_cpi`` plus the fetch
+    misses serviced by the L2 and by memory."""
+    timing = TimingModel(pipeline=system.pipeline, base_cpi=base_cpi)
+    timing.account_instructions(instructions)
+    timing.account_fetch_misses(system.l1_miss_penalty, miss_l2)
+    timing.account_fetch_misses(system.l1_miss_penalty + system.l2_miss_penalty, miss_memory)
+    return timing.cycles
 
 
 def replay_fused(
@@ -322,9 +385,6 @@ def replay_fused(
         return replay_batched(trace, icache, hierarchy, base_cpi, system, dri)
 
     source = as_trace_source(trace)
-    timing = TimingModel(pipeline=system.pipeline, base_cpi=base_cpi)
-    l2_latency = system.l1_miss_penalty
-    memory_latency = l2_latency + system.l2_miss_penalty
     instructions_per_line = source.instructions_per_line
 
     miss_l2 = 0
@@ -338,10 +398,7 @@ def replay_fused(
         miss_l2 += l2_hits
         miss_memory += l2_misses
 
-    timing.account_instructions(accesses * instructions_per_line)
-    timing.account_fetch_misses(l2_latency, miss_l2)
-    timing.account_fetch_misses(memory_latency, miss_memory)
-    return timing.cycles
+    return _cycles(system, base_cpi, accesses * instructions_per_line, miss_l2, miss_memory)
 
 
 def replay(

@@ -20,7 +20,9 @@ and one IPC round trip per grid point.  The executor amortizes all three:
   (adaptive size, or the caller's ``chunk``) submitted in waves; idle
   workers pull the next chunk, so assignment is dynamic
   (work-stealing-style: a worker that lands cheap points takes more
-  chunks) while each IPC message amortizes over a whole chunk.
+  chunks) while each IPC message amortizes over a whole chunk.  Inside
+  a chunk, each benchmark's tasks replay in one lockstep pass
+  (:meth:`Simulator.run_many`).
 * **Incremental results** — :meth:`run` is an ``as_completed``-style
   generator yielding ``(task index, result)`` as chunks finish, so a
   caller can stream points (the sweep-service direction in ROADMAP.md);
@@ -144,6 +146,15 @@ def _executor_worker_init(system: SystemConfig, engine: str) -> None:
     _worker_sources = {}
 
 
+def group_by_benchmark(tasks: Sequence[SweepTask]) -> List[List[int]]:
+    """Task indices grouped by benchmark, in order of first appearance;
+    each group replays in one lockstep pass (:meth:`Simulator.run_many`)."""
+    groups: Dict[str, List[int]] = {}
+    for index, (name, _) in enumerate(tasks):
+        groups.setdefault(name, []).append(index)
+    return list(groups.values())
+
+
 def _run_chunk(
     stores: StoreMap, tasks: Sequence[SweepTask]
 ) -> Tuple[int, List[SimulationResult]]:
@@ -151,23 +162,26 @@ def _run_chunk(
 
     ``stores`` names the store path for every benchmark the chunk touches;
     paths not yet in the worker's cache are opened (one mmap per
-    (worker, benchmark)), cached entries are reused as-is.
+    (worker, benchmark)), cached entries are reused as-is.  Each
+    benchmark's tasks replay together, after the fault hook has seen
+    each of them; results come back in task order.
     """
     assert _worker_simulator is not None
     for name, (path, base_cpi) in stores.items():
         cached = _worker_sources.get(name)
         if cached is None or cached[2] != path:
             _worker_sources[name] = (TraceStore.open(path), base_cpi, path)
-    results: List[SimulationResult] = []
-    for name, parameters in tasks:
+    results: Dict[int, SimulationResult] = {}
+    for group in group_by_benchmark(tasks):
         if _fault_hook is not None:
-            _fault_hook(name, parameters)
-        trace, base_cpi, _ = _worker_sources[name]
-        if parameters is None:
-            results.append(_worker_simulator.run_conventional(trace))
-        else:
-            results.append(_worker_simulator.run_dri_trace(trace, base_cpi, parameters))
-    return os.getpid(), results
+            for index in group:
+                _fault_hook(*tasks[index])
+        trace, base_cpi, _ = _worker_sources[tasks[group[0]][0]]
+        group_results = _worker_simulator.run_many(
+            trace, base_cpi, [tasks[index][1] for index in group]
+        )
+        results.update(zip(group, group_results))
+    return os.getpid(), [results[index] for index in range(len(tasks))]
 
 
 # ----------------------------------------------------------------------
@@ -758,13 +772,9 @@ class SweepExecutor:
                     if cached is None or cached[2] != path:
                         cached = (TraceStore.open(path), base_cpi, path)
                         self._serial_sources[name] = cached
-                    trace = cached[0]
-                    if parameters is None:
-                        result = self._serial_simulator.run_conventional(trace)
-                    else:
-                        result = self._serial_simulator.run_dri_trace(
-                            trace, base_cpi, parameters
-                        )
+                    (result,) = self._serial_simulator.run_many(
+                        cached[0], base_cpi, [parameters]
+                    )
                 except Exception as exc:
                     yield self._task_error(
                         _ChunkJob(items=[(index, (name, parameters))], attempts=job.attempts),

@@ -33,14 +33,14 @@ chunk, at flat memory.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config.parameters import DRIParameters
 from repro.config.system import DEFAULT_SYSTEM, SystemConfig
 from repro.dri.dri_cache import DRIICache
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.simulation.engine import TraceLike, engine_for_run
+from repro.simulation.engine import Member, TraceLike, engine_for_run, replay_lockstep
 from repro.simulation.engine import replay as engine_replay
 from repro.simulation.engine import resolve_engine
 from repro.simulation.results import SimulationResult
@@ -143,20 +143,7 @@ class Simulator:
     def run_conventional(self, workload: WorkloadLike) -> SimulationResult:
         """Simulate the conventional (fixed-size) i-cache baseline."""
         trace, base_cpi = self.resolve_workload(workload)
-        icache = Cache(self.system.l1_icache, name="L1I")
-        hierarchy = MemoryHierarchy(self.system)
-        cycles = self._run_trace(trace, icache, hierarchy, base_cpi, dri=None)
-        return SimulationResult(
-            benchmark=trace.name,
-            cache_kind="conventional",
-            instructions=trace.num_instructions,
-            cycles=cycles,
-            l1_accesses=icache.stats.accesses,
-            l1_misses=icache.stats.misses,
-            l2_accesses=hierarchy.l2_accesses,
-            l2_misses=hierarchy.l2_misses,
-            engine=self.engine_for(None),
-        )
+        return self.run_many(trace, base_cpi, [None])[0]
 
     def run_fixed_size(
         self,
@@ -180,20 +167,13 @@ class Simulator:
             size_bytes=size_bytes,
             associativity=associativity if associativity is not None else geometry.associativity,
         )
-        icache = Cache(fixed_geometry, name=f"L1I-{size_bytes // 1024}K")
-        hierarchy = MemoryHierarchy(self.system)
-        cycles = self._run_trace(trace, icache, hierarchy, base_cpi, dri=None)
-        return SimulationResult(
-            benchmark=trace.name,
-            cache_kind="conventional",
-            instructions=trace.num_instructions,
-            cycles=cycles,
-            l1_accesses=icache.stats.accesses,
-            l1_misses=icache.stats.misses,
-            l2_accesses=hierarchy.l2_accesses,
-            l2_misses=hierarchy.l2_misses,
-            engine=self.engine_for(None),
+        run = (
+            Cache(fixed_geometry, name=f"L1I-{size_bytes // 1024}K"),
+            MemoryHierarchy(self.system),
+            None,
         )
+        cycles = engine_replay(trace, *run[:2], base_cpi, self.system, engine=self.engine)
+        return self._result(trace, run, cycles)
 
     def run_dri(self, workload: WorkloadLike, parameters: DRIParameters) -> SimulationResult:
         """Simulate the DRI i-cache with the given adaptivity parameters."""
@@ -203,55 +183,88 @@ class Simulator:
     def run_dri_trace(
         self, trace: TraceLike, base_cpi: float, parameters: DRIParameters
     ) -> SimulationResult:
-        """Simulate the DRI i-cache on an already-resolved (trace, CPI) pair.
+        """Simulate the DRI i-cache on an already-resolved (trace, CPI) pair."""
+        return self.run_many(trace, base_cpi, [parameters])[0]
 
-        This is the work unit the parallel sweep ships to worker processes:
-        the trace is resolved once per benchmark — as an mmap-backed store
-        path, not a pickled array — and each worker replays it under
-        different adaptivity parameters.
+    def run_many(
+        self,
+        trace: TraceLike,
+        base_cpi: float,
+        parameter_sets: Sequence[Optional[DRIParameters]],
+    ) -> List[SimulationResult]:
+        """Simulate every parameter set on one resolved (trace, CPI) pair.
+
+        ``None`` means the conventional baseline.  This is the work unit
+        the sweep runs per benchmark, serially and in pool workers (which
+        receive the trace as an mmap-backed store path, not a pickled
+        array).  Runs whose concrete engine is ``"batched"`` replay in
+        lockstep (:func:`~repro.simulation.engine.replay_lockstep`): one
+        pass over the trace per sense-interval length, conventional runs
+        joining the first group.  Scalar and fused runs replay one at a
+        time.  Results come back in input order, each bit-identical to
+        its own single run.
         """
-        icache = DRIICache(
-            self.system.l1_icache,
-            parameters,
-            address_bits=self.system.address_bits,
-            auto_interval=False,
-            instructions_per_access=trace.instructions_per_line,
-        )
-        hierarchy = MemoryHierarchy(self.system)
-        cycles = self._run_trace(trace, icache, hierarchy, base_cpi, dri=parameters)
-        icache.finalize()
+        runs = [self._member(trace, parameters) for parameters in parameter_sets]
+        cycles = [0] * len(runs)
+        singles: List[int] = []
+        conventional: List[int] = []
+        by_interval: Dict[int, List[int]] = {}
+        for index, (icache, _, parameters) in enumerate(runs):
+            if self.engine_for(parameters) != "batched":
+                singles.append(index)
+            elif parameters is None:
+                conventional.append(index)
+            else:
+                by_interval.setdefault(icache.interval_length_accesses, []).append(index)
+        # Conventional runs take no interval decisions: they join the first group.
+        groups = list(by_interval.values()) or [[]]
+        groups[0] = conventional + groups[0]
+        for group in filter(None, groups):
+            group_cycles = replay_lockstep(
+                trace, [runs[index] for index in group], base_cpi, self.system
+            )
+            for index, value in zip(group, group_cycles):
+                cycles[index] = value
+        for index in singles:
+            icache, hierarchy, parameters = runs[index]
+            cycles[index] = engine_replay(
+                trace, icache, hierarchy, base_cpi, self.system, dri=parameters, engine=self.engine
+            )
+        return [self._result(trace, run, value) for run, value in zip(runs, cycles)]
+
+    # ------------------------------------------------------------------
+    # Members and results
+    # ------------------------------------------------------------------
+    def _member(self, trace: TraceLike, parameters: Optional[DRIParameters]) -> Member:
+        """A run's fresh L1 (conventional or manually driven DRI) and L2/memory."""
+        if parameters is None:
+            icache: Cache = Cache(self.system.l1_icache, name="L1I")
+        else:
+            icache = DRIICache(
+                self.system.l1_icache,
+                parameters,
+                address_bits=self.system.address_bits,
+                auto_interval=False,
+                instructions_per_access=trace.instructions_per_line,
+            )
+        return icache, MemoryHierarchy(self.system), parameters
+
+    def _result(self, trace: TraceLike, run: Member, cycles: int) -> SimulationResult:
+        """Close a replayed run (the DRI cache's open interval) into its result."""
+        icache, hierarchy, parameters = run
+        dri = parameters is not None
+        if dri:
+            icache.finalize()
         return SimulationResult(
             benchmark=trace.name,
-            cache_kind="dri",
+            cache_kind="dri" if dri else "conventional",
             instructions=trace.num_instructions,
             cycles=cycles,
             l1_accesses=icache.stats.accesses,
             l1_misses=icache.stats.misses,
             l2_accesses=hierarchy.l2_accesses,
             l2_misses=hierarchy.l2_misses,
-            dri_stats=icache.dri_stats,
-            resizing_tag_bits=icache.resizing_tag_bits,
+            dri_stats=icache.dri_stats if dri else None,
+            resizing_tag_bits=icache.resizing_tag_bits if dri else 0,
             engine=self.engine_for(parameters),
-        )
-
-    # ------------------------------------------------------------------
-    # Core loop
-    # ------------------------------------------------------------------
-    def _run_trace(
-        self,
-        trace: TraceLike,
-        icache: Cache,
-        hierarchy: MemoryHierarchy,
-        base_cpi: float,
-        dri: Optional[DRIParameters],
-    ) -> int:
-        """Replay ``trace`` through ``icache``; returns the cycle count."""
-        return engine_replay(
-            trace,
-            icache,
-            hierarchy,
-            base_cpi,
-            self.system,
-            dri=dri,
-            engine=self.engine,
         )

@@ -62,6 +62,7 @@ from repro.simulation.executor import (
     SweepExecutor,
     SweepTask,
     TaskError,
+    group_by_benchmark,
 )
 from repro.simulation.results import SimulationResult
 from repro.simulation.simulator import Simulator, WorkloadLike
@@ -558,7 +559,10 @@ class ParameterSweep:
         before it is yielded, so a streaming consumer (the sweep-service
         direction) can report points while the pool keeps working.  With
         ``jobs`` at 1 (or clamped to 1 by the task count) the simulations
-        run serially in process and yield in input order.
+        run serially in process, each benchmark's tasks in one lockstep
+        pass over its trace (:meth:`Simulator.run_many`), and yield
+        grouped by benchmark, in order of first appearance; the health
+        ledger records one chunk wall time per pass.
 
         A task that fails for good under the fault-tolerant executor
         (DESIGN.md §11) is *not* yielded and *not* memoized: it lands as
@@ -574,17 +578,18 @@ class ParameterSweep:
             return
         jobs = _resolve_jobs(self.jobs if jobs is None else jobs, task_count=len(tasks))
         if jobs <= 1:
-            for name, parameters in tasks:
-                trace, base_cpi = resolved[name]
+            for group in group_by_benchmark(tasks):
+                group_tasks = [tasks[index] for index in group]
+                trace, base_cpi = resolved[group_tasks[0][0]]
                 started = time.monotonic()
-                if parameters is None:
-                    result = self.simulator.run_conventional(trace)
-                else:
-                    result = self.simulator.run_dri_trace(trace, base_cpi, parameters)
-                self._health.tasks_run += 1
+                results = self.simulator.run_many(
+                    trace, base_cpi, [parameters for _, parameters in group_tasks]
+                )
+                self._health.tasks_run += len(group_tasks)
                 self._health.chunk_wall_times.append(time.monotonic() - started)
-                self._memoize((name, parameters), result, resolved)
-                yield (name, parameters), result
+                for task, result in zip(group_tasks, results):
+                    self._memoize(task, result, resolved)
+                yield from zip(group_tasks, results)
             return
         stores: StoreMap = {
             name: (str(self._store_for(resolved[name][0]).path), resolved[name][1])
@@ -632,15 +637,14 @@ class ParameterSweep:
 
         ``jobs`` (default: the sweep's ``jobs`` attribute) sets the number
         of worker processes; with more than one, the grid points that are
-        not already memoized are simulated in parallel.  The returned
-        points are identical to a serial sweep's, in the same order.
+        not already memoized are simulated in parallel, and serially they
+        replay in one lockstep pass.  The returned points are identical to
+        a serial sweep's, in the same order.
         """
         parameters_list = self._grid_parameters(miss_bounds, size_bounds)
-        jobs = _resolve_jobs(self.jobs if jobs is None else jobs)
-        if jobs > 1:
-            pairs: List[Tuple[WorkloadLike, Optional[DRIParameters]]] = [(workload, None)]
-            pairs.extend((workload, parameters) for parameters in parameters_list)
-            self.prefetch(pairs, jobs=jobs)
+        pairs: List[Tuple[WorkloadLike, Optional[DRIParameters]]] = [(workload, None)]
+        pairs.extend((workload, parameters) for parameters in parameters_list)
+        self.prefetch(pairs, jobs=jobs)
         conventional = self.conventional_baseline(workload)
         result = SweepResult(benchmark=conventional.benchmark, conventional=conventional)
         for parameters in parameters_list:

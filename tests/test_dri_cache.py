@@ -148,6 +148,16 @@ class TestIntervals:
         cache.finalize()
         assert cache.dri_stats.intervals == []
 
+    def test_finalize_rejects_a_valid_tag_in_a_gated_set(self):
+        cache = make_cache(size_bytes=8 * 1024, size_bound=1024, miss_bound=1000)
+        cache.access(0x0)
+        cache.end_interval()  # downsizes to 4K: sets 128..255 are gated off
+        assert cache.current_sets == 128
+        cache.finalize()  # an honest plane passes
+        cache._tag_plane[200, 0] = 7  # a stray write into a gated row
+        with pytest.raises(ValueError, match="gated-off set.*miss_bound=1000"):
+            cache.finalize()
+
     def test_interval_counters_reset_between_intervals(self):
         cache = make_cache()
         cache.access(0x0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import cycle
 from unittest import mock
 
@@ -18,7 +19,7 @@ from repro.energy.model import EnergyModel, RunStatistics
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.replacement import LRUState
-from repro.simulation.engine import replay_batched, replay_fused, replay_scalar
+from repro.simulation.engine import replay_batched, replay_fused, replay_lockstep, replay_scalar
 from repro.workloads.source import TraceSource
 from repro.workloads.trace import InstructionTrace
 
@@ -307,31 +308,48 @@ def _counters(stats):
     return (stats.accesses, stats.hits, stats.misses, stats.evictions, stats.invalidations)
 
 
-def _replay_outcome(engine, system, parameters, source):
-    icache = DRIICache(
-        system.l1_icache,
-        parameters,
-        address_bits=system.address_bits,
-        auto_interval=False,
-        instructions_per_access=source.instructions_per_line,
-    )
-    hierarchy = MemoryHierarchy(system)
-    cycles = engine(source, icache, hierarchy, 0.75, system, dri=parameters)
-    icache.finalize()
-    dri = icache.dri_stats
-    return (
+def _member(system, parameters, source):
+    """A fresh (L1, L2/memory, parameters) run; ``None`` is conventional."""
+    if parameters is None:
+        icache = Cache(system.l1_icache)
+    else:
+        icache = DRIICache(
+            system.l1_icache,
+            parameters,
+            address_bits=system.address_bits,
+            auto_interval=False,
+            instructions_per_access=source.instructions_per_line,
+        )
+    return icache, MemoryHierarchy(system), parameters
+
+
+def _outcome(member, cycles):
+    icache, hierarchy, parameters = member
+    outcome = (
         cycles,
         _counters(icache.stats),
         _counters(hierarchy.l2.stats),
         (hierarchy.l2_accesses, hierarchy.l2_misses, hierarchy.memory.accesses),
-        dri.intervals,
-        (dri.upsizings, dri.downsizings, dri.throttled_downsizings, dri.size_histogram),
         icache._tag_plane.tolist(),
         icache._policy.ranks.tolist(),
         hierarchy.l2._tag_plane.tolist(),
         hierarchy.l2._policy.ranks.tolist(),
+    )
+    if parameters is None:
+        return outcome
+    icache.finalize()
+    dri = icache.dri_stats
+    return outcome + (
+        dri.intervals,
+        (dri.upsizings, dri.downsizings, dri.throttled_downsizings, dri.size_histogram),
         icache.controller.throttle.state.tolist(),
     )
+
+
+def _replay_outcome(engine, system, parameters, source):
+    member = _member(system, parameters, source)
+    icache, hierarchy, _ = member
+    return _outcome(member, engine(source, icache, hierarchy, 0.75, system, dri=parameters))
 
 
 class TestEngineDifferential:
@@ -347,3 +365,47 @@ class TestEngineDifferential:
             scalar = _replay_outcome(replay_scalar, system, parameters, source)
             assert _replay_outcome(replay_batched, system, parameters, source) == scalar
             assert _replay_outcome(replay_fused, system, parameters, source) == scalar
+
+
+@st.composite
+def lockstep_cases(draw):
+    """An engine case's hierarchy, trace, cuts and drain period, replayed
+    by 1-5 members: conventional runs, and DRI runs with their own
+    miss-bound, size-bound and policy that share the case's interval."""
+    system, parameters, source, drain_period = draw(engine_cases())
+    l1 = system.l1_icache
+    interval = parameters.sense_interval // 8
+    members = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            members.append(None)
+            continue
+        members.append(replace(
+            parameters,
+            miss_bound=draw(st.integers(0, interval)),
+            size_bound=(l1.block_size * l1.associativity) << draw(st.integers(0, l1.index_bits)),
+        ).with_policy(draw(st.sampled_from(sorted(policy_names())))))
+    return system, members, source, drain_period
+
+
+class TestLockstepDifferential:
+    @given(case=lockstep_cases())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_member_matches_its_scalar_run(self, case):
+        """One lockstep pass over the trace leaves every member exactly as
+        its own scalar replay does: cycles, L1 and L2 counters (evictions
+        included), interval records, tag planes and LRU ranks.  The
+        drawn drain period also caps the bank's probes per classifier
+        call, so chunks split across calls are drawn too."""
+        system, parameter_sets, source, drain_period = case
+        with mock.patch.multiple(
+            "repro.simulation.engine",
+            DEFAULT_CHUNK_ACCESSES=drain_period,
+            BANK_PROBES_PER_CALL=drain_period,
+        ):
+            members = [_member(system, parameters, source) for parameters in parameter_sets]
+            cycles = replay_lockstep(source, members, 0.75, system)
+            for member, member_cycles in zip(members, cycles):
+                scalar = _member(system, member[2], source)
+                scalar_cycles = replay_scalar(source, *scalar[:2], 0.75, system, dri=scalar[2])
+                assert _outcome(member, member_cycles) == _outcome(scalar, scalar_cycles)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +27,9 @@ from repro.simulation.executor import (
 )
 from repro.simulation.simulator import Simulator
 from repro.simulation.sweep import ParameterSweep, _resolve_jobs
+from repro.workloads.generator import generate_trace
+from repro.workloads.source import ArrayTraceSource
+from repro.workloads.spec95 import get_benchmark
 
 INSTRUCTIONS = 60_000
 SENSE_INTERVAL = 5_000
@@ -548,4 +552,85 @@ class TestCampaignHealth:
         with sweep:
             sweep.prefetch(pairs)
         assert sweep.health.tasks_run == len(pairs)
-        assert len(sweep.health.chunk_wall_times) == len(pairs)
+        # One entry per lockstep pass: the three compress tasks share one.
+        assert {name for name, _ in pairs} == {"compress"}
+        assert len(sweep.health.chunk_wall_times) == 1
+
+
+def _counted_source(name: str = "compress"):
+    """``name``'s trace as a source whose passes are counted: each pass
+    over the trace is one ``chunks`` call, recorded with its chunk length."""
+    trace = generate_trace(get_benchmark(name), total_instructions=INSTRUCTIONS, seed=7)
+    source = ArrayTraceSource(trace)
+    passes = []
+    chunks = source.chunks
+
+    def counted_chunks(chunk_accesses):
+        passes.append(chunk_accesses)
+        return chunks(chunk_accesses)
+
+    source.chunks = counted_chunks
+    return source, passes
+
+
+def _run_key(result):
+    stats = result.dri_stats
+    return (
+        result.benchmark,
+        result.cycles,
+        result.l1_misses,
+        result.l2_accesses,
+        result.l2_misses,
+        None if stats is None else stats.intervals,
+    )
+
+
+class TestLockstepGrouping:
+    def test_serial_grid_is_one_pass_over_the_trace(self):
+        source, passes = _counted_source()
+        result = _sweep(jobs=1).grid(source)
+        assert len(result.points) == 16
+        # 16 grid points plus the baseline, one pass at the grid's interval.
+        assert passes == [SENSE_INTERVAL // 8]
+
+    def test_two_sense_intervals_make_two_passes(self):
+        source, passes = _counted_source()
+        base = DRIParameters(sense_interval=SENSE_INTERVAL)
+        pairs = [
+            (source, None),
+            (source, base),
+            (source, base.with_interval(2 * SENSE_INTERVAL)),
+            (source, replace(base, miss_bound=80)),
+        ]
+        assert _sweep(jobs=1).prefetch(pairs) == 4
+        assert passes == [SENSE_INTERVAL // 8, 2 * SENSE_INTERVAL // 8]
+
+    def test_pool_run_of_mixed_benchmarks_equals_serial(self):
+        pairs = []
+        for miss_bound in (10, 80):
+            for name in ("compress", "li", "gcc"):
+                pairs.append((name, None))
+                pairs.append((name, DRIParameters(
+                    miss_bound=miss_bound, size_bound=1024, sense_interval=SENSE_INTERVAL
+                )))
+        serial = list(_sweep(jobs=1).prefetch_iter(pairs))
+        # The serial path yields grouped by benchmark, in order of first appearance.
+        names = [name for (name, _), _ in serial]
+        assert names == sorted(names, key=["compress", "li", "gcc"].index)
+        with _sweep(jobs=2, chunk=4) as sweep:
+            pooled = dict(sweep.prefetch_iter(pairs))
+        assert len(serial) == len(pooled) == 9
+        for task, result in serial:
+            assert _run_key(pooled[task]) == _run_key(result)
+
+    def test_custom_workload_baseline_keeps_its_base_cpi_in_the_pool(self):
+        # Every path replays a benchmark's runs with its resolved base CPI;
+        # pool workers used to re-derive it from the registry (0.75 here).
+        spec = replace(get_benchmark("compress"), name="custom-compress", base_cpi=1.1)
+        cycles = []
+        for jobs in (1, 2):
+            with _sweep(jobs=jobs) as sweep:
+                grid = sweep.grid(spec, miss_bounds=(10,), size_bounds=(1024,))
+                cycles.append(grid.conventional.cycles)
+        expected = Simulator(trace_instructions=INSTRUCTIONS, seed=7).run_conventional(spec)
+        assert cycles == [expected.cycles, expected.cycles]
