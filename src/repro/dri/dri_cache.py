@@ -167,7 +167,7 @@ class DRIICache(Cache):
         and resize points; the active set count is re-read after every
         boundary because a resize may have changed it.  The classification
         itself is the base cache's (direct-mapped or wavefront
-        set-associative) over the masked indices.
+        set-associative) under :meth:`_index_key`.
         """
         total = addresses.shape[0]
         hits = np.empty(total, dtype=bool)
@@ -180,8 +180,7 @@ class DRIICache(Cache):
                 take = min(take, self._interval_length_accesses - self._interval_accesses)
             chunk = addresses[position : position + take]
             block = (chunk >> np.uint64(self._offset_bits)).astype(np.int64)
-            set_indices = block & (self.controller.current_sets - 1)
-            chunk_hits = self._classify_chunk(set_indices, block >> self._min_index_bits)
+            chunk_hits = self._classify_chunk(block)
             self._record_batch(take, take - int(np.count_nonzero(chunk_hits)))
             hits[position : position + take] = chunk_hits
             position += take

@@ -14,17 +14,24 @@ Design notes
   batched path can classify and fill whole chunks of accesses without
   entering the interpreter per address.
 * :meth:`Cache.access_batch` classifies a chunk vectorised at any
-  associativity.  Direct-mapped caches use a single shifted comparison
-  over the set-sorted chunk; set-associative caches process the chunk in
-  *wavefronts* — the k-th access of every touched set is independent of
-  every other set's, so each wavefront is one vectorised probe/fill step
-  over distinct sets.  Sets hammered far more often than the rest of the
-  chunk (a tight loop in one set) fall out of the wavefronts early and
-  are finished by the scalar tail, keeping the vector width useful.
+  associativity.  Direct-mapped caches split the work in two: a per-mask
+  pass (:func:`_direct_mapped_pass`) sorts the chunk by set once and
+  classifies every probe that is not the first of its set in the chunk —
+  it hits iff the previous probe of its set had the same block, whatever
+  the cache held before — and a per-cache step (:func:`_first_probes`)
+  compares only each touched set's first probe with the stored tag and
+  writes back its last probe's tag.  Set-associative caches process the
+  chunk in *wavefronts* — the k-th access of every touched set is
+  independent of every other set's, so each wavefront is one vectorised
+  probe/fill step over distinct sets.  Sets hammered far more often than
+  the rest of the chunk (a tight loop in one set) fall out of the
+  wavefronts early and are finished by the scalar tail, keeping the
+  vector width useful.
 * Both paths are bit-identical to calling :meth:`Cache.access` per
   address, including statistics, eviction counts, and final contents.
-* Both paths stable-argsort the chunk's set indices cast to the narrowest
-  unsigned type holding ``num_sets - 1``: numpy radix-sorts keys of 16
+* Both paths stable-argsort the chunk's set indices cast to a narrow
+  unsigned type — the one holding the set mask for direct-mapped chunks,
+  ``num_sets - 1`` for set-associative ones: numpy radix-sorts keys of 16
   bits or less (Table 1's L1 and L2), several times faster than its int64
   timsort, and the cast keeps the permutation.  Caches with more than
   65,536 sets sort uint32 keys with timsort, as before.
@@ -34,7 +41,9 @@ Design notes
   model the disabling of sets when downsizing (blocks in gated-off sets
   lose their contents).
 * :class:`CacheBank` stacks same-geometry caches on one plane, so the
-  lockstep engine classifies a chunk for all of them in one call.
+  lockstep engine classifies a chunk for all of them at once: one
+  per-mask pass for every group of direct-mapped members that share a
+  set mask, one composite call for set-associative members.
 """
 
 from __future__ import annotations
@@ -51,6 +60,67 @@ MIN_WAVEFRONT_SETS = 8
 """Below this many still-active sets, a wavefront stops paying for numpy
 dispatch and the set-associative classifier finishes the chunk's remaining
 (heavily skewed) sets with the scalar tail."""
+
+
+def _direct_mapped_pass(blocks: np.ndarray, mask: int):
+    """The per-mask half of direct-mapped classification.
+
+    Stable-sorts a non-empty chunk of block addresses by set
+    (``blocks & mask``, cast to the narrowest unsigned type holding
+    ``mask``) and returns ``(hits, positions, sets, first_blocks,
+    last_blocks)``:
+
+    * ``hits`` — in program order, True where a probe's block equals the
+      block of the previous probe of its set.  A probe that is not the
+      first of its set in the chunk hits iff that holds, whatever the
+      cache held before the chunk; and "same set and same tag" means
+      "same block" under conventional and DRI indexing alike (a DRI tag
+      keeps every bit above the minimum-size index).  So this is the
+      outcome of every such probe for every direct-mapped cache indexed
+      by ``mask``.  First probes read False here;
+    * ``positions`` — the program-order position of each touched set's
+      first probe, whose outcome depends on the cache's stored tag;
+    * ``sets``, ``first_blocks``, ``last_blocks`` — each touched set and
+      the blocks of its first and its last probe.
+    """
+    count = blocks.shape[0]
+    keys = (blocks & mask).astype(np.min_scalar_type(mask))
+    order = np.argsort(keys, kind="stable")
+    sorted_blocks = blocks[order]
+    sorted_keys = keys[order]
+    # One boundary array: True where a set's run of probes starts, plus a
+    # closing True, so consecutive edges are each run's first probe and
+    # one past its last.
+    boundary = np.empty(count + 1, dtype=bool)
+    boundary[0] = boundary[count] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:count])
+    edges = np.flatnonzero(boundary)
+    first, last = edges[:-1], edges[1:] - 1
+    # A repeat is never a set's first probe: another set means another block.
+    repeats = np.empty(count, dtype=bool)
+    repeats[0] = False
+    np.equal(sorted_blocks[1:], sorted_blocks[:-1], out=repeats[1:])
+    hits = np.empty(count, dtype=bool)
+    hits[order] = repeats
+    return hits, order[first], sorted_keys[first], sorted_blocks[first], sorted_blocks[last]
+
+
+def _first_probes(dense: np.ndarray, frames: np.ndarray, first_blocks: np.ndarray,
+                  last_blocks: np.ndarray, shifts) -> Tuple[np.ndarray, np.ndarray]:
+    """The per-cache half: resolve each touched set's first probe and
+    leave its last probe's tag resident (a hit leaves the matching tag, a
+    miss fills its own).
+
+    ``frames`` index the flat direct-mapped column ``dense``: one cache's
+    touched sets (1-D, with an integer tag shift), or ``(c, sets)`` rows
+    of a bank class, one per member, with ``(c, 1)`` shifts.  Returns the
+    stored tags the first probes met and their hit mask, shaped like
+    ``frames``.
+    """
+    stored = dense[frames]
+    first_hits = stored == first_blocks >> shifts
+    dense[frames] = last_blocks >> shifts
+    return stored, first_hits
 
 
 @dataclass
@@ -125,7 +195,8 @@ class Cache:
         self._num_sets = geometry.num_sets
         self._index_mask = self._num_sets - 1
         self._index_bits = self._num_sets.bit_length() - 1
-        # The classifiers' sort key type (see the design notes).
+        # The set-associative classifier's sort key type (see the design
+        # notes; the direct-mapped pass derives its own from the mask).
         self._set_key_dtype = np.min_scalar_type(self._num_sets - 1)
         self._associativity = geometry.associativity
         # The dense substrate: one int64 tag per block frame (-1 = invalid)
@@ -234,8 +305,9 @@ class Cache:
         Statistics (accesses, hits, misses, evictions) and the resulting
         cache contents are bit-identical to calling :meth:`access` on each
         address in order.  Every associativity takes a vectorised path:
-        direct-mapped chunks collapse to one shifted comparison,
-        set-associative chunks are processed in per-set wavefronts.
+        direct-mapped chunks take one per-mask pass plus a step over the
+        touched sets, set-associative chunks are processed in per-set
+        wavefronts.
         """
         addresses = np.ascontiguousarray(addresses, dtype=np.uint64)
         if addresses.ndim != 1:
@@ -245,9 +317,7 @@ class Cache:
     def _access_batch_chunks(self, addresses: np.ndarray) -> np.ndarray:
         """Decompose and classify a validated batch (no interval boundaries
         to respect in a plain cache; the DRI cache overrides this)."""
-        block = (addresses >> np.uint64(self._offset_bits)).astype(np.int64)
-        mask, shift = self._index_key()
-        return self._classify_chunk(block & mask, block >> shift)
+        return self._classify_chunk((addresses >> np.uint64(self._offset_bits)).astype(np.int64))
 
     def _index_key(self) -> Tuple[int, int]:
         """``(set mask, tag shift)`` of the current indexing; the DRI cache
@@ -258,58 +328,32 @@ class Cache:
         """Per-batch accounting beyond the L1 counters (the DRI cache
         charges its open sense interval here)."""
 
-    def _classify_chunk(self, set_indices: np.ndarray, tags: np.ndarray) -> np.ndarray:
-        """Classify one chunk of (set, tag) probes and apply the fills."""
+    def _classify_chunk(self, blocks: np.ndarray) -> np.ndarray:
+        """Classify one chunk of block addresses under the current indexing
+        and apply the fills."""
+        mask, shift = self._index_key()
         if self._associativity == 1:
-            return self._classify_chunk_direct(set_indices, tags)
-        return self._classify_chunk_assoc(set_indices, tags)
+            return self._classify_chunk_direct(blocks, mask, shift)
+        return self._classify_chunk_assoc(blocks & mask, blocks >> shift)
 
-    def _classify_chunk_direct(self, set_indices: np.ndarray, tags: np.ndarray) -> np.ndarray:
-        """Direct-mapped classification: one shifted comparison per chunk.
-
-        Within a chunk, an access hits iff the nearest earlier access to
-        the same set carried the same tag — or, for the first access to a
-        set, iff the stored tag matches.  A stable sort by set groups each
-        set's probes in program order, which turns both rules into one
-        shifted comparison.  Only valid for direct-mapped caches.
-        """
-        count = set_indices.shape[0]
+    def _classify_chunk_direct(self, blocks: np.ndarray, mask: int, shift: int) -> np.ndarray:
+        """Direct-mapped classification: the per-mask pass, then this
+        cache's first probe of each touched set.  Only valid for
+        direct-mapped caches."""
+        count = blocks.shape[0]
         if count == 0:
             return np.empty(0, dtype=bool)
-        dense = self._tag_plane[:, 0]
-
-        order = np.argsort(set_indices.astype(self._set_key_dtype), kind="stable")
-        sorted_sets = set_indices[order]
-        sorted_tags = tags[order]
-        same_set_as_previous = np.empty(count, dtype=bool)
-        same_set_as_previous[0] = False
-        same_set_as_previous[1:] = sorted_sets[1:] == sorted_sets[:-1]
-
-        previous_tag = np.empty(count, dtype=np.int64)
-        previous_tag[1:] = sorted_tags[:-1]
-        first_of_set = ~same_set_as_previous
-        previous_tag[first_of_set] = dense[sorted_sets[first_of_set]]
-
-        sorted_hits = previous_tag == sorted_tags
-        misses = count - int(np.count_nonzero(sorted_hits))
-        # A miss evicts iff the frame it fills held a valid block: either a
-        # previous in-chunk access left one there, or the stored tag was valid.
-        evictions = int(np.count_nonzero(~sorted_hits & (previous_tag >= 0)))
-
-        # The last probe of each set leaves its tag resident (a hit leaves
-        # the matching tag, a miss fills its own).
-        last_of_set = np.empty(count, dtype=bool)
-        last_of_set[-1] = True
-        last_of_set[:-1] = sorted_sets[:-1] != sorted_sets[1:]
-        dense[sorted_sets[last_of_set]] = sorted_tags[last_of_set]
-
+        hits, positions, sets, first_blocks, last_blocks = _direct_mapped_pass(blocks, mask)
+        stored, first_hits = _first_probes(self._dm_plane, sets, first_blocks, last_blocks, shift)
+        hits[positions] = first_hits
+        misses = count - int(np.count_nonzero(hits))
+        # Every miss evicts except one that fills an empty frame, and only
+        # the first probe of a set can find its frame empty.
+        evictions = misses - int(np.count_nonzero(stored < 0))
         self.stats.accesses += count
         self.stats.hits += count - misses
         self.stats.misses += misses
         self.stats.evictions += evictions
-
-        hits = np.empty(count, dtype=bool)
-        hits[order] = sorted_hits
         return hits
 
     def _classify_chunk_assoc(self, set_indices: np.ndarray, tags: np.ndarray) -> np.ndarray:
@@ -483,11 +527,17 @@ class CacheBank(Cache):
     member k owns rows ``k * sets`` up to ``(k + 1) * sets``, and its own
     ``_tag_plane``, ``_dm_plane`` and ``_policy.ranks`` become row-slice
     views of them, so invalidation, ``end_interval`` and every per-member
-    query keep working unchanged.  Member k probes the composite set
-    ``k * sets + (block & mask_k)`` with tag ``block >> shift_k`` (its
-    :meth:`Cache._index_key`).  The members' set ranges are disjoint and
+    query keep working unchanged.  Member k indexes with set mask
+    ``mask_k`` and tag shift ``shift_k`` (its :meth:`Cache._index_key`).
+
+    Direct-mapped members that share a set mask share every outcome but
+    their first probe of each touched set (see :func:`_direct_mapped_pass`),
+    so each such class takes one per-mask pass and one
+    :func:`_first_probes` step over its members' rows.  Set-associative
+    members probe the composite set ``k * sets + (block & mask_k)`` with
+    tag ``block >> shift_k``; the members' set ranges are disjoint and
     the classifier's stable sort keeps each member's program order, so
-    one :meth:`_classify_chunk` call over all members equals K calls.
+    one :meth:`_classify_chunk_assoc` call over all members equals K calls.
     """
 
     def __init__(self, members: Sequence[Cache]) -> None:
@@ -498,7 +548,8 @@ class CacheBank(Cache):
         sets, ways = geometry.num_sets, geometry.associativity
         self.members = list(members)
         # The classifiers read only the plane, the ranks, the sort key
-        # type and the associativity; the bank itself is never indexed.
+        # type, the associativity and the member row offsets; the bank
+        # itself is never indexed.
         self._num_sets = len(members) * sets
         self._set_key_dtype = np.min_scalar_type(self._num_sets - 1)
         self._tag_plane = np.concatenate([member._tag_plane for member in members])
@@ -521,24 +572,20 @@ class CacheBank(Cache):
 
         Charges each member's accesses, hits and misses, and its
         :meth:`~Cache._record_batch`, as :meth:`access_batch` would;
-        evictions are charged once, by :meth:`settle`.  Each classifier
-        call takes at most ``max_probes`` composite probes, which bounds
-        the scratch arrays and keeps numpy's cost per probe near its
-        minimum.
+        evictions are charged once, by :meth:`settle`.  ``max_probes``
+        bounds the scratch arrays and keeps numpy's cost per probe near
+        its minimum: a direct-mapped pass covers at most that many
+        accesses, a set-associative call that many composite probes.
         """
         addresses = np.ascontiguousarray(addresses, dtype=np.uint64)
         count = addresses.shape[0]
-        members = len(self.members)
         blocks = (addresses >> np.uint64(self._offset_bits)).astype(np.int64)
         keys = np.array([member._index_key() for member in self.members], dtype=np.int64)
-        masks, shifts = keys[:, :1], keys[:, 1:]
-        hits = np.empty((members, count), dtype=bool)
-        step = max(1, max_probes // members)
-        for start in range(0, count, step):
-            block = blocks[start : start + step]
-            sets = (block & masks) + self._offsets
-            probe_hits = self._classify_chunk(sets.ravel(), (block >> shifts).ravel())
-            hits[:, start : start + step] = probe_hits.reshape(members, -1)
+        hits = np.empty((len(self.members), count), dtype=bool)
+        if self._associativity == 1:
+            self._classify_by_mask(blocks, keys, max_probes, hits)
+        else:
+            self._classify_composite(blocks, keys, max_probes, hits)
         misses = count - np.count_nonzero(hits, axis=1)
         for member, member_misses in zip(self.members, misses.tolist()):
             member.stats.accesses += count
@@ -546,6 +593,33 @@ class CacheBank(Cache):
             member.stats.misses += member_misses
             member._record_batch(count, member_misses)
         return hits
+
+    def _classify_by_mask(self, blocks, keys, max_accesses, hits) -> None:
+        """One per-mask pass per class of members sharing a set mask, then
+        the class's first probes on its members' rows at once."""
+        rows_by_mask = {}
+        for row, mask in enumerate(keys[:, 0].tolist()):
+            rows_by_mask.setdefault(mask, []).append(row)
+        classes = [(mask, np.array(rows)) for mask, rows in rows_by_mask.items()]
+        for start in range(0, blocks.shape[0], max_accesses):
+            block = blocks[start : start + max_accesses]
+            for mask, rows in classes:
+                common, positions, sets, firsts, lasts = _direct_mapped_pass(block, mask)
+                frames = self._offsets[rows] + sets
+                _, first_hits = _first_probes(self._dm_plane, frames, firsts, lasts, keys[rows, 1:])
+                hits[rows, start : start + block.shape[0]] = common
+                hits[rows[:, None], positions + start] = first_hits
+
+    def _classify_composite(self, blocks, keys, max_probes, hits) -> None:
+        """All members' composite probes through one wavefront call per
+        at most ``max_probes`` of them."""
+        masks, shifts = keys[:, :1], keys[:, 1:]
+        step = max(1, max_probes // len(self.members))
+        for start in range(0, blocks.shape[0], step):
+            block = blocks[start : start + step]
+            sets = (block & masks) + self._offsets
+            probe_hits = self._classify_chunk_assoc(sets.ravel(), (block >> shifts).ravel())
+            hits[:, start : start + step] = probe_hits.reshape(len(self.members), -1)
 
     def settle(self) -> None:
         """Charge each member's evictions, once, after its last classification.

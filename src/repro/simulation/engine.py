@@ -93,12 +93,16 @@ DEFAULT_CHUNK_ACCESSES = 1 << 16
 and the batched engine's L2 drain period."""
 
 BANK_PROBES_PER_CALL = 1 << 14
-"""Composite probes per classifier call in a lockstep replay.  The cap
+"""Probes per classifier call in a lockstep replay: accesses per per-mask
+pass for a direct-mapped bank (one pass serves every member with that set
+mask), composite probes per call for a set-associative one.  The cap
 bounds the scratch arrays and keeps each call where numpy's cost per probe
 is lowest.  On a 2-vCPU Xeon (4 MiB L2 per core, numpy 2.4) the streamed
 paper-scale campaign (perfbench's ``paper-scale-dm``) took 2.36-2.42 s at
-16,384 probes per call and 2.86-2.99 s at 65,536, where the classifier's
-arrays outgrow the L2."""
+16,384 composite probes per call and 2.86-2.99 s at 65,536, where the
+classifier's arrays outgrow the L2.  With per-mask passes the same
+campaign ran 2.52-2.64 s at 16,384 accesses per pass and 2.48-2.70 s at
+65,536 (raw walls, six campaigns each), so the cap was kept."""
 
 ENGINE_KINDS = ("auto", "kernel-fused", "batched", "scalar")
 """Accepted engine selectors: "auto" prefers the fused kernel engine when
@@ -246,9 +250,10 @@ def replay_lockstep(
 
     With more than one member, the L1s are stacked into one
     :class:`~repro.memory.cache.CacheBank` and each chunk is classified for
-    all of them in calls of at most :data:`BANK_PROBES_PER_CALL`
-    composite probes, so the trace is generated or read once, not once per
-    run.  A single member is classified through its own ``access_batch``.
+    all of them in calls of at most :data:`BANK_PROBES_PER_CALL` probes,
+    so the trace is generated or read once, not once per run; direct-mapped
+    members that share a set mask share one sort of the chunk.  A single
+    member is classified through its own ``access_batch``.
 
     Drain rule: each member's chunk misses are buffered and drained through
     its own

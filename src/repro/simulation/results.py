@@ -86,6 +86,18 @@ class SimulationResult:
                 raise ValueError("conservation: interval accesses do not sum to l1_accesses")
             if sum(record.misses for record in intervals) != self.l1_misses:
                 raise ValueError("conservation: interval misses do not sum to l1_misses")
+            # The resize ladder holds powers of two up to the full size.
+            full = self.dri_stats.full_size_bytes
+            for record in intervals:
+                for name, size in (
+                    ("size_bytes_during", record.size_bytes_during),
+                    ("size_bytes_at_end", record.size_bytes_at_end),
+                ):
+                    if size < 1 or size & (size - 1) or size > full:
+                        raise ValueError(
+                            f"conservation: interval {record.index} {name} {size} is not a "
+                            f"power of two at most full_size_bytes {full}"
+                        )
 
     @property
     def l1_miss_rate(self) -> float:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.config.parameters import DRIParameters
 from repro.config.system import CacheGeometry
-from repro.memory.cache import Cache
+from repro.dri.dri_cache import DRIICache
+from repro.memory import cache as cache_module
+from repro.memory.cache import Cache, CacheBank
 
 
 def make_cache(size_bytes: int = 1024, block_size: int = 32, associativity: int = 1) -> Cache:
@@ -188,3 +193,85 @@ class TestWideSetIndexBatch:
         assert reference.stats.evictions > 0
         assert np.array_equal(batched._tag_plane, reference._tag_plane)
         assert np.array_equal(batched._policy.ranks, reference._policy.ranks)
+
+
+class TestDirectMappedBank:
+    """Direct-mapped bank members that share a set mask share one per-mask
+    pass; each must still end exactly as if classified on its own."""
+
+    GEOMETRY = CacheGeometry(size_bytes=4096, block_size=32, associativity=1)  # 128 sets
+    FOOTPRINT = 512  # blocks, four per full-size set
+    # (size bound, current size) of each DRI member, after a conventional
+    # member: set masks 127, 127, 63, 63, 15 with tag shifts 7, 4, 4, 5, 4,
+    # so classes share a mask both with and without a shared tag shift.
+    DRI_SIZES = ((512, 4096), (512, 2048), (1024, 2048), (512, 512))
+
+    def _members(self):
+        """The members, each preloaded from one seed: in every active set
+        a footprint block's tag (so some first probes hit and some evict a
+        valid block) or an empty frame."""
+        members = [Cache(self.GEOMETRY)]
+        for size_bound, size in self.DRI_SIZES:
+            dri = DRIICache(self.GEOMETRY, DRIParameters(size_bound=size_bound), auto_interval=False)
+            dri.controller.force_size(size)
+            members.append(dri)
+        rng = np.random.default_rng(15)
+        for member in members:
+            mask, shift = member._index_key()
+            sets = np.arange(mask + 1)
+            blocks = sets + (mask + 1) * rng.integers(0, self.FOOTPRINT // (mask + 1), size=sets.size)
+            tags = blocks >> shift
+            tags[rng.random(sets.size) < 0.25] = -1
+            member._tag_plane[sets, 0] = tags
+        return members
+
+    def _addresses(self):
+        lines = np.random.default_rng(16).integers(0, self.FOOTPRINT, size=3000)
+        return lines.astype(np.uint64) * 32
+
+    @staticmethod
+    def _first_probe_outcomes(member, addresses):
+        """What each set's first probe meets in ``member``: its own tag
+        ("hit"), another valid one ("evict") or an empty frame ("fill")."""
+        mask, shift = member._index_key()
+        stored = member._tag_plane[:, 0].tolist()
+        outcomes, seen = set(), set()
+        for block in (addresses >> np.uint64(5)).tolist():
+            if block & mask not in seen:
+                seen.add(block & mask)
+                tag = stored[block & mask]
+                outcomes.add("hit" if tag == block >> shift else "evict" if tag >= 0 else "fill")
+        return outcomes
+
+    @pytest.mark.parametrize("max_probes", [3000, 1000])
+    def test_members_match_their_own_access_batch(self, max_probes):
+        addresses = self._addresses()
+        references = self._members()
+        for reference in references:
+            assert self._first_probe_outcomes(reference, addresses) == {"hit", "evict", "fill"}
+        expected = [reference.access_batch(addresses) for reference in references]
+
+        members = self._members()
+        bank = CacheBank(members)
+        with mock.patch.object(
+            cache_module, "_direct_mapped_pass", wraps=cache_module._direct_mapped_pass
+        ) as spy:
+            hits = bank.classify(addresses, max_probes)
+        bank.settle()
+
+        # One pass per distinct set mask per classifier call.
+        calls = -(-addresses.shape[0] // max_probes)
+        assert sorted(call.args[1] for call in spy.call_args_list) == sorted(
+            [15, 63, 127] * calls
+        )
+        for member, reference, member_hits, reference_hits in zip(
+            members, references, hits, expected
+        ):
+            assert member_hits.tolist() == reference_hits.tolist()
+            assert member.stats == reference.stats
+            assert np.array_equal(member._tag_plane, reference._tag_plane)
+        for member, reference in zip(members[1:], references[1:]):
+            assert (member._interval_accesses, member._interval_misses) == (
+                reference._interval_accesses,
+                reference._interval_misses,
+            )

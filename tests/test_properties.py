@@ -250,11 +250,11 @@ class _CutSource(TraceSource):
 
 
 @st.composite
-def engine_cases(draw):
+def engine_cases(draw, l1_ways_log=st.integers(0, 3)):
     """A random hierarchy, DRI configuration, policy, and chunked trace."""
     l1_block_log = draw(st.integers(4, 6))
     l1_block = 1 << l1_block_log
-    l1_ways = 1 << draw(st.integers(0, 3))
+    l1_ways = 1 << draw(l1_ways_log)
     l1_sets_log = draw(st.integers(1, 6))
     # Mostly L2 blocks at least the L1's (fused-eligible), sometimes smaller.
     l2_block = 1 << max(4, l1_block_log + draw(st.sampled_from([-2, -1, 0, 1, 2])))
@@ -370,21 +370,32 @@ class TestEngineDifferential:
 @st.composite
 def lockstep_cases(draw):
     """An engine case's hierarchy, trace, cuts and drain period, replayed
-    by 1-5 members: conventional runs, and DRI runs with their own
-    miss-bound, size-bound and policy that share the case's interval."""
-    system, parameters, source, drain_period = draw(engine_cases())
+    by 1-8 members: conventional runs, DRI runs with their own miss-bound,
+    size-bound and policy that share the case's interval, and copies of
+    earlier members.  The L1 is direct-mapped in most cases, where members
+    that share a set mask share one classification pass: a DRI run at
+    full size shares the conventional runs' mask under another tag shift,
+    a copy shares its original's mask and shift all along."""
+    system, parameters, source, drain_period = draw(
+        engine_cases(l1_ways_log=st.one_of(st.just(0), st.integers(0, 3)))
+    )
     l1 = system.l1_icache
     interval = parameters.sense_interval // 8
     members = []
-    for _ in range(draw(st.integers(1, 5))):
-        if draw(st.booleans()):
+    kinds = ["conventional", "dri"]
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(kinds + ["copy"] if members else kinds))
+        if kind == "copy":
+            members.append(draw(st.sampled_from(members)))
+        elif kind == "conventional":
             members.append(None)
-            continue
-        members.append(replace(
-            parameters,
-            miss_bound=draw(st.integers(0, interval)),
-            size_bound=(l1.block_size * l1.associativity) << draw(st.integers(0, l1.index_bits)),
-        ).with_policy(draw(st.sampled_from(sorted(policy_names())))))
+        else:
+            size_bound_log = draw(st.integers(0, l1.index_bits))
+            members.append(replace(
+                parameters,
+                miss_bound=draw(st.integers(0, interval)),
+                size_bound=(l1.block_size * l1.associativity) << size_bound_log,
+            ).with_policy(draw(st.sampled_from(sorted(policy_names())))))
     return system, members, source, drain_period
 
 

@@ -203,24 +203,51 @@ class TestResultValidation:
         with pytest.raises(ValueError, match="conservation: l2_accesses differs from l1_misses"):
             self._result(l2_accesses=12)
 
-    @pytest.mark.parametrize("field", ["accesses", "misses"])
-    def test_dri_interval_records_must_sum_to_run_totals(self, field):
+    @pytest.mark.parametrize(
+        "field, broken, law",
+        [
+            pytest.param("accesses", 251, "interval accesses do not sum", id="accesses"),
+            pytest.param("misses", 9, "interval misses do not sum", id="misses"),
+            pytest.param(
+                "size_bytes_during", 48 * 1024, "interval 1 size_bytes_during 49152 is not",
+                id="during-48K",
+            ),
+            pytest.param(
+                "size_bytes_at_end", 128 * 1024, "interval 1 size_bytes_at_end 131072 is not",
+                id="at-end-128K",
+            ),
+            pytest.param(
+                "size_bytes_during", 0, "interval 1 size_bytes_during 0 is not", id="during-0"
+            ),
+        ],
+    )
+    def test_dri_interval_records_must_sum_to_run_totals(self, field, broken, law):
+        """Interval records must sum to the run totals, and every size they
+        record must sit on the 64K cache's ladder (a power of two, at most
+        64K); the second interval carries the broken value."""
         from repro.dri.stats import DRIStatistics
 
-        def dri_stats(accesses, misses):
+        def dri_stats(accesses=250, misses=10, size_bytes_during=64 * 1024,
+                      size_bytes_at_end=64 * 1024):
             stats = DRIStatistics(full_size_bytes=64 * 1024)
-            for part, part_misses in ((accesses // 2, misses), (accesses - accesses // 2, 0)):
-                stats.record_interval(
-                    instructions=4 * part,
-                    accesses=part,
-                    misses=part_misses,
-                    size_bytes_during=64 * 1024,
-                    size_bytes_at_end=64 * 1024,
-                    resized="none",
-                )
+            stats.record_interval(
+                instructions=4 * (accesses // 2),
+                accesses=accesses // 2,
+                misses=misses,
+                size_bytes_during=64 * 1024,
+                size_bytes_at_end=64 * 1024,
+                resized="none",
+            )
+            stats.record_interval(
+                instructions=4 * (accesses - accesses // 2),
+                accesses=accesses - accesses // 2,
+                misses=0,
+                size_bytes_during=size_bytes_during,
+                size_bytes_at_end=size_bytes_at_end,
+                resized="none",
+            )
             return stats
 
-        self._result(cache_kind="dri", dri_stats=dri_stats(250, 10))  # consistent
-        broken = dri_stats(251, 10) if field == "accesses" else dri_stats(250, 9)
-        with pytest.raises(ValueError, match=f"conservation: interval {field} do not sum"):
-            self._result(cache_kind="dri", dri_stats=broken)
+        self._result(cache_kind="dri", dri_stats=dri_stats())  # consistent
+        with pytest.raises(ValueError, match=f"conservation: {law}"):
+            self._result(cache_kind="dri", dri_stats=dri_stats(**{field: broken}))
