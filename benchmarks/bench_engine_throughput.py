@@ -12,16 +12,11 @@ performance trajectory is tracked across PRs.  The JSON schema:
 .. code-block:: json
 
     {
-      "numba_version": "0.59.1" | null,
-      "jit_warmup_s": ...,                                 // Numba only
       "replay": {
         "conventional":      {"scalar_accesses_per_s": ...,
                               "batched_accesses_per_s": ..., "speedup": ...},
         "conventional_4way": {...},
-        "dri":               {...,                         // DRI rows additionally
-                              "kernel_fused_accesses_per_s": ...,    // carry the fused
-                              "kernel_fused_jit_warmup_s": ...,      // engine (Numba
-                              "fused_speedup_over_batched": ...},    // only)
+        "dri":               {...},
         "dri_4way":          {...}
       },
       "streamed": {"accesses": 10000000, "batched_accesses_per_s": ...,
@@ -85,7 +80,6 @@ from repro.config.parameters import DRIParameters
 from repro.config.system import DEFAULT_SYSTEM
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.kernels import NUMBA_AVAILABLE, numba_version
 from repro.simulation.engine import replay_batched
 from repro.simulation.simulator import Simulator
 from repro.simulation.sweep import ParameterSweep
@@ -117,31 +111,8 @@ def _time_replay(simulator: Simulator, run, repeats: int = REPEATS) -> tuple:
     return best, result
 
 
-def _engines_for(kind: str) -> tuple:
-    """The engines measured for one replay kind.
-
-    The fused engine only appears on the DRI rows, and only when Numba is
-    installed: a conventional run under ``kernel-fused`` *is* the batched
-    engine (the per-run fallback), and the pure-Python fused loop is a
-    semantics oracle, not an engine, so timing it would say nothing about
-    the compiled path.
-    """
-    engines = ("scalar", "batched")
-    if NUMBA_AVAILABLE and not kind.startswith("conventional"):
-        engines += ("kernel-fused",)
-    return engines
-
-
 def measure_replay(instructions: int, repeats: int = REPEATS) -> Dict[str, Dict[str, float]]:
-    """Accesses/second for every engine on every replay kind.
-
-    The ``kernel_fused`` rows (and their speedup over batched) appear
-    only when Numba is installed.  The fused engine's first replay pays
-    JIT compilation; that call is timed *separately* as
-    ``kernel_fused_jit_warmup_s`` and excluded from the throughput
-    numbers, so the rows measure steady-state throughput and the warm-up
-    cost is tracked rather than discarded.
-    """
+    """Accesses/second for both engines on every replay kind."""
     parameters = DRIParameters(
         miss_bound=40, size_bound=1024, sense_interval=SENSE_INTERVAL
     )
@@ -151,8 +122,7 @@ def measure_replay(instructions: int, repeats: int = REPEATS) -> Dict[str, Dict[
     for kind in REPLAY_KINDS:
         system = four_way if kind.endswith("_4way") else DEFAULT_SYSTEM
         row: Dict[str, float] = {}
-        for engine in _engines_for(kind):
-            slug = engine.replace("-", "_")
+        for engine in ("scalar", "batched"):
             simulator = Simulator(
                 system=system, trace_instructions=instructions, engine=engine
             )
@@ -160,31 +130,21 @@ def measure_replay(instructions: int, repeats: int = REPEATS) -> Dict[str, Dict[
                 run = lambda: simulator.run_conventional(BENCHMARK)
             else:
                 run = lambda: simulator.run_dri(BENCHMARK, parameters)
-            if engine == "kernel-fused":
-                simulator.resolve_workload(BENCHMARK)  # trace generation apart
-                start = time.perf_counter()
-                run()  # JIT compile + first replay, outside the throughput timing
-                row[f"{slug}_jit_warmup_s"] = time.perf_counter() - start
             seconds, result = _time_replay(simulator, run, repeats)
             results[(kind, engine)] = result
-            row[f"{slug}_accesses_per_s"] = result.l1_accesses / seconds
-            row[f"{slug}_wall_clock_s"] = seconds
+            row[f"{engine}_accesses_per_s"] = result.l1_accesses / seconds
+            row[f"{engine}_wall_clock_s"] = seconds
         row["speedup"] = (
             row["batched_accesses_per_s"] / row["scalar_accesses_per_s"]
         )
-        if "kernel-fused" in _engines_for(kind):
-            row["fused_speedup_over_batched"] = (
-                row["kernel_fused_accesses_per_s"] / row["batched_accesses_per_s"]
-            )
         out[kind] = row
     # The engines must agree bit-for-bit or the speedup is meaningless.
     for kind in REPLAY_KINDS:
         scalar_result = results[(kind, "scalar")]
-        for engine in _engines_for(kind)[1:]:
-            engine_result = results[(kind, engine)]
-            assert scalar_result.l1_misses == engine_result.l1_misses, (kind, engine)
-            assert scalar_result.l2_accesses == engine_result.l2_accesses, (kind, engine)
-            assert scalar_result.cycles == engine_result.cycles, (kind, engine)
+        batched_result = results[(kind, "batched")]
+        assert scalar_result.l1_misses == batched_result.l1_misses, kind
+        assert scalar_result.l2_accesses == batched_result.l2_accesses, kind
+        assert scalar_result.cycles == batched_result.cycles, kind
     return out
 
 
@@ -428,7 +388,6 @@ def run_bench(quick: bool = False) -> Dict[str, object]:
     payload = {
         "benchmark": BENCHMARK,
         "trace_instructions": instructions,
-        "numba_version": numba_version(),
         "scalar_dm_probe": "specialised pure-int probe (no numpy row gather)",
         "replay": measure_replay(instructions),
         "streamed": measure_streamed(streamed_accesses),
@@ -439,13 +398,6 @@ def run_bench(quick: bool = False) -> Dict[str, object]:
             "shootout": measure_shootout(instructions, shootout_benchmarks),
         },
     }
-    if NUMBA_AVAILABLE:
-        payload["jit_warmup_s"] = sum(
-            value
-            for row in payload["replay"].values()
-            for key, value in row.items()
-            if key.endswith("_jit_warmup_s")
-        )
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / "BENCH_engine.json"
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -458,8 +410,6 @@ def test_engine_throughput(benchmark):
     assert payload["replay"]["conventional"]["speedup"] >= SPEEDUP_FLOOR
     assert payload["replay"]["conventional_4way"]["speedup"] >= SPEEDUP_FLOOR
     assert payload["streamed"]["peak_python_mib"] < payload["streamed"]["peak_bound_mib"]
-    if NUMBA_AVAILABLE:
-        assert payload["numba_version"]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -473,14 +423,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     streamed = payload["streamed"]
     print(f"\nconventional replay speedup: {speedup_dm:.1f}x DM, "
           f"{speedup_4way:.1f}x 4-way (floor {SPEEDUP_FLOOR}x)")
-    if NUMBA_AVAILABLE:
-        fused_dm = payload["replay"]["dri"]["fused_speedup_over_batched"]
-        fused_4way = payload["replay"]["dri_4way"]["fused_speedup_over_batched"]
-        print(f"fused DRI engine over batched (numba {payload['numba_version']}): "
-              f"{fused_dm:.2f}x DM, {fused_4way:.2f}x 4-way; "
-              f"JIT warm-up {payload['jit_warmup_s']:.1f}s excluded from throughput")
-    else:
-        print("fused engine: not measured (Numba absent; batched engine is the auto pick)")
     print(f"streamed replay: {streamed['accesses']:,} accesses at "
           f"{streamed['batched_accesses_per_s'] / 1e6:.1f}M/s, peak "
           f"{streamed['peak_python_mib']:.1f} MiB (bound "

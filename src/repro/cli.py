@@ -27,8 +27,8 @@ names), ``--instructions`` (trace length), ``--quick`` (a reduced scale
 for a fast sanity pass), ``--jobs`` (worker processes for the parameter
 sweeps; 0 means all cores, clamped to the task count), ``--chunk``
 (tasks per pool chunk; default adaptive), and ``--engine``
-(``auto``/``kernel-fused``/``batched``/``scalar`` replay engine; ``auto``
-prefers the fused DRI kernel engine when Numba is installed).  With more
+(``auto``/``batched``/``scalar`` replay engine; ``auto`` means
+``batched``).  With more
 than one job the figure drivers flatten every (benchmark, grid point)
 pair into one *persistent* worker pool — forked once per command, reused
 across every grid and sensitivity pass — so the pool stays saturated
@@ -162,13 +162,9 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
         choices=ENGINE_KINDS,
         default="auto",
         help=(
-            "replay engine (default auto: the fused DRI kernel engine when "
-            "Numba is importable, else the batched numpy engine; all "
-            "engines are bit-identical — kernel-fused compiles the whole "
-            "sense-interval loop and falls back to batched for runs it "
-            "cannot take, scalar is the per-address reference loop, and "
-            "an explicit 'kernel-fused' without Numba errors naming the "
-            "[kernel] install extra)"
+            "replay engine (default auto, meaning the batched numpy engine; "
+            "the engines are bit-identical and scalar is the per-address "
+            "reference loop)"
         ),
     )
 

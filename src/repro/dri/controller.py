@@ -30,17 +30,12 @@ hardware could not.  The controller owns no cache state, only the current
 size, and reports decisions that the DRI i-cache applies to its tag/data
 arrays.
 
-The mechanism is a pure array-state step function,
-:func:`repro.memory.kernels.dri_fused.mechanism_step` — ladder as an
-int64 array, throttle state as an int64 triple, one call per interval
-boundary — and the controller is its scalar driver: ``end_of_interval``
-asks the policy for a direction, then applies the *same compiled step*
-(operating on the *same live throttle array*) that the fused DRI kernel
-applies in-loop, so the scalar oracle, the batched engine, and the
-fused engine share the mechanism verbatim.  After a fused chunk the
-kernel has already run the mechanism for every closed interval;
-:meth:`ResizeController.adopt_fused` folds the resulting size and
-interval count back into the controller.
+At each boundary :meth:`ResizeController.end_of_interval` runs the
+mechanism on plain ints, in a fixed order: ask the policy, tick the
+throttle, apply the size-bound and full-size clamps and the downsizing
+hold, step along the ladder (clamping any target), then record the
+decision with the throttle.  The scalar and batched engines both reach
+it through :meth:`~repro.dri.dri_cache.DRIICache.end_interval`.
 """
 
 from __future__ import annotations
@@ -48,13 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from repro.config.parameters import DRIParameters
 from repro.dri.mask import SizeMask
 from repro.dri.policies import IntervalStats, ResizePolicy, ResizeRequest, build_policy
-from repro.dri.throttle import CODE_DECISIONS, DECISION_CODES, ResizeDecision, ResizeThrottle
-from repro.memory.kernels.dri_fused import ladder_down, ladder_up, mechanism_step
+from repro.dri.throttle import ResizeDecision, ResizeThrottle
 
 
 @dataclass(frozen=True)
@@ -99,10 +91,7 @@ class ResizeController:
         self._interval_index = 0
         # The one reachable-size ladder shared with the mask: built from
         # the size-bound up by the divisibility factor, full size included.
-        # The array form is what the mechanism step and the fused kernel
-        # consume; the list stays for the Python-facing queries.
-        self.ladder = mask.allowed_sizes_array(parameters.divisibility)
-        self._ladder = [int(size) for size in self.ladder]
+        self._ladder = mask.allowed_sizes(parameters.divisibility)
 
     # ------------------------------------------------------------------
     # Queries
@@ -141,14 +130,30 @@ class ResizeController:
     # Decisions
     # ------------------------------------------------------------------
     def _downsized(self, target_size: Optional[int] = None) -> int:
-        """The size one downsize reaches (ladder clamping, kernel-shared)."""
-        target = -1 if target_size is None else target_size
-        return int(ladder_down(self.ladder, self._current_size, target))
+        """The size one downsize reaches from the current size.
+
+        No target: one rung down.  With a target: the smallest rung below
+        the current size that is still >= the target, or the ladder
+        bottom when the target sits below every such rung.
+        """
+        below = [size for size in self._ladder if size < self._current_size]
+        if not below:
+            return self._current_size
+        if target_size is None:
+            return below[-1]
+        return next((size for size in below if size >= target_size), below[0])
 
     def _upsized(self, target_size: Optional[int] = None) -> int:
-        """The size one upsize reaches (ladder clamping, kernel-shared)."""
-        target = -1 if target_size is None else target_size
-        return int(ladder_up(self.ladder, self._current_size, target))
+        """The size one upsize reaches (mirror of :meth:`_downsized`: no
+        target means one rung up, a target means the largest rung above
+        the current size but not above the target, else the next rung)."""
+        above = [size for size in self._ladder if size > self._current_size]
+        if not above:
+            return self._current_size
+        if target_size is None:
+            return above[0]
+        reachable = [size for size in above if size <= target_size]
+        return reachable[-1] if reachable else above[0]
 
     def end_of_interval(
         self,
@@ -160,10 +165,9 @@ class ResizeController:
 
         ``accesses``/``instructions`` enrich the policy's observation when
         the caller tracks them (the replay paths do); miss-count-only
-        calls keep working for policies that need nothing more.  The
-        clamp/throttle/ladder application is one call of the shared
-        :func:`~repro.memory.kernels.dri_fused.mechanism_step`, operating
-        on the same throttle state array the fused kernel mutates.
+        calls keep working for policies that need nothing more.  A
+        downsize is refused at the size-bound and during a throttle hold
+        (reported as ``throttled``); an upsize is refused at full size.
         """
         if miss_count < 0:
             raise ValueError("miss count cannot be negative")
@@ -180,35 +184,29 @@ class ResizeController:
             at_maximum=self.at_maximum,
         )
         request = ResizeRequest.coerce(self.policy.observe(stats))
-        target = -1 if request.target_size is None else request.target_size
-        decision_code, new_size, throttled_flag = mechanism_step(
-            self.ladder,
-            self.throttle.state,
-            previous,
-            DECISION_CODES[request.direction],
-            target,
-            self.parameters.throttle.saturation_value,
-            self.parameters.throttle.hold_intervals,
-        )
-        self._current_size = int(new_size)
+        throttle = self.throttle
+        throttle.interval_tick()
+        decision = ResizeDecision.NONE
+        throttled = False
+        if request.direction is ResizeDecision.DOWNSIZE and previous > self._ladder[0]:
+            if throttle.holding:
+                throttled = True
+            else:
+                decision = ResizeDecision.DOWNSIZE
+                self._current_size = self._downsized(request.target_size)
+        elif request.direction is ResizeDecision.UPSIZE and previous < self._ladder[-1]:
+            decision = ResizeDecision.UPSIZE
+            self._current_size = self._upsized(request.target_size)
+        throttle.record(decision)
         self._interval_index += 1
         return ResizeOutcome(
-            decision=CODE_DECISIONS[int(decision_code)],
+            decision=decision,
             previous_size=previous,
             new_size=self._current_size,
             miss_count=miss_count,
-            throttled=bool(throttled_flag),
+            throttled=throttled,
             requested=request.direction,
         )
-
-    def adopt_fused(self, new_size: int, intervals: int) -> None:
-        """Fold the state a fused-kernel chunk left behind into the
-        controller: the kernel already ran :func:`mechanism_step` for
-        ``intervals`` closed boundaries on the shared throttle array and
-        ended at ``new_size``."""
-        self.mask.sets_for_size(new_size)  # validates range and power of two
-        self._current_size = int(new_size)
-        self._interval_index += intervals
 
     def force_size(self, size_bytes: int) -> None:
         """Set the size directly (used by tests and by warm-start scenarios)."""

@@ -35,28 +35,6 @@ from repro.dri.mask import SizeMask
 from repro.dri.stats import DRIStatistics
 from repro.dri.throttle import ResizeDecision
 from repro.memory.cache import AccessResult, Cache
-from repro.memory.kernels.dri_fused import (
-    C_INVALIDATIONS,
-    C_L1_EVICTIONS,
-    C_L1_MISSES,
-    C_L2_EVICTIONS,
-    C_L2_HITS,
-    C_L2_MISSES,
-    COUNTER_SIZE,
-    DECISION_NAMES,
-    REC_ACCESSES,
-    REC_COLUMNS,
-    REC_DECISION,
-    REC_MISSES,
-    REC_SIZE_AT_END,
-    REC_SIZE_DURING,
-    REC_THROTTLED,
-    RUN_FILL,
-    RUN_MISSES,
-    RUN_SIZE,
-    RUN_STATE_SIZE,
-    fused_dri_chunk,
-)
 
 
 class DRIICache(Cache):
@@ -82,10 +60,15 @@ class DRIICache(Cache):
         simulation at fetch-line granularity passes the trace's
         instructions-per-line so the sense interval means *instructions* in
         both drive modes.
-    policy:
-        Optional :class:`~repro.dri.policies.base.ResizePolicy` instance
-        overriding the one ``parameters.policy`` names in the registry.
     """
+
+    fused_chunk = None
+    """Placeholder for a removed method.  ``perfbench/layers.py`` (lines
+    305-315) reads ``DRIICache.fused_chunk`` and
+    ``DRIICache.__dict__["fused_chunk"]`` when it installs its tracing
+    wrappers.  The next change to the benchmark drops perfbench's
+    ``repro.memory.kernels`` import, that wrapper and the ``dri.fused.*``
+    metrics; this attribute and :mod:`repro.memory.kernels` then go."""
 
     def __init__(
         self,
@@ -95,14 +78,13 @@ class DRIICache(Cache):
         address_bits: int = 32,
         auto_interval: bool = True,
         instructions_per_access: int = 1,
-        policy=None,
     ) -> None:
         super().__init__(geometry, name=name)
         if instructions_per_access < 1:
             raise ValueError("instructions_per_access must be at least 1")
         self.parameters = parameters
         self.mask = SizeMask(geometry, parameters.size_bound, address_bits=address_bits)
-        self.controller = ResizeController(parameters, self.mask, policy=policy)
+        self.controller = ResizeController(parameters, self.mask)
         self.dri_stats = DRIStatistics(full_size_bytes=geometry.size_bytes)
         self.auto_interval = auto_interval
         self.instructions_per_access = instructions_per_access
@@ -197,112 +179,6 @@ class DRIICache(Cache):
         self.dri_stats.record_accesses(accesses, misses)
         self._interval_accesses += accesses
         self._interval_misses += misses
-
-    def fused_chunk(self, addresses: np.ndarray, hierarchy, instructions_per_line: Optional[int] = None):
-        """Replay one trace chunk through the fused DRI kernel.
-
-        One compiled call (:func:`repro.memory.kernels.dri_fused.fused_dri_chunk`)
-        covers classification, the L2 drain, every interval boundary the
-        chunk crosses — decision, throttle, set gating — and the interval
-        bookkeeping; this method only merges the kernel's counter and
-        record arrays into the Python-side statistics afterwards, once
-        per chunk.  The open interval carries across calls through the
-        cache's interval counters, so chunk cuts need not align with
-        sense intervals.  Returns ``(l2_hits, l2_misses)`` exactly as
-        :meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch_from_l1_misses`
-        would for the chunk's miss stream.
-
-        The caller (the fused engine) is responsible for eligibility:
-        manual interval driving, an L2 block at least as large as the
-        L1's, and a policy whose ``compiled_step`` matches the in-kernel
-        rule.
-        """
-        if self.auto_interval:
-            raise ValueError("the fused path requires auto_interval=False")
-        if instructions_per_line is None:
-            instructions_per_line = self.instructions_per_access
-        count = int(addresses.shape[0])
-        if count == 0:
-            return 0, 0
-        l2 = hierarchy.l2
-        run_state = np.empty(RUN_STATE_SIZE, dtype=np.int64)
-        run_state[RUN_SIZE] = self.controller.current_size
-        run_state[RUN_FILL] = self._interval_accesses
-        run_state[RUN_MISSES] = self._interval_misses
-        max_records = count // self._interval_length_accesses + 2
-        records = np.empty((max_records, REC_COLUMNS), dtype=np.int64)
-        counters = np.zeros(COUNTER_SIZE, dtype=np.int64)
-        blocks = (addresses >> np.uint64(self._offset_bits)).astype(np.int64)
-        bytes_per_set = self.geometry.block_size * self.geometry.associativity
-        n_records = fused_dri_chunk(
-            blocks,
-            self._tag_plane,
-            self._policy.ranks,
-            self._min_index_bits,
-            bytes_per_set,
-            l2._tag_plane,
-            l2._policy.ranks,
-            l2.geometry.offset_bits - self.geometry.offset_bits,
-            l2.num_sets - 1,
-            l2.num_sets.bit_length() - 1,
-            self.controller.ladder,
-            self.controller.throttle.state,
-            run_state,
-            self._interval_length_accesses,
-            self.controller.policy.compiled_step().miss_bound,
-            self.parameters.throttle.saturation_value,
-            self.parameters.throttle.hold_intervals,
-            records,
-            counters,
-        )
-        n_records = int(n_records)
-        l1_misses = int(counters[C_L1_MISSES])
-        l2_hits = int(counters[C_L2_HITS])
-        l2_misses = int(counters[C_L2_MISSES])
-
-        # L1 statistics: one bulk update, exactly what the scalar and
-        # batched engines accumulate access by access.
-        self.stats.accesses += count
-        self.stats.hits += count - l1_misses
-        self.stats.misses += l1_misses
-        self.stats.evictions += int(counters[C_L1_EVICTIONS])
-        self.stats.invalidations += int(counters[C_INVALIDATIONS])
-        self.dri_stats.record_accesses(count, l1_misses)
-
-        # L2/memory statistics, as access_batch_from_l1_misses records them.
-        l2.stats.accesses += l1_misses
-        l2.stats.hits += l2_hits
-        l2.stats.misses += l2_misses
-        l2.stats.evictions += int(counters[C_L2_EVICTIONS])
-        hierarchy.l2_accesses += l1_misses
-        hierarchy.l2_misses += l2_misses
-        hierarchy.memory.accesses += l2_misses
-
-        # Interval records: bit-identical to what end_interval would have
-        # recorded at each boundary.
-        if n_records:
-            closed = records[:n_records]
-            rec_accesses = [int(value) for value in closed[:, REC_ACCESSES]]
-            self.dri_stats.record_intervals_batch(
-                instructions=[a * instructions_per_line for a in rec_accesses],
-                accesses=rec_accesses,
-                misses=[int(value) for value in closed[:, REC_MISSES]],
-                sizes_during=[int(value) for value in closed[:, REC_SIZE_DURING]],
-                sizes_at_end=[int(value) for value in closed[:, REC_SIZE_AT_END]],
-                resized=[
-                    DECISION_NAMES[int(code)] if during != at_end else "none"
-                    for code, during, at_end in zip(
-                        closed[:, REC_DECISION],
-                        closed[:, REC_SIZE_DURING],
-                        closed[:, REC_SIZE_AT_END],
-                    )
-                ],
-                throttled=[bool(value) for value in closed[:, REC_THROTTLED]],
-            )
-            self.controller.adopt_fused(int(run_state[RUN_SIZE]), n_records)
-        self._interval_accesses = int(run_state[RUN_FILL])
-        self._interval_misses = int(run_state[RUN_MISSES])
-        return l2_hits, l2_misses
 
     # ------------------------------------------------------------------
     # Interval handling

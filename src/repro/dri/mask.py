@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from repro.config.system import CacheGeometry
 
 
@@ -110,12 +108,6 @@ class SizeMask:
             # still reach the full size as its ceiling.
             sizes.append(self.geometry.size_bytes)
         return sizes
-
-    def allowed_sizes_array(self, divisibility: int = 2) -> np.ndarray:
-        """:meth:`allowed_sizes` as an ascending int64 array — the ladder
-        form the kernel layer's mechanism step and the fused DRI loop
-        consume (see :mod:`repro.memory.kernels.dri_fused`)."""
-        return np.asarray(self.allowed_sizes(divisibility), dtype=np.int64)
 
     def sets_for_size(self, size_bytes: int) -> int:
         """Number of active sets when the cache size is ``size_bytes``."""

@@ -15,7 +15,6 @@ mechanism/policy split, and DESIGN.md §8 for how to add a policy.
 """
 
 from repro.dri.policies.base import (
-    CompiledPolicyStep,
     IntervalStats,
     ResizePolicy,
     ResizeRequest,
@@ -32,7 +31,6 @@ from repro.dri.policies.pid import PIDPolicy
 from repro.dri.policies.predictive import PredictiveUpsizePolicy
 
 __all__ = [
-    "CompiledPolicyStep",
     "IntervalStats",
     "ResizePolicy",
     "ResizeRequest",

@@ -64,28 +64,6 @@ class IntervalStats:
 
 
 @dataclass(frozen=True)
-class CompiledPolicyStep:
-    """A policy's self-description for in-kernel execution.
-
-    Returned by :meth:`ResizePolicy.compiled_step` when the policy's
-    decision rule can run inside the fused DRI kernel
-    (:mod:`repro.memory.kernels.dri_fused`).  Returning one is a
-    contract: for every interval, the kernel's compiled form of ``kind``
-    must produce exactly the direction :meth:`ResizePolicy.observe`
-    would, with no internal policy state — which is why stateful policies
-    (hysteresis, PID, phase-detect, predictive) return ``None`` and run
-    on the batched engine instead.
-
-    ``kind`` names the compiled rule; the only kind the fused kernel
-    implements today is ``"miss-bound"`` (the paper's default policy),
-    parameterised by ``miss_bound``.
-    """
-
-    kind: str
-    miss_bound: int = 0
-
-
-@dataclass(frozen=True)
 class ResizeRequest:
     """A policy's answer for one interval boundary.
 
@@ -141,17 +119,6 @@ class ResizePolicy(ABC):
 
     def reset(self) -> None:
         """Forget all cross-interval state (start of a fresh run)."""
-
-    def compiled_step(self) -> Optional[CompiledPolicyStep]:
-        """The policy's in-kernel form, or ``None`` when it has none.
-
-        The fused DRI engine calls this capability probe to decide
-        whether a run can stay inside the compiled interval loop; a
-        ``None`` (the default — stateful or custom policies) makes the
-        run fall back to the batched engine, where ``observe``
-        runs in Python at every boundary exactly as before.
-        """
-        return None
 
     def describe(self) -> str:
         """One-line description (the docstring's first line by default)."""

@@ -2,15 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.dri.policies.base import (
-    CompiledPolicyStep,
-    IntervalStats,
-    ResizePolicy,
-    ResizeRequest,
-    register_policy,
-)
+from repro.dri.policies.base import IntervalStats, ResizePolicy, ResizeRequest, register_policy
 
 
 @register_policy
@@ -39,8 +31,3 @@ class MissBoundPolicy(ResizePolicy):
         if stats.misses > self.miss_bound:
             return ResizeRequest.upsize()
         return ResizeRequest.none()
-
-    def compiled_step(self) -> Optional[CompiledPolicyStep]:
-        """Stateless threshold compare: exactly what the fused kernel
-        implements in-loop, so the policy compiles."""
-        return CompiledPolicyStep(kind="miss-bound", miss_bound=self.miss_bound)

@@ -104,34 +104,6 @@ class DRIStatistics:
         if throttled:
             self.throttled_downsizings += 1
 
-    def record_intervals_batch(
-        self,
-        instructions,
-        accesses,
-        misses,
-        sizes_during,
-        sizes_at_end,
-        resized,
-        throttled,
-    ) -> None:
-        """Record a batch of already-closed intervals (fused engine path).
-
-        The arguments are parallel sequences, one entry per interval in
-        boundary order; semantics per entry are exactly
-        :meth:`record_interval`'s, so a fused-kernel chunk that closed N
-        intervals leaves the statistics bit-identical to N scalar calls.
-        """
-        for i in range(len(accesses)):
-            self.record_interval(
-                instructions=instructions[i],
-                accesses=accesses[i],
-                misses=misses[i],
-                size_bytes_during=sizes_during[i],
-                size_bytes_at_end=sizes_at_end[i],
-                resized=resized[i],
-                throttled=throttled[i],
-            )
-
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------

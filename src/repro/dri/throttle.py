@@ -9,13 +9,8 @@ two adjacent sizes is detected repeatedly, **downsizing is blocked for a
 fixed number of sense intervals** (ten in the paper) while upsizing
 remains allowed.
 
-The throttle's state lives in a three-slot int64 array (``state``) and
-every update goes through the compiled step functions of
-:mod:`repro.memory.kernels.dri_fused` — the *same* functions the fused
-DRI kernel calls inside its interval loop.  The scalar oracle, the
-batched engine, and the fused kernel therefore share one implementation
-of the throttle semantics (and, on the fused path, one live array), so
-they cannot drift.
+The throttle is three plain ints (``counter``, ``hold_remaining``,
+``engagements``) that the controller updates once per sense interval.
 """
 
 from __future__ import annotations
@@ -23,17 +18,6 @@ from __future__ import annotations
 from enum import Enum
 
 from repro.config.parameters import ThrottleConfig
-from repro.memory.kernels.dri_fused import (
-    DECIDE_DOWNSIZE,
-    DECIDE_NONE,
-    DECIDE_UPSIZE,
-    THROTTLE_COUNTER,
-    THROTTLE_ENGAGEMENTS,
-    THROTTLE_HOLD,
-    make_throttle_state,
-    throttle_record_step,
-    throttle_tick_step,
-)
 
 
 class ResizeDecision(Enum):
@@ -42,17 +26,6 @@ class ResizeDecision(Enum):
     NONE = "none"
     UPSIZE = "upsize"
     DOWNSIZE = "downsize"
-
-
-DECISION_CODES = {
-    ResizeDecision.NONE: DECIDE_NONE,
-    ResizeDecision.UPSIZE: DECIDE_UPSIZE,
-    ResizeDecision.DOWNSIZE: DECIDE_DOWNSIZE,
-}
-"""Enum -> kernel decision code (the kernel layer speaks int64 only)."""
-
-CODE_DECISIONS = {code: decision for decision, code in DECISION_CODES.items()}
-"""Kernel decision code -> enum."""
 
 
 class ResizeThrottle:
@@ -72,31 +45,20 @@ class ResizeThrottle:
 
     def __init__(self, config: ThrottleConfig | None = None) -> None:
         self.config = config if config is not None else ThrottleConfig()
-        self.state = make_throttle_state()
-        self._last_direction: ResizeDecision = ResizeDecision.NONE
+        self.counter = 0
+        """Current saturating-counter value."""
+        self.hold_remaining = 0
+        """Intervals left in the current hold period."""
+        self.engagements = 0
+        """How many times the throttle has engaged a hold."""
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
-    def counter(self) -> int:
-        """Current saturating-counter value."""
-        return int(self.state[THROTTLE_COUNTER])
-
-    @property
     def holding(self) -> bool:
         """True while downsizing is being suppressed."""
-        return int(self.state[THROTTLE_HOLD]) > 0
-
-    @property
-    def hold_remaining(self) -> int:
-        """Intervals left in the current hold period."""
-        return int(self.state[THROTTLE_HOLD])
-
-    @property
-    def engagements(self) -> int:
-        """How many times the throttle has engaged a hold."""
-        return int(self.state[THROTTLE_ENGAGEMENTS])
+        return self.hold_remaining > 0
 
     def downsize_allowed(self) -> bool:
         """Whether the controller may downsize this interval."""
@@ -106,27 +68,32 @@ class ResizeThrottle:
     # Updates
     # ------------------------------------------------------------------
     def interval_tick(self) -> None:
-        """Advance one sense interval (decrements an active hold)."""
-        throttle_tick_step(self.state)
+        """Advance one sense interval: decrement an active hold; a hold
+        that expires restarts the counter from zero."""
+        if self.hold_remaining > 0:
+            self.hold_remaining -= 1
+            if self.hold_remaining == 0:
+                self.counter = 0
 
     def record(self, decision: ResizeDecision) -> None:
         """Record the controller's decision for this interval.
 
         A resize (either direction) bumps the counter; a quiet interval
-        decays it by one.  Saturation engages a hold of ``hold_intervals``
-        intervals during which downsizing is suppressed.
+        decays it by one.  Saturation while not already holding engages a
+        hold of ``hold_intervals`` intervals during which downsizing is
+        suppressed.
         """
-        throttle_record_step(
-            self.state,
-            DECISION_CODES[decision],
-            self.config.saturation_value,
-            self.config.hold_intervals,
-        )
-        if decision is not ResizeDecision.NONE:
-            self._last_direction = decision
+        if decision is ResizeDecision.NONE:
+            if self.counter > 0:
+                self.counter -= 1
+            return
+        saturation = self.config.saturation_value
+        self.counter = min(self.counter + 1, saturation)
+        if self.counter >= saturation and self.hold_remaining == 0:
+            self.hold_remaining = self.config.hold_intervals
+            self.engagements += 1
 
     def reset(self) -> None:
         """Forget the counter and hold (``engagements`` is cumulative)."""
-        self.state[THROTTLE_COUNTER] = 0
-        self.state[THROTTLE_HOLD] = 0
-        self._last_direction = ResizeDecision.NONE
+        self.counter = 0
+        self.hold_remaining = 0

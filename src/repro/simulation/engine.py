@@ -2,7 +2,8 @@
 
 Conventional, fixed-size, and DRI runs all replay an instruction-fetch
 stream through an L1 i-cache in front of the Table 1 L2/memory hierarchy.
-This module provides that replay loop in three interchangeable forms:
+This module provides that replay loop in two interchangeable engines,
+scalar and batched:
 
 * :func:`replay_scalar` — the original per-address Python loop (one dict
   probe per access), kept as the semantic reference;
@@ -18,29 +19,10 @@ This module provides that replay loop in three interchangeable forms:
   trace and one sense interval: their L1s are stacked into one
   :class:`~repro.memory.cache.CacheBank` and each chunk is classified for
   all of them at once, so the trace is generated or read once per group
-  rather than once per run (:func:`replay_batched` is its one-run call);
-* :func:`replay_fused` — the fused DRI engine (DESIGN.md §12): for DRI
-  runs whose resize policy compiles
-  (:meth:`~repro.dri.policies.base.ResizePolicy.compiled_step`), the
-  *entire* sense-interval cycle — classification, interval-boundary
-  detection, the resize decision, ladder stepping, throttling, set
-  gating, and the L2 drain — runs inside one compiled call per
-  :data:`DEFAULT_CHUNK_ACCESSES`-sized chunk
-  (:func:`~repro.memory.kernels.dri_fused.fused_dri_chunk`), with zero
-  Python per interval.  Runs the fused loop cannot take (non-compilable
-  policies, auto-interval caches, conventional replays) transparently
-  fall back to the batched engine.
+  rather than once per run (:func:`replay_batched` is its one-run call).
 
-Engine selection: ``"auto"`` resolves to ``"kernel-fused"`` when Numba is
-importable and silently to ``"batched"`` otherwise; asking for
-``engine="kernel-fused"`` explicitly without Numba raises a
-:class:`~repro.memory.kernels.KernelUnavailableError` naming the install
-extra (the pure-Python fused loop is bit-identical but far slower than
-batched, so it is never selected as an *engine* implicitly — the
-equivalence tests call :func:`replay_fused` directly).
-:func:`engine_for_run` concretises a resolved engine for one specific
-run (the fused engine's per-run fallback), so results and sweep memo
-keys record the engine that actually executed.
+Engine selection: ``"auto"`` means ``"batched"``; ``"scalar"`` stays as
+the reference the tests compare the batched engine against.
 
 Every engine consumes any
 :class:`~repro.workloads.source.TraceSource` — an in-memory
@@ -78,10 +60,8 @@ from repro.config.parameters import DRIParameters
 from repro.config.system import SystemConfig
 from repro.cpu.pipeline import TimingModel
 from repro.dri.dri_cache import DRIICache
-from repro.dri.policies import build_policy
 from repro.memory.cache import Cache, CacheBank
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.kernels import runtime as kernel_runtime
 from repro.workloads.source import TraceSource, as_trace_source
 from repro.workloads.trace import InstructionTrace
 
@@ -104,56 +84,15 @@ classifier's arrays outgrow the L2.  With per-mask passes the same
 campaign ran 2.52-2.64 s at 16,384 accesses per pass and 2.48-2.70 s at
 65,536 (raw walls, six campaigns each), so the cap was kept."""
 
-ENGINE_KINDS = ("auto", "kernel-fused", "batched", "scalar")
-"""Accepted engine selectors: "auto" prefers the fused kernel engine when
-Numba is importable and falls back to the batched engine otherwise."""
+ENGINE_KINDS = ("auto", "batched", "scalar")
+"""Accepted engine selectors; "auto" means "batched"."""
 
 
 def resolve_engine(kind: str) -> str:
-    """Validate an engine selector and resolve ``"auto"``.
-
-    ``"auto"`` resolves to ``"kernel-fused"`` when Numba is importable,
-    else silently to ``"batched"`` (the graceful-degradation contract: a
-    numpy-only install never errors and never silently runs the slow
-    pure-Python fused loop).  An *explicit* ``"kernel-fused"`` without
-    Numba raises :class:`~repro.memory.kernels.KernelUnavailableError`
-    naming the missing install extra.
-    """
+    """Validate an engine selector and map ``"auto"`` to ``"batched"``."""
     if kind not in ENGINE_KINDS:
         raise ValueError(f"engine must be one of {ENGINE_KINDS}, got {kind!r}")
-    if kind == "auto":
-        return "kernel-fused" if kernel_runtime.NUMBA_AVAILABLE else "batched"
-    if kind == "kernel-fused":
-        kernel_runtime.require_numba(kind)
-    return kind
-
-
-def engine_for_run(
-    resolved: str,
-    system: SystemConfig,
-    parameters: Optional[DRIParameters] = None,
-) -> str:
-    """The engine a specific run executes under a resolved selector.
-
-    Only the fused engine has per-run fallback: a run it cannot take —
-    no DRI parameters (conventional/fixed-size replay), a resize policy
-    without a compiled form, or an L2 block smaller than the L1's (the
-    in-kernel drain needs a non-negative block-address shift) — executes
-    on the batched engine instead.  Sweep memoisation and
-    :class:`~repro.simulation.results.SimulationResult` record *this*
-    name, never the ambiguous selector, so memo keys can never alias two
-    different execution paths.
-    """
-    if resolved != "kernel-fused":
-        return resolved
-    if parameters is None:
-        return "batched"
-    step = build_policy(parameters.policy, parameters).compiled_step()
-    if step is None or step.kind != "miss-bound":
-        return "batched"
-    if system.l2_cache.offset_bits < system.l1_icache.offset_bits:
-        return "batched"
-    return "kernel-fused"
+    return "batched" if kind == "auto" else kind
 
 
 def replay_scalar(
@@ -356,56 +295,6 @@ def _cycles(
     return timing.cycles
 
 
-def replay_fused(
-    trace: TraceLike,
-    icache: Cache,
-    hierarchy: MemoryHierarchy,
-    base_cpi: float,
-    system: SystemConfig,
-    dri: Optional[DRIParameters] = None,
-) -> int:
-    """Replay ``trace`` through the fused DRI engine.
-
-    Eligible runs — a manually-driven :class:`DRIICache`, an L2 block at
-    least as large as the L1's, and a policy whose :meth:`compiled_step`
-    the kernel implements — stream
-    :data:`DEFAULT_CHUNK_ACCESSES`-sized chunks straight into
-    :meth:`DRIICache.fused_chunk`; interval boundaries fall wherever
-    they fall inside a chunk and are handled entirely in compiled code,
-    so the chunking no longer needs to align with sense intervals at
-    all.  Every other run falls back to :func:`replay_batched`
-    (bit-identical, interval-aligned chunks, Python ``end_interval`` at
-    each boundary).  :func:`engine_for_run` predicts this fallback from
-    the run parameters alone so callers can key caches correctly.
-    """
-    dri_cache = icache if dri is not None and isinstance(icache, DRIICache) else None
-    if (
-        dri_cache is None
-        or dri_cache.auto_interval
-        or hierarchy.l2.geometry.offset_bits < dri_cache.geometry.offset_bits
-    ):
-        return replay_batched(trace, icache, hierarchy, base_cpi, system, dri)
-    step = dri_cache.controller.policy.compiled_step()
-    if step is None or step.kind != "miss-bound":
-        return replay_batched(trace, icache, hierarchy, base_cpi, system, dri)
-
-    source = as_trace_source(trace)
-    instructions_per_line = source.instructions_per_line
-
-    miss_l2 = 0
-    miss_memory = 0
-    accesses = 0
-    for chunk in source.chunks(DEFAULT_CHUNK_ACCESSES):
-        accesses += chunk.shape[0]
-        l2_hits, l2_misses = dri_cache.fused_chunk(
-            chunk, hierarchy, instructions_per_line
-        )
-        miss_l2 += l2_hits
-        miss_memory += l2_misses
-
-    return _cycles(system, base_cpi, accesses * instructions_per_line, miss_l2, miss_memory)
-
-
 def replay(
     trace: TraceLike,
     icache: Cache,
@@ -416,9 +305,6 @@ def replay(
     engine: str = "auto",
 ) -> int:
     """Replay a trace with the selected engine; returns the cycle count."""
-    resolved = resolve_engine(engine)
-    if resolved == "kernel-fused":
-        return replay_fused(trace, icache, hierarchy, base_cpi, system, dri)
-    if resolved == "batched":
+    if resolve_engine(engine) == "batched":
         return replay_batched(trace, icache, hierarchy, base_cpi, system, dri)
     return replay_scalar(trace, icache, hierarchy, base_cpi, system, dri)

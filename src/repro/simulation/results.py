@@ -40,12 +40,9 @@ class SimulationResult:
         Number of resizing tag bits the configuration stores (0 for
         conventional runs).
     engine:
-        The replay engine that actually executed the run — always a
-        concrete name (``"kernel-fused"``, ``"batched"``, ``"scalar"``),
-        never ``"auto"``, and reflecting the fused
-        engine's per-run fallback (see
-        :func:`~repro.simulation.engine.engine_for_run`).  Empty for
-        results built by callers that predate the field.
+        The replay engine that executed the run — ``"batched"`` or
+        ``"scalar"``, never ``"auto"``.  Empty for results built by
+        callers that predate the field.
     """
 
     benchmark: str

@@ -12,15 +12,11 @@ same methodology as the paper's (one SimpleScalar binary/input per
 benchmark, many cache configurations).
 
 The replay itself lives in :mod:`repro.simulation.engine`; the simulator
-is a thin wrapper that builds the caches and selects the scalar, batched,
-or fused engine (``engine="auto"`` resolves to the fused
-``"kernel-fused"`` engine when Numba is importable and to batched
-otherwise; all engines are bit-identical — the dense tag-plane substrate
-vectorises direct-mapped and set-associative classification alike, and
-the fused engine compiles the whole DRI sense-interval cycle, see
-DESIGN.md §6/§10/§12).  Every :class:`SimulationResult` records the
-*concrete* engine that executed it (:meth:`Simulator.engine_for`),
-including the fused engine's per-run fallback to batched.
+is a thin wrapper that builds the caches and selects the scalar or batched
+engine (``engine="auto"`` means batched).  The engines are bit-identical:
+the dense tag-plane substrate vectorises direct-mapped and
+set-associative classification alike (DESIGN.md §6).  Every
+:class:`SimulationResult` records the engine that executed it.
 
 Workloads resolve to a :class:`~repro.workloads.source.TraceSource`:
 benchmark names and specs become (cached) in-memory traces, while any
@@ -40,7 +36,7 @@ from repro.config.system import DEFAULT_SYSTEM, SystemConfig
 from repro.dri.dri_cache import DRIICache
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.simulation.engine import Member, TraceLike, engine_for_run, replay_lockstep
+from repro.simulation.engine import Member, TraceLike, replay_lockstep
 from repro.simulation.engine import replay as engine_replay
 from repro.simulation.engine import resolve_engine
 from repro.simulation.results import SimulationResult
@@ -66,15 +62,10 @@ class Simulator:
         Trace-generation seed (all configurations of one benchmark share
         the same trace).
     engine:
-        Replay engine: ``"auto"`` (default; resolves to the fused
-        ``"kernel-fused"`` engine when Numba is importable, else to
-        ``"batched"``), ``"kernel-fused"``, ``"batched"``, or
-        ``"scalar"``.  The engines are bit-identical; ``"scalar"``
-        exists as the semantic reference and for the throughput
-        benchmarks, ``"kernel-fused"`` transparently runs ineligible
-        runs (non-compilable policies, conventional replays) on the
-        batched engine, and an explicit ``"kernel-fused"`` without Numba
-        raises a clear error naming the ``[kernel]`` install extra.
+        Replay engine: ``"auto"`` (default, meaning ``"batched"``),
+        ``"batched"``, or ``"scalar"``.  The engines are bit-identical;
+        ``"scalar"`` exists as the semantic reference and for the
+        throughput benchmarks.
     """
 
     def __init__(
@@ -91,16 +82,6 @@ class Simulator:
         self.seed = seed
         self.engine = resolve_engine(engine)
         self._trace_cache: Dict[Tuple[str, int, int], InstructionTrace] = {}
-
-    def engine_for(self, parameters: Optional[DRIParameters] = None) -> str:
-        """The concrete engine a run with these parameters executes on.
-
-        Identical to :attr:`engine` except under ``"kernel-fused"``,
-        where ineligible runs (no DRI parameters, non-compilable policy,
-        L2 block smaller than the L1's) fall back to ``"batched"`` — the
-        name results and sweep memo keys must record.
-        """
-        return engine_for_run(self.engine, self.system, parameters)
 
     # ------------------------------------------------------------------
     # Workload handling
@@ -197,12 +178,12 @@ class Simulator:
         ``None`` means the conventional baseline.  This is the work unit
         the sweep runs per benchmark, serially and in pool workers (which
         receive the trace as an mmap-backed store path, not a pickled
-        array).  Runs whose concrete engine is ``"batched"`` replay in
-        lockstep (:func:`~repro.simulation.engine.replay_lockstep`): one
-        pass over the trace per sense-interval length, conventional runs
-        joining the first group.  Scalar and fused runs replay one at a
-        time.  Results come back in input order, each bit-identical to
-        its own single run.
+        array).  On the batched engine the runs replay in lockstep
+        (:func:`~repro.simulation.engine.replay_lockstep`): one pass over
+        the trace per sense-interval length, conventional runs joining
+        the first group.  On the scalar engine they replay one at a time.
+        Results come back in input order, each bit-identical to its own
+        single run.
         """
         runs = [self._member(trace, parameters) for parameters in parameter_sets]
         cycles = [0] * len(runs)
@@ -210,7 +191,7 @@ class Simulator:
         conventional: List[int] = []
         by_interval: Dict[int, List[int]] = {}
         for index, (icache, _, parameters) in enumerate(runs):
-            if self.engine_for(parameters) != "batched":
+            if self.engine != "batched":
                 singles.append(index)
             elif parameters is None:
                 conventional.append(index)
@@ -266,5 +247,5 @@ class Simulator:
             l2_misses=hierarchy.l2_misses,
             dri_stats=icache.dri_stats if dri else None,
             resizing_tag_bits=icache.resizing_tag_bits if dri else 0,
-            engine=self.engine_for(parameters),
+            engine=self.engine,
         )

@@ -373,19 +373,14 @@ class ParameterSweep:
     ) -> Tuple[str, CacheGeometry, str, DRIParameters]:
         """Memo key: one entry per (benchmark, geometry, engine, parameters).
 
-        The engine identity in the key is the *per-run concrete* engine
-        (:meth:`Simulator.engine_for`), never the ambiguous session
-        selector: under ``"kernel-fused"``, a run whose policy cannot
-        compile executes on the batched engine, and its memo entry must
-        record that — the engines are bit-identical, but a memo entry
-        must record *which* engine produced it so a campaign that
-        switches engines (e.g. a fused run next to a scalar cross-check)
-        never conflates provenance.
+        The engines are bit-identical, but the key records which one
+        produced an entry so a campaign that switches engines (a scalar
+        cross-check next to batched runs) never conflates provenance.
         """
         return (
             trace.name,
             self.simulator.system.l1_icache,
-            self.simulator.engine_for(parameters),
+            self.simulator.engine,
             parameters,
         )
 

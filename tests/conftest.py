@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.memory.kernels.runtime as kernel_runtime
 from repro.config.parameters import DRIParameters
 from repro.config.system import CacheGeometry, SystemConfig
 from repro.simulation.simulator import Simulator
@@ -44,30 +43,3 @@ def quick_simulator() -> Simulator:
     """A simulator generating short traces for fast tests."""
     return Simulator(trace_instructions=120_000, seed=7)
 
-
-@pytest.fixture
-def fused_selectable(monkeypatch):
-    """Make ``kernel-fused`` selectable regardless of Numba.
-
-    The engine *selector* refuses the name without Numba; the engine
-    *semantics* are identical either way (pure-Python fallback), so the
-    equivalence suites widen the selector and run everywhere.
-    """
-    if not kernel_runtime.NUMBA_AVAILABLE:
-        monkeypatch.setattr(kernel_runtime, "NUMBA_AVAILABLE", True)
-    return kernel_runtime
-
-
-@pytest.fixture
-def forced_absent_numba(monkeypatch):
-    """Force the selector to see Numba as absent.
-
-    Patches the public :data:`NUMBA_AVAILABLE` flag rather than
-    reloading the runtime module: a reload would recreate
-    :class:`KernelUnavailableError`, breaking ``except``/``raises``
-    clauses elsewhere in the session that imported the original class.
-    ``require_numba`` keys off the same flag, so selector and guard
-    stay in agreement.
-    """
-    monkeypatch.setattr(kernel_runtime, "NUMBA_AVAILABLE", False)
-    return kernel_runtime

@@ -35,11 +35,10 @@ class TestParser:
         assert args.chunk is None
 
     def test_engine_choices_exclude_the_retired_kernel_engine(self):
-        assert build_parser().parse_args(["figure3", "--engine", "kernel-fused"]).engine == (
-            "kernel-fused"
-        )
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure3", "--engine", "kernel"])
+        assert build_parser().parse_args(["figure3", "--engine", "scalar"]).engine == "scalar"
+        for retired in ("kernel", "kernel-fused"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["figure3", "--engine", retired])
 
     def test_run_command_requires_known_benchmark(self):
         with pytest.raises(SystemExit):

@@ -10,6 +10,9 @@ parallel-grid and engine-selection plumbing.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,9 @@ from repro.config.system import CacheGeometry, SystemConfig
 from repro.dri.dri_cache import DRIICache
 from repro.dri.policies import policy_names
 from repro.memory.cache import Cache
-from repro.simulation.engine import resolve_engine
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.kernels import NUMBA_AVAILABLE, numba_version
+from repro.simulation.engine import replay, replay_batched, resolve_engine
 from repro.simulation.simulator import Simulator
 from repro.simulation.sweep import ParameterSweep
 from repro.workloads.generator import generate_trace
@@ -55,6 +60,18 @@ def _simulators():
     return scalar, batched
 
 
+class _CountingDRIICache(DRIICache):
+    """A DRI cache that counts Python interval-boundary callbacks."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.end_interval_calls = 0
+
+    def end_interval(self, instructions=None):
+        self.end_interval_calls += 1
+        return super().end_interval(instructions)
+
+
 class TestEngineSelection:
     def test_auto_resolves_to_batched(self):
         assert resolve_engine("auto") == "batched"
@@ -65,8 +82,56 @@ class TestEngineSelection:
         assert Simulator(engine="batched").engine == "batched"
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(engine="vectorised")
+        """Unknown names and the retired compiled engines are refused by
+        the simulator, the selector, and ``replay`` alike."""
+        system = SystemConfig()
+        trace = generate_trace(get_benchmark("swim"), total_instructions=8_000, seed=SEED)
+        for kind in ("vectorised", "kernel", "kernel-fused"):
+            with pytest.raises(ValueError, match="engine must be one of"):
+                Simulator(engine=kind)
+            with pytest.raises(ValueError, match="engine must be one of"):
+                resolve_engine(kind)
+            with pytest.raises(ValueError, match="engine must be one of"):
+                replay(
+                    trace, Cache(system.l1_icache), MemoryHierarchy(system), 0.75, system,
+                    engine=kind,
+                )
+
+    def test_concrete_engines_recorded_in_results(self):
+        parameters = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
+        for engine in ("scalar", "batched"):
+            simulator = Simulator(trace_instructions=40_000, seed=SEED, engine=engine)
+            assert simulator.run_dri("compress", parameters).engine == engine
+            assert simulator.run_conventional("compress").engine == engine
+
+    def test_auto_stats_identical_to_batched(self):
+        auto = Simulator(trace_instructions=40_000, seed=SEED, engine="auto")
+        batched = Simulator(trace_instructions=40_000, seed=SEED, engine="batched")
+        parameters = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
+        a = auto.run_dri("compress", parameters)
+        b = batched.run_dri("compress", parameters)
+        assert a.engine == "batched"
+        assert (a.l1_accesses, a.l1_misses, a.cycles) == (b.l1_accesses, b.l1_misses, b.cycles)
+        assert _interval_tuples(a.dri_stats) == _interval_tuples(b.dri_stats)
+
+    def test_importing_repro_does_not_import_numba(self):
+        """The package is numpy-only: nothing in its import graph may pull
+        Numba in (``repro.memory.kernels`` only probes for it)."""
+        code = (
+            "import sys; sys.modules['numba'] = None; "
+            "import repro, repro.simulation.engine, repro.memory.kernels; "
+            "print('ok')"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"
+
+    def test_numba_version_reports_reality(self):
+        version = numba_version()
+        if NUMBA_AVAILABLE:
+            assert isinstance(version, str) and version
+        else:
+            assert version is None
 
 
 class TestConventionalEquivalence:
@@ -117,9 +182,6 @@ class TestDRIEquivalence:
         """Regression: replay with a self-driving (auto-interval) DRI cache and
         dri=None must defer to the cache's own interval machinery in both
         engines — the scalar loop used to fire end_interval on every access."""
-        from repro.memory.hierarchy import MemoryHierarchy
-        from repro.simulation.engine import replay
-
         trace = generate_trace(
             get_benchmark("hydro2d"), total_instructions=40_000, seed=SEED
         )
@@ -190,6 +252,30 @@ class TestDRIEquivalence:
             b.cycles,
         )
         assert _interval_tuples(a.dri_stats) == _interval_tuples(b.dri_stats)
+
+    def test_chunked_path_calls_end_interval_per_interval(self):
+        """The batched engine pays one Python ``end_interval`` per closed
+        interval and leaves the trailing partial one to ``finalize``."""
+        trace = generate_trace(
+            get_benchmark("compress"), total_instructions=INSTRUCTIONS, seed=SEED
+        )
+        system = SystemConfig()
+        parameters = DRIParameters(miss_bound=30, size_bound=1024, sense_interval=5_000)
+        icache = _CountingDRIICache(
+            system.l1_icache,
+            parameters,
+            address_bits=system.address_bits,
+            auto_interval=False,
+            instructions_per_access=trace.instructions_per_line,
+        )
+        replay_batched(trace, icache, MemoryHierarchy(system), 0.75, system, dri=parameters)
+        icache.finalize()
+        closed = sum(
+            1
+            for record in icache.dri_stats.intervals
+            if record.accesses == icache.interval_length_accesses
+        )
+        assert icache.end_interval_calls == closed > 0
 
     def test_seeded_random_workload_grid(self):
         """Property check: random workloads x parameters agree across engines."""
@@ -375,9 +461,6 @@ class TestSetAssociativeEquivalence:
     def test_replay_engines_match_on_policies(self, associativity):
         """Full-replay equivalence (L1 + batched L2 drain) on a
         set-associative L1 under its replacement policy."""
-        from repro.memory.hierarchy import MemoryHierarchy
-        from repro.simulation.engine import replay
-
         trace = generate_trace(
             get_benchmark("compress"), total_instructions=40_000, seed=SEED
         )

@@ -15,7 +15,10 @@ The policy layer's contracts:
 * the phase-detect policy's detections line up with the synthetic
   generator's *ground-truth* phase boundaries;
 * the refactored miss-bound path reproduces the pre-refactor controller
-  bit-for-bit on the Figure 3 suite (the committed golden fixture).
+  bit-for-bit on the Figure 3 suite (the committed golden fixture);
+* the resize mechanism — ladder stepping with target clamping, the
+  size-bound clamp, the throttle — gives every zoo policy the same runs
+  it gave when the mechanism was recorded (the policy-zoo fixture).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config.parameters import DRIParameters, PolicySpec
+from repro.config.parameters import DRIParameters, PolicySpec, ThrottleConfig
 from repro.config.system import CacheGeometry
 from repro.dri.controller import ResizeController
 from repro.dri.dri_cache import DRIICache
@@ -53,6 +56,7 @@ from repro.workloads.phases import BenchmarkClass, LoopSpec, PhaseSpec, Workload
 from repro.workloads.spec95 import benchmark_names, get_benchmark
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "dri_miss_bound_golden.json"
+ZOO_GOLDEN_PATH = Path(__file__).parent / "golden" / "dri_policy_zoo_golden.json"
 
 ZOO = ("hysteresis", "miss-bound", "phase-detect", "pid", "predictive")
 
@@ -498,3 +502,64 @@ class TestMissBoundGolden:
             assert point.comparison.slowdown == pytest.approx(
                 row["slowdown"], abs=1e-12
             ), name
+
+
+class TestPolicyZooGolden:
+    """The resize mechanism under every zoo policy, pinned run for run.
+
+    Each run replays one of four benchmarks (``engine="batched"``) under
+    one policy at divisibility 2 or 4 and a 1- or 3-bit throttle counter
+    with a 5-interval hold.  The fixture was recorded while the mechanism
+    still ran as int64-array step functions; the miss-bound fixture and
+    the engine differentials cover only the miss-bound rule, so this is
+    the check on target clamping and the throttle across policies.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(ZOO_GOLDEN_PATH.read_text())
+
+    def _parameters(self, golden, run):
+        throttle = ThrottleConfig(
+            counter_bits=run["counter_bits"], hold_intervals=golden["hold_intervals"]
+        )
+        return DRIParameters(
+            divisibility=run["divisibility"], throttle=throttle, **golden["base_parameters"]
+        ).with_policy(run["policy"])
+
+    def test_fixture_throttles_and_jumps_at_each_divisibility(self, golden):
+        """The fixture is not vacuous: under each divisibility some
+        downsizing is throttled and some resize jumps more than one rung
+        (a phase-detect reset clamped to the ladder)."""
+        assert {run["policy"] for run in golden["runs"]} == set(ZOO)
+        geometry = Simulator().system.l1_icache
+        for divisibility in (2, 4):
+            runs = [run for run in golden["runs"] if run["divisibility"] == divisibility]
+            ladder = SizeMask(geometry, golden["base_parameters"]["size_bound"]).allowed_sizes(
+                divisibility
+            )
+            jumps = sum(
+                abs(ladder.index(after) - ladder.index(before)) > 1
+                for run in runs
+                for before, after in zip(run["size_trajectory"], run["size_trajectory"][1:])
+            )
+            assert sum(run["throttled_downsizings"] for run in runs) > 0, divisibility
+            assert jumps > 0, divisibility
+
+    def test_zoo_golden_equivalence(self, golden):
+        simulator = Simulator(
+            trace_instructions=golden["trace_instructions"],
+            seed=golden["seed"],
+            engine=golden["engine"],
+        )
+        for run in golden["runs"]:
+            label = (run["benchmark"], run["policy"], run["divisibility"], run["counter_bits"])
+            result = simulator.run_dri(run["benchmark"], self._parameters(golden, run))
+            stats = result.dri_stats
+            assert (result.cycles, result.l1_misses) == (run["cycles"], run["l1_misses"]), label
+            assert (stats.upsizings, stats.downsizings, stats.throttled_downsizings) == (
+                run["upsizings"],
+                run["downsizings"],
+                run["throttled_downsizings"],
+            ), label
+            assert stats.size_trajectory() == run["size_trajectory"], label

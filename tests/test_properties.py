@@ -19,7 +19,7 @@ from repro.energy.model import EnergyModel, RunStatistics
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.replacement import LRUState
-from repro.simulation.engine import replay_batched, replay_fused, replay_lockstep, replay_scalar
+from repro.simulation.engine import replay_batched, replay_lockstep, replay_scalar
 from repro.workloads.source import TraceSource
 from repro.workloads.trace import InstructionTrace
 
@@ -220,7 +220,7 @@ class TestEnergyProperties:
 
 
 # ----------------------------------------------------------------------
-# Engine differential: scalar == batched == fused
+# Engine differential: scalar == batched
 # ----------------------------------------------------------------------
 class _CutSource(TraceSource):
     """Serves every requested chunk further cut at the drawn lengths, so
@@ -256,7 +256,7 @@ def engine_cases(draw, l1_ways_log=st.integers(0, 3)):
     l1_block = 1 << l1_block_log
     l1_ways = 1 << draw(l1_ways_log)
     l1_sets_log = draw(st.integers(1, 6))
-    # Mostly L2 blocks at least the L1's (fused-eligible), sometimes smaller.
+    # Mostly L2 blocks at least the L1's, sometimes smaller.
     l2_block = 1 << max(4, l1_block_log + draw(st.sampled_from([-2, -1, 0, 1, 2])))
     l2 = CacheGeometry(
         size_bytes=l2_block << draw(st.integers(2, 8)),
@@ -339,10 +339,11 @@ def _outcome(member, cycles):
         return outcome
     icache.finalize()
     dri = icache.dri_stats
+    throttle = icache.controller.throttle
     return outcome + (
         dri.intervals,
         (dri.upsizings, dri.downsizings, dri.throttled_downsizings, dri.size_histogram),
-        icache.controller.throttle.state.tolist(),
+        (throttle.counter, throttle.hold_remaining, throttle.engagements),
     )
 
 
@@ -355,16 +356,14 @@ def _replay_outcome(engine, system, parameters, source):
 class TestEngineDifferential:
     @given(case=engine_cases())
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_scalar_batched_and_fused_agree(self, case):
-        """Counters, every interval record, the tag planes, and the LRU
-        ranks agree across the three engines, at a drawn L2 drain period;
-        the fused loop runs as pure Python without Numba and compiled
-        where Numba is installed."""
+    def test_scalar_and_batched_agree(self, case):
+        """Counters, every interval record, the throttle, the tag planes,
+        and the LRU ranks agree across the two engines, at a drawn L2
+        drain period."""
         system, parameters, source, drain_period = case
         with mock.patch("repro.simulation.engine.DEFAULT_CHUNK_ACCESSES", drain_period):
             scalar = _replay_outcome(replay_scalar, system, parameters, source)
             assert _replay_outcome(replay_batched, system, parameters, source) == scalar
-            assert _replay_outcome(replay_fused, system, parameters, source) == scalar
 
 
 @st.composite

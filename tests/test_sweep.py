@@ -141,3 +141,17 @@ class TestBenchmarkNameCollision:
         with sweep:
             with pytest.raises(ValueError, match="collision"):
                 sweep.prefetch(pairs)
+
+
+class TestMemoKey:
+    def test_memo_key_separates_engines(self):
+        """A sweep's memo records which engine produced each entry."""
+        parameters = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
+        batched = ParameterSweep(Simulator(trace_instructions=40_000, seed=7, engine="batched"))
+        scalar = ParameterSweep(Simulator(trace_instructions=40_000, seed=7, engine="scalar"))
+        batched.evaluate("compress", parameters)
+        scalar.evaluate("compress", parameters)
+        (key_b,) = batched._dri_cache.keys()
+        (key_s,) = scalar._dri_cache.keys()
+        assert key_b != key_s
+        assert "batched" in key_b and "scalar" in key_s
