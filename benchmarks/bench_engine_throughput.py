@@ -3,11 +3,12 @@
 Times the two replay engines on the paper's conventional 64K direct-mapped
 baseline, on the Figure 6 64K 4-way geometry (the wavefront set-associative
 path of the tag-plane substrate), and on DRI runs of both; times the
-Figure 3 style parameter grid at several worker counts; and replays a
+Figure 3 style parameter grid at several worker counts; replays a
 10M-access *streamed* trace (``stream_trace`` — never materialised)
-through the batched engine with ``tracemalloc`` watching the peak, then
-writes the numbers to ``benchmarks/results/BENCH_engine.json`` so the
-performance trajectory is tracked across PRs.  The JSON schema:
+through the batched engine with ``tracemalloc`` watching the peak; and
+times streamed trace generation alone, then writes the numbers to
+``benchmarks/results/BENCH_engine.json`` so the performance trajectory is
+tracked across PRs.  The JSON schema:
 
 .. code-block:: json
 
@@ -21,6 +22,9 @@ performance trajectory is tracked across PRs.  The JSON schema:
       },
       "streamed": {"accesses": 10000000, "batched_accesses_per_s": ...,
                    "peak_python_mib": ..., "materialised_trace_mib": ...},
+      "generation": {"benchmarks": ["li", "go", "gcc"], "lines": 10000000,
+                     "chunk_lines": 125000, "lines_per_s": ...,
+                     "wall_clock_s": ..., "peak_python_mib": ...},
       "lockstep": {"runs": 17, "per_run_s": ..., "one_pass_s": ...,
                    "speedup": ..., "identical": true},
       "sweep": {"grid_points": 64, "cpu_count": ...,
@@ -39,6 +43,13 @@ The ``policies`` section tracks the resize-policy layer: per-policy
 batched DRI replay throughput (the strategy indirection must stay in the
 interval-boundary noise, not the access path) and the policy shootout's
 per-policy suite means.
+
+The ``generation`` section streams ``lines`` line fetches of each of li,
+go and gcc (the paper-scale benchmarks) in 125,000-line chunks with no
+replay: ``wall_clock_s`` is the best of three passes over all three
+streams, ``lines_per_s`` counts every benchmark's lines, and
+``peak_python_mib`` is one more pass under ``tracemalloc``.  It has no
+floor.
 
 The ``lockstep`` section replays one benchmark's 16-point Figure 3 grid
 plus its conventional baseline on the batched engine twice: once per run
@@ -191,6 +202,44 @@ def measure_streamed(accesses: int) -> Dict[str, float]:
         "peak_python_mib": peak / 2**20,
         "peak_bound_mib": _streamed_peak_bound_mib(accesses),
         "materialised_trace_mib": accesses * 8 / 2**20,
+    }
+
+
+GENERATION_BENCHMARKS = ("li", "go", "gcc")
+GENERATION_LINES = 10_000_000
+"""Lines per benchmark in the generation section (``--quick``: a quarter)."""
+
+GENERATION_CHUNK_LINES = 125_000
+
+
+def measure_generation(lines: int, repeats: int = REPEATS) -> Dict[str, object]:
+    """Streamed generation alone: ``lines`` lines of each benchmark, no replay."""
+
+    def generate() -> int:
+        count = 0
+        for name in GENERATION_BENCHMARKS:
+            source = stream_trace(get_benchmark(name), total_instructions=lines * 8)
+            for chunk in source.chunks(GENERATION_CHUNK_LINES):
+                count += chunk.shape[0]
+        return count
+
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        total = generate()
+        best = min(best, time.perf_counter() - start)
+    assert total == lines * len(GENERATION_BENCHMARKS)
+    tracemalloc.start()
+    generate()
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return {
+        "benchmarks": list(GENERATION_BENCHMARKS),
+        "lines": lines,
+        "chunk_lines": GENERATION_CHUNK_LINES,
+        "lines_per_s": total / best,
+        "wall_clock_s": best,
+        "peak_python_mib": peak / 2**20,
     }
 
 
@@ -384,6 +433,7 @@ def measure_sweep(
 def run_bench(quick: bool = False) -> Dict[str, object]:
     instructions = 150_000 if quick else TRACE_INSTRUCTIONS
     streamed_accesses = STREAMED_ACCESSES // 4 if quick else STREAMED_ACCESSES
+    generation_lines = GENERATION_LINES // 4 if quick else GENERATION_LINES
     shootout_benchmarks = SHOOTOUT_BENCHMARKS[:2] if quick else SHOOTOUT_BENCHMARKS
     payload = {
         "benchmark": BENCHMARK,
@@ -391,6 +441,7 @@ def run_bench(quick: bool = False) -> Dict[str, object]:
         "scalar_dm_probe": "specialised pure-int probe (no numpy row gather)",
         "replay": measure_replay(instructions),
         "streamed": measure_streamed(streamed_accesses),
+        "generation": measure_generation(generation_lines),
         "lockstep": measure_lockstep(instructions),
         "sweep": measure_sweep(instructions, jobs_values=(1, 2, 4), quick=quick),
         "policies": {
@@ -428,6 +479,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"{streamed['peak_python_mib']:.1f} MiB (bound "
           f"{streamed['peak_bound_mib']:.1f}, materialised: "
           f"{streamed['materialised_trace_mib']:.0f} MiB)")
+    generation = payload["generation"]
+    print(f"generation: {generation['lines']:,} lines each of "
+          f"{', '.join(generation['benchmarks'])} at "
+          f"{generation['lines_per_s'] / 1e6:.1f}M lines/s (best "
+          f"{generation['wall_clock_s']:.2f} s), peak "
+          f"{generation['peak_python_mib']:.1f} MiB (no floor)")
     lockstep = payload["lockstep"]
     print(f"lockstep: {lockstep['runs']} runs of {BENCHMARK} in one pass "
           f"{lockstep['one_pass_s'] * 1e3:.0f} ms vs per run "

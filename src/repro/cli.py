@@ -71,6 +71,7 @@ from repro.simulation.experiments import (
 from repro.simulation.simulator import Simulator
 from repro.simulation.sweep import ParameterSweep
 from repro.workloads.spec95 import benchmark_names
+from repro.workloads.trace import DEFAULT_INSTRUCTIONS_PER_LINE
 
 
 def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
@@ -97,6 +98,19 @@ def _benchmarks_from_args(args: argparse.Namespace) -> Optional[List[str]]:
     return names
 
 
+def _instruction_count(text: str) -> int:
+    """``--instructions`` type: an int covering at least one line fetch."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < DEFAULT_INSTRUCTIONS_PER_LINE:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {DEFAULT_INSTRUCTIONS_PER_LINE} (one line fetch), got {value}"
+        )
+    return value
+
+
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--benchmarks",
@@ -105,7 +119,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--instructions",
-        type=int,
+        type=_instruction_count,
         default=None,
         help="dynamic instructions per benchmark trace (default: the experiment scale's)",
     )
@@ -211,13 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--miss-bound", type=int, default=60)
     run.add_argument("--size-bound", type=int, default=2048)
     run.add_argument("--sense-interval", type=int, default=10_000)
-    run.add_argument("--instructions", type=int, default=400_000)
+    run.add_argument("--instructions", type=_instruction_count, default=400_000)
     run.add_argument(
         "--policy",
         default="miss-bound",
         help="resize-policy spec, e.g. miss-bound or hysteresis:consecutive=2",
     )
     _add_engine_argument(run)
+    run.set_defaults(error=run.error)
     return parser
 
 
@@ -254,19 +269,23 @@ def _format_policies() -> str:
 
 
 def _run_single(args: argparse.Namespace) -> str:
-    simulator = Simulator(trace_instructions=args.instructions, engine=args.engine)
-    sweep = ParameterSweep(simulator)
     try:
         policy = PolicySpec.parse(args.policy)
     except ValueError as error:
         raise SystemExit(str(error))
-    parameters = DRIParameters(
-        miss_bound=args.miss_bound,
-        size_bound=args.size_bound,
-        sense_interval=args.sense_interval,
-        policy=policy,
-    )
-    point = sweep.evaluate(args.benchmark, parameters)
+    try:
+        simulator = Simulator(trace_instructions=args.instructions, engine=args.engine)
+        parameters = DRIParameters(
+            miss_bound=args.miss_bound,
+            size_bound=args.size_bound,
+            sense_interval=args.sense_interval,
+            policy=policy,
+        )
+    except ValueError as error:
+        # "size_bound must be ..." -> "argument --size-bound: must be ..."
+        field, _, reason = str(error).partition(" ")
+        args.error(f"argument --{field.replace('_', '-')}: {reason}")
+    point = ParameterSweep(simulator).evaluate(args.benchmark, parameters)
     summary = point.comparison.summary()
     rows = [[key, f"{value:.4g}" if isinstance(value, float) else str(value)]
             for key, value in summary.items()]

@@ -300,10 +300,14 @@ class ParameterSweep:
         return self._health
 
     def close(self) -> None:
-        """Shut down the warm worker pool (if any); the sweep stays usable."""
+        """Shut down the warm pool (if any), delete spilled stores; the sweep stays usable."""
         if self._executor is not None:
             self._executor.close()
             self._executor = None
+        self._stores.clear()
+        if self._store_dir is not None:
+            self._store_dir.cleanup()
+            self._store_dir = None
 
     def __enter__(self) -> "ParameterSweep":
         return self

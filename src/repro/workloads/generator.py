@@ -16,13 +16,14 @@ then walks it the way the spec describes:
 
 Generation is deterministic for a given ``seed`` so every configuration of
 a sweep sees exactly the same reference stream, and it is fully
-vectorised: a batch of loop picks is expanded into its fetch stream with
-one ``np.repeat``/cumsum ramp construction instead of a per-pick Python
-loop.  The stream is produced in bounded *segments*, so the same code
-either materialises a trace (:func:`generate_trace`) or streams it lazily
-(:func:`stream_trace`) — a 100M-access trace replayed through a streaming
-:class:`GeneratedTraceSource` never exists in memory, and both paths
-yield bit-identical addresses by construction.
+vectorised: each phase builds a *loop bank* (one whole visit of every
+loop, as byte addresses) once, and a batch of loop picks becomes one
+gather from that bank instead of a per-pick Python loop or per-line
+address arithmetic.  The stream is produced in bounded *segments*, so
+the same code either materialises a trace (:func:`generate_trace`) or
+streams it lazily (:func:`stream_trace`) — a 100M-access trace replayed
+through a streaming :class:`GeneratedTraceSource` never exists in
+memory, and both paths yield bit-identical addresses by construction.
 """
 
 from __future__ import annotations
@@ -144,22 +145,26 @@ def _phase_segments(
 ) -> Iterator[np.ndarray]:
     """Yield the phase's line-*address* stream in bounded uint64 segments.
 
-    A batch of loop picks is expanded into its fetch stream vectorised:
-    every pick contributes ``size * repeats`` lines whose values are
-    ``start + (position_within_pick mod size)``, so one ``np.repeat`` of
-    the pick indices plus a cumsum of the pick lengths produces the whole
-    batch's ramp structure without a Python loop.  Scatter redirection is
-    applied per emitted segment.
+    Every pick of a loop emits the same ``size * repeats`` addresses
+    (``start + (position mod size)`` lines), so the phase's *loop bank* —
+    one whole visit of each loop, laid end to end as byte addresses — is
+    built once, and a batch of picks becomes one gather from it: pick ``k``
+    starting at batch position ``s_k`` reads the bank from its loop's
+    offset, so the index is ``repeat(offset[choice] - s, lengths) +
+    arange``.  Scatter redirection is applied per emitted segment.
     """
     if num_lines <= 0:
         return
     phase_base_line = (CODE_BASE_ADDRESS + phase_index * PHASE_REGION_SPACING) // line_size
     layout = _loop_layout(phase, phase_base_line, line_size, rng)
     weights = np.asarray(phase.normalized_weights, dtype=np.float64)
-    starts = np.array([start for start, _, _ in layout], dtype=np.int64)
-    sizes = np.array([size for _, size, _ in layout], dtype=np.int64)
-    repeats = np.array([repeat for _, _, repeat in layout], dtype=np.int64)
-    pick_lines = sizes * repeats
+    pick_lines = np.array([size * repeats for _, size, repeats in layout], dtype=np.int64)
+    line_bytes = np.uint64(line_size)
+    bank = np.concatenate([
+        np.tile(np.arange(start, start + size, dtype=np.uint64), repeats) * line_bytes
+        for start, size, repeats in layout
+    ])
+    bank_offsets = np.cumsum(pick_lines) - pick_lines
 
     # Size the pick batches so one expanded segment lands near the target
     # length (spec-dependent only, so streaming stays chunk-invariant).
@@ -168,30 +173,24 @@ def _phase_segments(
 
     scatter_lines = max(1, phase.scatter_footprint_bytes // line_size)
     scatter_base_line = (SCATTER_BASE_ADDRESS + phase_index * PHASE_REGION_SPACING) // line_size
-    line_bytes = np.uint64(line_size)
 
     emitted = 0
     while emitted < num_lines:
         choices = rng.choice(len(layout), size=batch_size, p=weights)
         lengths = pick_lines[choices]
-        total = int(lengths.sum())
-        pick_of = np.repeat(np.arange(choices.shape[0]), lengths)
-        offsets = np.cumsum(lengths) - lengths
-        within = np.arange(total, dtype=np.int64) - offsets[pick_of]
-        chosen = choices[pick_of]
-        segment = starts[chosen] + within % sizes[chosen]
-        if emitted + total > num_lines:
-            segment = segment[: num_lines - emitted]
-        emitted += segment.shape[0]
+        starts = np.cumsum(lengths) - lengths
+        total = min(int(starts[-1] + lengths[-1]), num_lines - emitted)
+        index = np.repeat(bank_offsets[choices] - starts, lengths)[:total] + np.arange(total)
+        segment = bank[index]  # fancy indexing: a fresh array the scatter may write
+        emitted += total
 
         if phase.scatter_rate > 0.0:
-            mask = rng.random(segment.shape[0]) < phase.scatter_rate
-            count = int(mask.sum())
+            mask = rng.random(total) < phase.scatter_rate
+            count = int(np.count_nonzero(mask))
             if count:
-                segment[mask] = scatter_base_line + rng.integers(
-                    0, scatter_lines, size=count, dtype=np.int64
-                )
-        yield segment.astype(np.uint64) * line_bytes
+                draws = rng.integers(0, scatter_lines, size=count, dtype=np.int64)
+                segment[mask] = (scatter_base_line + draws).astype(np.uint64) * line_bytes
+        yield segment
 
 
 class GeneratedTraceSource(TraceSource):

@@ -112,3 +112,22 @@ class TestCommands:
     def test_unknown_benchmark_exits_with_message(self):
         with pytest.raises(SystemExit):
             main(["figure3", "--benchmarks", "nosuchbench", "--quick"])
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "li", "--instructions", "4"], "--instructions"),
+            (["figure3", "--instructions", "7", "--benchmarks", "li"], "--instructions"),
+            (["run", "li", "--size-bound", "3000"], "--size-bound"),
+            (["run", "li", "--sense-interval", "0"], "--sense-interval"),
+            (["run", "li", "--miss-bound", "-1"], "--miss-bound"),
+        ],
+        ids=["run-instructions", "figure3-instructions", "size-bound", "sense-interval", "miss-bound"],
+    )
+    def test_bad_numeric_flag_exits_with_usage_error(self, argv, flag, capsys):
+        # A usage error (status 2) naming the flag, not a ValueError traceback.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"error: argument {flag}: " in errors[0]

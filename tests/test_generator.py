@@ -2,17 +2,36 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.workloads.generator import (
     ALIAS_STRIDE_BYTES,
     CODE_BASE_ADDRESS,
+    MAX_PICK_BATCH,
+    PHASE_REGION_SPACING,
     SCATTER_BASE_ADDRESS,
+    SEGMENT_TARGET_LINES,
+    _loop_layout,
+    _phase_line_budget,
+    _phase_segments,
     generate_trace,
+    stream_trace,
 )
 from repro.workloads.phases import BenchmarkClass, LoopSpec, PhaseSpec, WorkloadSpec
-from repro.workloads.spec95 import get_benchmark
+from repro.workloads.spec95 import benchmark_names, get_benchmark
+
+STREAMS_GOLDEN_PATH = Path(__file__).parent / "golden" / "generated_streams_golden.json"
+
+
+def stream_digest(addresses: np.ndarray) -> str:
+    """SHA-256 of a line-address stream as little-endian uint64 bytes."""
+    return hashlib.sha256(np.ascontiguousarray(addresses, dtype="<u8").tobytes()).hexdigest()
 
 
 def simple_spec(
@@ -174,3 +193,130 @@ class TestPhaseStructure:
         first_region_top = CODE_BASE_ADDRESS + (1 << 24)
         in_region = np.mean(init_addresses < first_region_top)
         assert in_region > 0.9
+
+
+class TestStreamGolden:
+    """Every generated stream is pinned: a generator rewrite must leave the
+    bytes of all fifteen benchmark traces unchanged."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(STREAMS_GOLDEN_PATH.read_text())
+
+    def test_fixture_covers_the_suite(self, golden):
+        short = {(case["benchmark"], case["seed"]) for case in golden["streams"]
+                 if case["instructions"] == 600_000}
+        assert short == {(name, seed) for name in benchmark_names() for seed in (2001, 1999)}
+        long = [case for case in golden["streams"] if case["instructions"] == 8_000_000]
+        assert {case["benchmark"] for case in long} == {"li", "go", "gcc"}
+
+    def test_streams_match_golden(self, golden):
+        for case in golden["streams"]:
+            trace = generate_trace(
+                get_benchmark(case["benchmark"]),
+                total_instructions=case["instructions"],
+                seed=case["seed"],
+            )
+            assert trace.num_accesses == case["lines"], case
+            assert stream_digest(trace.line_addresses) == case["sha256"], case
+
+    @pytest.mark.parametrize("chunk_lines", [1_562, 125_000])
+    def test_streamed_chunks_concatenate_to_the_trace(self, chunk_lines):
+        for name in ("li", "go", "gcc"):
+            expected = generate_trace(get_benchmark(name), total_instructions=8_000_000)
+            chunks = list(
+                stream_trace(get_benchmark(name), total_instructions=8_000_000).chunks(chunk_lines)
+            )
+            assert all(chunk.shape[0] == chunk_lines for chunk in chunks[:-1])
+            assert np.array_equal(np.concatenate(chunks), expected.line_addresses), name
+
+
+def reference_phase_segments(phase, phase_index, num_lines, line_size, rng):
+    """Per-pick loop reference for ``_phase_segments``: the same RNG draws
+    and segment boundaries, with each pick's lines built one pick at a time."""
+    if num_lines <= 0:
+        return []
+    base_line = (CODE_BASE_ADDRESS + phase_index * PHASE_REGION_SPACING) // line_size
+    layout = _loop_layout(phase, base_line, line_size, rng)
+    weights = np.asarray(phase.normalized_weights, dtype=np.float64)
+    expected = float(np.dot(weights, [size * repeats for _, size, repeats in layout]))
+    batch_size = int(min(MAX_PICK_BATCH, max(1, round(SEGMENT_TARGET_LINES / expected))))
+    scatter_lines = max(1, phase.scatter_footprint_bytes // line_size)
+    scatter_base = (SCATTER_BASE_ADDRESS + phase_index * PHASE_REGION_SPACING) // line_size
+    segments, emitted = [], 0
+    while emitted < num_lines:
+        lines = []
+        for choice in rng.choice(len(layout), size=batch_size, p=weights):
+            start, size, repeats = layout[choice]
+            lines.extend(start + position % size for position in range(size * repeats))
+        segment = np.array(lines[: num_lines - emitted], dtype=np.int64)
+        emitted += segment.shape[0]
+        if phase.scatter_rate > 0.0:
+            mask = rng.random(segment.shape[0]) < phase.scatter_rate
+            count = int(mask.sum())
+            if count:
+                segment[mask] = scatter_base + rng.integers(0, scatter_lines, size=count, dtype=np.int64)
+        segments.append(segment.astype(np.uint64) * np.uint64(line_size))
+    return segments
+
+
+def _single_loop_spec(name: str, footprint_bytes: int, loop: LoopSpec) -> WorkloadSpec:
+    return WorkloadSpec(
+        name=name,
+        benchmark_class=BenchmarkClass.SMALL_FOOTPRINT,
+        phases=[
+            PhaseSpec(name="only", footprint_bytes=footprint_bytes, duration_fraction=1.0,
+                      loops=(loop,), scatter_rate=0.02)
+        ],
+    )
+
+
+class TestPerPickReference:
+    """The vectorised generator equals a per-pick Python loop segment by
+    segment: same RNG draws, same segment boundaries, same addresses."""
+
+    CASES = {
+        "simple": (simple_spec(), 80_000),
+        "simple-scatter": (simple_spec(scatter_rate=0.05), 80_000),
+        "aliased": (simple_spec(aliased=True, scatter_rate=0.01), 80_000),
+        "hydro2d": (get_benchmark("hydro2d"), 600_000),
+        # 20 lines over 39 phases: 19 phases get no lines at all.
+        "pathological-split": (TestPhaseBudgets._many_short_phases(), 160),
+        # One-line picks: the batch size is capped at MAX_PICK_BATCH.
+        "tiny-loops": (_single_loop_spec("tiny", 64, LoopSpec(0.5, 1.0, repeats=1)), 80_000),
+        # 2,048 lines x 20 repeats per pick exceeds SEGMENT_TARGET_LINES: batches of one.
+        "huge-loop": (_single_loop_spec("huge", 64 * 1024, LoopSpec(1.0, 1.0, repeats=20)), 800_000),
+    }
+
+    @staticmethod
+    def _segments(spec, instructions, build, seed=2001):
+        """Each phase's segments as ``build`` yields them, drawing from the
+        RNG ``GeneratedTraceSource`` seeds for ``spec``."""
+        rng = np.random.default_rng((seed, zlib.crc32(spec.name.encode("utf-8"))))
+        budgets = _phase_line_budget(spec, instructions // 8)
+        return [
+            list(build(phase, index, budget, 32, rng))
+            for index, (phase, budget) in enumerate(zip(spec.phases, budgets))
+        ]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_pick_reference(self, case):
+        spec, instructions = self.CASES[case]
+        generated = self._segments(spec, instructions, _phase_segments)
+        expected = self._segments(spec, instructions, reference_phase_segments)
+        for actual_phase, expected_phase in zip(generated, expected):
+            assert [s.shape[0] for s in actual_phase] == [s.shape[0] for s in expected_phase]
+            for actual, wanted in zip(actual_phase, expected_phase):
+                assert actual.dtype == np.uint64
+                assert np.array_equal(actual, wanted)
+        trace = generate_trace(spec, total_instructions=instructions, seed=2001)
+        assert np.array_equal(trace.line_addresses, np.concatenate(sum(generated, [])))
+
+    def test_edge_cases_hit_their_batch_bounds(self):
+        split = self._segments(self.CASES["pathological-split"][0], 160, _phase_segments)
+        assert sum(1 for phase in split if not phase) == 19
+        tiny = self._segments(*self.CASES["tiny-loops"], _phase_segments)[0]
+        assert {s.shape[0] for s in tiny[:-1]} == {MAX_PICK_BATCH}
+        huge = self._segments(*self.CASES["huge-loop"], _phase_segments)[0]
+        assert {s.shape[0] for s in huge[:-1]} == {2_048 * 20}
+        assert 2_048 * 20 > SEGMENT_TARGET_LINES

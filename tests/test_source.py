@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
 import pickle
 import tracemalloc
 
@@ -401,6 +402,27 @@ class TestSweepStoreShipping:
         result = sweep.grid(store, miss_bounds=(10, 80), size_bounds=(1024,), jobs=2)
         assert len(result.points) == 2
         assert sweep._stores == {}  # nothing was spilled
+
+    def test_closing_deletes_the_spilled_stores_and_the_sweep_respills(self):
+        grid = dict(miss_bounds=(10, 80), size_bounds=(1024, 8192))
+        with self._sweep() as sweep:
+            sweep.grid("compress", jobs=2, **grid)
+            first_dir = sweep._store_dir.name
+            assert os.path.isdir(first_dir)
+        assert not os.path.exists(first_dir)
+        assert sweep._stores == {} and sweep._store_dir is None
+        # Still usable after close: a new pooled call spills afresh.
+        with sweep:
+            parallel = sweep.grid("li", jobs=2, **grid)
+            assert set(sweep._stores) == {"li"}
+            second_dir = sweep._store_dir.name
+            assert os.path.isdir(second_dir)
+        assert not os.path.exists(second_dir)
+        serial = self._sweep().grid("li", **grid)
+        for a, b in zip(serial.points, parallel.points):
+            assert a.parameters == b.parameters
+            assert a.simulation.cycles == b.simulation.cycles
+            assert a.energy_delay == b.energy_delay
 
 
 class TestSplitKeepsBenchmarkIdentity:
