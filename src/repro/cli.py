@@ -21,6 +21,8 @@ Command       What it regenerates
 ``shootout`` and ``run`` accept policy *specs*: a registry name with
 optional options, e.g. ``miss-bound``, ``hysteresis:consecutive=2`` or
 ``pid:kp=1.5,ki=0.1`` (see ``repro policies`` for the catalogue).
+``run --trajectory PATH`` also writes the run's sense intervals as CSV
+(``index,instructions,accesses,misses,size_bytes_during,size_bytes_at_end,resized``).
 
 The architectural commands accept ``--benchmarks`` (comma-separated
 names), ``--instructions`` (trace length), ``--quick`` (a reduced scale
@@ -40,8 +42,10 @@ the same text tables the benchmark harness writes under
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
-from typing import List, Optional, Sequence
+from contextlib import nullcontext
+from typing import List, Optional, Sequence, TextIO
 
 from repro.analysis.report import (
     format_figure3,
@@ -52,6 +56,7 @@ from repro.analysis.report import (
 )
 from repro.config.parameters import DRIParameters, PolicySpec
 from repro.dri.policies import policy_catalog
+from repro.dri.stats import DRIStatistics
 from repro.simulation.engine import ENGINE_KINDS
 from repro.simulation.executor import DEFAULT_MAX_RETRIES, CampaignHealth
 from repro.simulation.experiments import (
@@ -231,6 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="miss-bound",
         help="resize-policy spec, e.g. miss-bound or hysteresis:consecutive=2",
     )
+    run.add_argument(
+        "--trajectory",
+        metavar="PATH",
+        help="also write the run's sense intervals to PATH as CSV, one row each",
+    )
     _add_engine_argument(run)
     run.set_defaults(error=run.error)
     return parser
@@ -268,6 +278,15 @@ def _format_policies() -> str:
     return format_table(["Policy", "Description", "Options (defaults)"], rows)
 
 
+def _write_trajectory(handle: TextIO, stats: DRIStatistics) -> None:
+    """Write every sense interval of a run (the finalized tail included)
+    to ``handle`` as CSV, one column per interval-record field."""
+    columns = stats.interval_columns()
+    writer = csv.writer(handle)
+    writer.writerow(columns)
+    writer.writerows(zip(*columns.values()))
+
+
 def _run_single(args: argparse.Namespace) -> str:
     try:
         policy = PolicySpec.parse(args.policy)
@@ -285,7 +304,15 @@ def _run_single(args: argparse.Namespace) -> str:
         # "size_bound must be ..." -> "argument --size-bound: must be ..."
         field, _, reason = str(error).partition(" ")
         args.error(f"argument --{field.replace('_', '-')}: {reason}")
-    point = ParameterSweep(simulator).evaluate(args.benchmark, parameters)
+    try:
+        # Opened before the run, so an unwritable path costs no simulation.
+        trajectory = open(args.trajectory, "w", newline="") if args.trajectory else nullcontext()
+    except OSError as error:
+        args.error(f"argument --trajectory: {error}")
+    with trajectory:
+        point = ParameterSweep(simulator).evaluate(args.benchmark, parameters)
+        if args.trajectory:
+            _write_trajectory(trajectory, point.simulation.dri_stats)
     summary = point.comparison.summary()
     rows = [[key, f"{value:.4g}" if isinstance(value, float) else str(value)]
             for key, value in summary.items()]

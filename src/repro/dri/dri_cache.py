@@ -163,7 +163,10 @@ class DRIICache(Cache):
             chunk = addresses[position : position + take]
             block = (chunk >> np.uint64(self._offset_bits)).astype(np.int64)
             chunk_hits = self._classify_chunk(block)
-            self._record_batch(take, take - int(np.count_nonzero(chunk_hits)))
+            misses = take - int(np.count_nonzero(chunk_hits))
+            self.dri_stats.record_accesses(take, misses)
+            self._interval_accesses += take
+            self._interval_misses += misses
             hits[position : position + take] = chunk_hits
             position += take
             if self.auto_interval and self._interval_accesses >= self._interval_length_accesses:
@@ -174,11 +177,15 @@ class DRIICache(Cache):
         """The active-set mask and the minimum-size tag shift."""
         return self.controller.current_sets - 1, self._min_index_bits
 
-    def _record_batch(self, accesses: int, misses: int) -> None:
-        """Charge a classified batch to the statistics and the open interval."""
+    def _open_interval(self) -> Tuple[int, int]:
+        """``(accesses, misses)`` of the open sense interval."""
+        return self._interval_accesses, self._interval_misses
+
+    def _record_batch(self, accesses: int, misses: int, open_interval: Tuple[int, int]) -> None:
+        """Charge a bank's classifications to the statistics, and leave
+        ``open_interval`` open (the group pass closed the rest)."""
         self.dri_stats.record_accesses(accesses, misses)
-        self._interval_accesses += accesses
-        self._interval_misses += misses
+        self._interval_accesses, self._interval_misses = open_interval
 
     # ------------------------------------------------------------------
     # Interval handling

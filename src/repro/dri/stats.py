@@ -4,15 +4,15 @@ The energy accounting (Section 5.2) needs the **active fraction** of the
 cache averaged over the execution, the total access and miss counts, and
 the number of extra L2 accesses relative to a conventional cache; the
 figures additionally report the **average cache size**.  This module
-collects those quantities as the cache runs, keeping a per-interval record
-so examples and benches can plot the size trajectory against the
-application's phases.
+collects those quantities as the cache runs, keeping per-interval columns
+so examples, benches and ``repro run --trajectory`` can plot the size
+trajectory against the application's phases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,22 @@ class IntervalRecord:
         return self.misses / self.accesses
 
 
+_COLUMNS = (
+    "instructions", "accesses", "misses", "size_bytes_during", "size_bytes_at_end", "resized"
+)
+"""The stored interval columns, in :meth:`DRIStatistics.extend_intervals`
+order: every :class:`IntervalRecord` field but ``index``, which is a
+record's position."""
+
+
 @dataclass
 class DRIStatistics:
-    """Accumulated statistics of one DRI i-cache run."""
+    """Accumulated statistics of one DRI i-cache run.
+
+    The interval records are kept as columns, one list per
+    :class:`IntervalRecord` field; :attr:`intervals` builds the records
+    when read.
+    """
 
     full_size_bytes: int
     accesses: int = 0
@@ -45,7 +58,9 @@ class DRIStatistics:
     upsizings: int = 0
     downsizings: int = 0
     throttled_downsizings: int = 0
-    intervals: List[IntervalRecord] = field(default_factory=list)
+    _columns: Dict[str, list] = field(
+        default_factory=lambda: {name: [] for name in _COLUMNS}, repr=False
+    )
     _size_weighted_instructions: float = 0.0
     _instructions_observed: int = 0
     size_histogram: Dict[int, int] = field(default_factory=dict)
@@ -82,27 +97,58 @@ class DRIStatistics:
         interval ran (the size chosen at the *previous* boundary);
         ``size_bytes_at_end`` is the size chosen for the next interval.
         """
-        record = IntervalRecord(
-            index=len(self.intervals),
-            instructions=instructions,
-            accesses=accesses,
-            misses=misses,
-            size_bytes_at_end=size_bytes_at_end,
-            size_bytes_during=size_bytes_during,
-            resized=resized,
-        )
-        self.intervals.append(record)
-        self._size_weighted_instructions += size_bytes_during * instructions
-        self._instructions_observed += instructions
-        self.size_histogram[size_bytes_during] = (
-            self.size_histogram.get(size_bytes_during, 0) + instructions
-        )
-        if resized == "upsize":
-            self.upsizings += 1
-        elif resized == "downsize":
-            self.downsizings += 1
-        if throttled:
-            self.throttled_downsizings += 1
+        self.extend_intervals((instructions,), (accesses,), (misses,), (size_bytes_during,),
+                              (size_bytes_at_end,), (resized,), int(throttled))
+
+    def extend_intervals(
+        self,
+        instructions: Sequence[int],
+        accesses: Sequence[int],
+        misses: Sequence[int],
+        size_bytes_during: Sequence[int],
+        size_bytes_at_end: Sequence[int],
+        resized: Sequence[str],
+        throttled: int = 0,
+    ) -> None:
+        """Record the ends of successive sense intervals, one column per
+        field (as :meth:`record_interval` per interval, in order);
+        ``throttled`` counts the downsizes the throttle refused in them."""
+        columns = (instructions, accesses, misses, size_bytes_during, size_bytes_at_end, resized)
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("interval columns must have equal lengths")
+        for name, column in zip(_COLUMNS, columns):
+            self._columns[name].extend(column)
+        # One float add per interval, in order, so the weighted sum rounds
+        # exactly as recording the intervals one at a time does.
+        weighted, histogram = self._size_weighted_instructions, self.size_histogram
+        for size, count in zip(size_bytes_during, instructions):
+            weighted += size * count
+            histogram[size] = histogram.get(size, 0) + count
+        self._size_weighted_instructions = weighted
+        self._instructions_observed += sum(instructions)
+        self.upsizings += resized.count("upsize")
+        self.downsizings += resized.count("downsize")
+        self.throttled_downsizings += throttled
+
+    # ------------------------------------------------------------------
+    # Interval records
+    # ------------------------------------------------------------------
+    @property
+    def intervals(self) -> List[IntervalRecord]:
+        """Every sense interval's record, in order (built on each read)."""
+        rows = zip(*(self._columns[name] for name in _COLUMNS))
+        return [
+            IntervalRecord(index, instructions, accesses, misses, at_end, during, resized)
+            for index, (instructions, accesses, misses, during, at_end, resized) in enumerate(rows)
+        ]
+
+    def interval_columns(self) -> Dict[str, list]:
+        """The interval records as columns, a fresh list each: ``index``,
+        then the other fields in :meth:`extend_intervals` order (the
+        ``repro run --trajectory`` CSV columns)."""
+        columns = {"index": list(range(len(self._columns["accesses"])))}
+        columns.update((name, list(self._columns[name])) for name in _COLUMNS)
+        return columns
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -152,4 +198,4 @@ class DRIStatistics:
 
     def size_trajectory(self) -> List[int]:
         """The cache size in effect during each successive interval."""
-        return [record.size_bytes_during for record in self.intervals]
+        return list(self._columns["size_bytes_during"])

@@ -324,9 +324,16 @@ class Cache:
         masks to its active sets and keeps minimum-size tags."""
         return self._index_mask, self._index_bits
 
-    def _record_batch(self, accesses: int, misses: int) -> None:
-        """Per-batch accounting beyond the L1 counters (the DRI cache
-        charges its open sense interval here)."""
+    def _open_interval(self) -> Tuple[int, int]:
+        """``(accesses, misses)`` of the open sense interval: a plain cache
+        has none; the DRI cache reports its own."""
+        return 0, 0
+
+    def _record_batch(self, accesses: int, misses: int, open_interval: Tuple[int, int]) -> None:
+        """Accounting beyond the L1 counters for ``accesses`` classified in
+        a :class:`CacheBank`, ``misses`` of them missing, after which
+        ``open_interval`` is open (the DRI cache charges its statistics and
+        sets its open sense interval here)."""
 
     def _classify_chunk(self, blocks: np.ndarray) -> np.ndarray:
         """Classify one chunk of block addresses under the current indexing
@@ -526,9 +533,10 @@ class CacheBank(Cache):
     allocates one ``(K * sets, ways)`` tag plane and one LRU rank array;
     member k owns rows ``k * sets`` up to ``(k + 1) * sets``, and its own
     ``_tag_plane``, ``_dm_plane`` and ``_policy.ranks`` become row-slice
-    views of them, so invalidation, ``end_interval`` and every per-member
-    query keep working unchanged.  Member k indexes with set mask
-    ``mask_k`` and tag shift ``shift_k`` (its :meth:`Cache._index_key`).
+    views of them, so invalidation and every per-member query keep
+    working unchanged.  Member k indexes with set mask ``mask_k`` and tag
+    shift ``shift_k``: its :meth:`Cache._index_key` when the bank is
+    built, kept in a ``(K, 2)`` array until :meth:`set_masks` changes it.
 
     Direct-mapped members that share a set mask share every outcome but
     their first probe of each touched set (see :func:`_direct_mapped_pass`),
@@ -538,6 +546,10 @@ class CacheBank(Cache):
     tag ``block >> shift_k``; the members' set ranges are disjoint and
     the classifier's stable sort keeps each member's program order, so
     one :meth:`_classify_chunk_assoc` call over all members equals K calls.
+
+    Each member's accesses and misses build up in length-K arrays, in all
+    and in its open interval (:meth:`close_intervals` ends it), and are
+    charged once, by :meth:`settle`.
     """
 
     def __init__(self, members: Sequence[Cache]) -> None:
@@ -562,58 +574,82 @@ class CacheBank(Cache):
             member._dm_plane = member._tag_plane[:, 0] if ways == 1 else None
             member._policy.ranks = self._policy.ranks[rows]
         self._offsets = np.arange(len(members), dtype=np.int64)[:, None] * sets
+        self._keys = np.array([member._index_key() for member in members], dtype=np.int64)
+        self._classes = self._mask_classes() if ways == 1 else None
         self._baseline = [
-            (member.resident_blocks(), member.stats.invalidations, member.stats.misses)
-            for member in members
+            (member.resident_blocks(), member.stats.invalidations) for member in members
         ]
+        self._accesses = 0
+        self._misses = np.zeros(len(members), dtype=np.int64)
+        opened = np.array([member._open_interval() for member in members], dtype=np.int64)
+        self._open_accesses, self._open_misses = opened.T.copy()
+
+    def _mask_classes(self):
+        """The members grouped by set mask: ``(mask, rows, row offsets,
+        tag shifts)`` per class, offsets and shifts as ``(c, 1)`` columns."""
+        rows_by_mask = {}
+        for row, mask in enumerate(self._keys[:, 0].tolist()):
+            rows_by_mask.setdefault(mask, []).append(row)
+        classes = []
+        for mask, rows in rows_by_mask.items():
+            rows = np.array(rows)
+            classes.append((mask, rows, self._offsets[rows], self._keys[rows, 1:]))
+        return classes
+
+    def set_masks(self, rows: np.ndarray, masks: np.ndarray) -> None:
+        """Index the members at ``rows`` with new set masks (DRI members
+        that resized)."""
+        self._keys[rows, 0] = masks
+        if self._classes is not None:
+            self._classes = self._mask_classes()
 
     def classify(self, addresses: np.ndarray, max_probes: int) -> np.ndarray:
         """Classify one chunk for every member; returns the ``(K, n)`` hit mask.
 
-        Charges each member's accesses, hits and misses, and its
-        :meth:`~Cache._record_batch`, as :meth:`access_batch` would;
-        evictions are charged once, by :meth:`settle`.  ``max_probes``
-        bounds the scratch arrays and keeps numpy's cost per probe near
-        its minimum: a direct-mapped pass covers at most that many
-        accesses, a set-associative call that many composite probes.
+        The members' accesses and misses are counted here and charged by
+        :meth:`settle`.  ``max_probes`` bounds the scratch arrays and
+        keeps numpy's cost per probe near its minimum: a direct-mapped
+        pass covers at most that many accesses, a set-associative call
+        that many composite probes.
         """
         addresses = np.ascontiguousarray(addresses, dtype=np.uint64)
         count = addresses.shape[0]
         blocks = (addresses >> np.uint64(self._offset_bits)).astype(np.int64)
-        keys = np.array([member._index_key() for member in self.members], dtype=np.int64)
         hits = np.empty((len(self.members), count), dtype=bool)
         if self._associativity == 1:
-            self._classify_by_mask(blocks, keys, max_probes, hits)
+            self._classify_by_mask(blocks, max_probes, hits)
         else:
-            self._classify_composite(blocks, keys, max_probes, hits)
+            self._classify_composite(blocks, max_probes, hits)
         misses = count - np.count_nonzero(hits, axis=1)
-        for member, member_misses in zip(self.members, misses.tolist()):
-            member.stats.accesses += count
-            member.stats.hits += count - member_misses
-            member.stats.misses += member_misses
-            member._record_batch(count, member_misses)
+        self._accesses += count
+        self._misses += misses
+        self._open_accesses += count
+        self._open_misses += misses
         return hits
 
-    def _classify_by_mask(self, blocks, keys, max_accesses, hits) -> None:
+    def close_intervals(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """End the open interval of the members at ``rows`` and start the
+        next; returns their ``(accesses, misses)`` in the one that ended."""
+        accesses, misses = self._open_accesses[rows], self._open_misses[rows]
+        self._open_accesses[rows] = 0
+        self._open_misses[rows] = 0
+        return accesses, misses
+
+    def _classify_by_mask(self, blocks, max_accesses, hits) -> None:
         """One per-mask pass per class of members sharing a set mask, then
         the class's first probes on its members' rows at once."""
-        rows_by_mask = {}
-        for row, mask in enumerate(keys[:, 0].tolist()):
-            rows_by_mask.setdefault(mask, []).append(row)
-        classes = [(mask, np.array(rows)) for mask, rows in rows_by_mask.items()]
         for start in range(0, blocks.shape[0], max_accesses):
             block = blocks[start : start + max_accesses]
-            for mask, rows in classes:
+            for mask, rows, offsets, shifts in self._classes:
                 common, positions, sets, firsts, lasts = _direct_mapped_pass(block, mask)
-                frames = self._offsets[rows] + sets
-                _, first_hits = _first_probes(self._dm_plane, frames, firsts, lasts, keys[rows, 1:])
+                _, first_hits = _first_probes(self._dm_plane, offsets + sets, firsts, lasts, shifts)
                 hits[rows, start : start + block.shape[0]] = common
                 hits[rows[:, None], positions + start] = first_hits
 
-    def _classify_composite(self, blocks, keys, max_probes, hits) -> None:
+    def _classify_composite(self, blocks, max_probes, hits) -> None:
         """All members' composite probes through one wavefront call per
         at most ``max_probes`` of them."""
-        masks, shifts = keys[:, :1], keys[:, 1:]
+        masks, shifts = self._keys[:, :1], self._keys[:, 1:]
         step = max(1, max_probes // len(self.members))
         for start in range(0, blocks.shape[0], step):
             block = blocks[start : start + step]
@@ -622,13 +658,28 @@ class CacheBank(Cache):
             hits[:, start : start + step] = probe_hits.reshape(len(self.members), -1)
 
     def settle(self) -> None:
-        """Charge each member's evictions, once, after its last classification.
+        """Charge each member's classifications, once, after its last one.
 
-        A miss either fills an empty frame or evicts, and since the bank
-        was built a member's valid frames changed only by those fills and
-        by invalidations.  So its evictions are its misses minus the
-        growth in valid frames, with the invalidated frames added back.
+        Accesses, hits and misses come from the per-member counts, and
+        :meth:`~Cache._record_batch` takes them with the member's open
+        interval.  A miss either fills an empty frame or evicts, and since
+        the bank was built a member's valid frames changed only by those
+        fills and by invalidations.  So its evictions are its misses minus
+        the growth in valid frames, with the invalidated frames added back.
         """
-        for member, (valid, invalidations, misses) in zip(self.members, self._baseline):
-            fills = member.resident_blocks() - valid + member.stats.invalidations - invalidations
-            member.stats.evictions += member.stats.misses - misses - fills
+        state = zip(
+            self.members,
+            self._baseline,
+            self._misses.tolist(),
+            self._open_accesses.tolist(),
+            self._open_misses.tolist(),
+        )
+        accesses = self._accesses
+        for member, (valid, invalidations), misses, open_accesses, open_misses in state:
+            stats = member.stats
+            stats.accesses += accesses
+            stats.hits += accesses - misses
+            stats.misses += misses
+            fills = member.resident_blocks() - valid + stats.invalidations - invalidations
+            stats.evictions += misses - fills
+            member._record_batch(accesses, misses, (open_accesses, open_misses))

@@ -59,6 +59,7 @@ import numpy as np
 from repro.config.parameters import DRIParameters
 from repro.config.system import SystemConfig
 from repro.cpu.pipeline import TimingModel
+from repro.dri.controller import ResizeGroup
 from repro.dri.dri_cache import DRIICache
 from repro.memory.cache import Cache, CacheBank
 from repro.memory.hierarchy import MemoryHierarchy
@@ -113,11 +114,10 @@ def replay_scalar(
     l2_latency = system.l1_miss_penalty
     instructions_per_line = source.instructions_per_line
 
-    # Interval driving is enabled only when the caller asks for it (dri
-    # parameters passed and the cache is a DRI cache); the interval length
-    # is the cache's own conversion of the instruction-denominated
-    # sense_interval, so manual and auto driving can never disagree.
-    dri_cache = icache if dri is not None and isinstance(icache, DRIICache) else None
+    # The interval length is the cache's own conversion of the
+    # instruction-denominated sense_interval, so manual and auto driving
+    # can never disagree.
+    dri_cache = _driven(icache, dri)
     per_interval = dri_cache.interval_length_accesses if dri_cache is not None else 0
 
     access = icache.access
@@ -158,7 +158,8 @@ def replay_batched(
 
     The one-member call of :func:`replay_lockstep`: a bank of one is the
     cache itself, so each chunk is classified through
-    :meth:`~repro.memory.cache.Cache.access_batch`.
+    :meth:`~repro.memory.cache.Cache.access_batch` and each interval is
+    closed by :meth:`~repro.dri.dri_cache.DRIICache.end_interval`.
     """
     return replay_lockstep(trace, [(icache, hierarchy, dri)], base_cpi, system)[0]
 
@@ -166,6 +167,24 @@ def replay_batched(
 Member = Tuple[Cache, MemoryHierarchy, Optional[DRIParameters]]
 """One run of a lockstep replay: its L1, its L2/memory, and its DRI
 parameters (``None`` for a run without interval decisions)."""
+
+
+def _driven(icache: Cache, dri: Optional[DRIParameters]) -> Optional[DRIICache]:
+    """The DRI cache whose sense intervals the engine drives, if any: a
+    DRI cache replayed with ``dri`` parameters.
+
+    Raises ``ValueError`` if that cache drives its own intervals
+    (``auto_interval=True``): it would close each interval itself, and
+    the engine would then close an empty one.
+    """
+    if dri is None or not isinstance(icache, DRIICache):
+        return None
+    if icache.auto_interval:
+        raise ValueError(
+            f"{icache.name}: the engine drives this DRI cache's sense intervals "
+            "(dri= is given), so it must be built with auto_interval=False"
+        )
+    return icache
 
 
 def replay_lockstep(
@@ -183,59 +202,91 @@ def replay_lockstep(
     members share one L1 geometry and, where they take DRI decisions, one
     sense interval: the source is asked for chunks of exactly that length,
     so the chunk boundaries *are* the decision points even when the stream
-    is generated or read from disk on the fly.  Every *complete* interval
-    ends with each DRI member's ``end_interval``; a trailing partial one is
-    left open for ``finalize``, exactly as the scalar loop leaves it.
+    is generated or read from disk on the fly.  With more than one member,
+    every *complete* interval is closed for every DRI member at once by
+    one :class:`~repro.dri.controller.ResizeGroup` pass; a single member
+    closes it with its own ``end_interval``, the scalar engine's path,
+    which costs less than an array pass over one member.  A trailing
+    partial interval is left open for ``finalize``, exactly as the scalar
+    loop leaves it.  When the replay returns, each member's controller,
+    throttle, statistics and open interval are where its scalar replay
+    leaves them.
 
     With more than one member, the L1s are stacked into one
-    :class:`~repro.memory.cache.CacheBank` and each chunk is classified for
-    all of them in calls of at most :data:`BANK_PROBES_PER_CALL` probes,
-    so the trace is generated or read once, not once per run; direct-mapped
-    members that share a set mask share one sort of the chunk.  A single
-    member is classified through its own ``access_batch``.
+    :class:`~repro.memory.cache.CacheBank` and each chunk is classified
+    for all of them in calls of at most :data:`BANK_PROBES_PER_CALL`
+    probes, so the trace is generated or read once, not once per run;
+    direct-mapped members that share a set mask share one sort of the
+    chunk.  A single member is classified through its own
+    ``access_batch``.
 
-    Drain rule: each member's chunk misses are buffered and drained through
-    its own
+    Drain rule: the chunks and their ``(K, n)`` hit masks are kept until
+    :data:`DEFAULT_CHUNK_ACCESSES` accesses have been classified (plus
+    once at the end); then each member's misses are taken from them in
+    order and drained through its own
     :meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch_from_l1_misses`
-    in one call per :data:`DEFAULT_CHUNK_ACCESSES` classified accesses,
-    plus one at the end.  Exact because L1 hits and resize decisions read
-    only L1 state and the i-cache never writes back: the L2 sees the same
-    misses in the same order.  The buffer holds at most one drain period
-    plus one chunk of misses per member.
+    in one call.  Exact because L1 hits and resize decisions read only L1
+    state and the i-cache never writes back: the L2 sees the same misses
+    in the same order.  The buffer holds at most one drain period plus
+    one chunk, so a source must not overwrite a chunk it has yielded.
     """
     source = as_trace_source(trace)
     instructions_per_line = source.instructions_per_line
     caches = [icache for icache, _, _ in members]
-    driven = [
-        icache
-        for icache, _, dri in members
-        if dri is not None and isinstance(icache, DRIICache)
-    ]
+    drives = [_driven(icache, dri) for icache, _, dri in members]
+    rows = np.array([row for row, icache in enumerate(drives) if icache is not None])
+    driven = [icache for icache in drives if icache is not None]
     lengths = {icache.interval_length_accesses for icache in driven}
     if len(lengths) > 1:
         raise ValueError(f"lockstep members must share one sense interval, got {sorted(lengths)}")
     chunk_accesses = lengths.pop() if lengths else DEFAULT_CHUNK_ACCESSES
-    bank = None
+    bank = group = None
     if len(caches) > 1:
         if any(isinstance(icache, DRIICache) and icache.auto_interval for icache in caches):
             raise ValueError("lockstep DRI members must be driven manually (auto_interval=False)")
         bank = CacheBank(caches)
+        if driven:
+            group = ResizeGroup(
+                [icache.controller for icache in driven], [icache.dri_stats for icache in driven]
+            )
 
     miss_l2 = [0] * len(members)
     miss_memory = [0] * len(members)
     accesses = 0
     interval_fill = 0
-    # Per member: L1 misses not yet drained.  All members classify the
-    # same accesses, so one count since the last drain serves them all.
-    pending: List[List[np.ndarray]] = [[] for _ in members]
+    # The chunks not yet drained, each with its (K, n) hit mask.
+    pending: List[Tuple[np.ndarray, np.ndarray]] = []
     undrained = 0
 
     def drain() -> None:
+        if not pending:
+            return
+        if len(pending) == 1:
+            addresses, hits = pending[0]
+        else:
+            addresses = np.concatenate([chunk for chunk, _ in pending])
+            hits = np.concatenate([chunk_hits for _, chunk_hits in pending], axis=1)
+        pending.clear()
+        misses = np.logical_not(hits, out=hits)
         for index, (_, hierarchy, _) in enumerate(members):
-            l2_hits, l2_misses = _drain(hierarchy, pending[index])
-            miss_l2[index] += l2_hits
-            miss_memory[index] += l2_misses
-            pending[index] = []
+            member_misses = addresses[misses[index]]
+            if member_misses.size:
+                l2_hits, l2_misses = hierarchy.access_batch_from_l1_misses(member_misses)
+                miss_l2[index] += l2_hits
+                miss_memory[index] += l2_misses
+
+    def close_interval(instructions: int) -> None:
+        if group is None:
+            driven[0].end_interval(instructions=instructions)
+            return
+        resized, downsized = group.end_of_interval(*bank.close_intervals(rows), instructions)
+        if resized.size:
+            sets = group.sets
+            # Gating wipes the sets a downsize turns off.
+            for member in downsized.tolist():
+                icache = driven[member]
+                icache.invalidate_range(int(sets[member]), icache.num_sets)
+            bank.set_masks(rows[resized], sets[resized] - 1)
 
     for chunk in source.chunks(chunk_accesses):
         accesses += chunk.shape[0]
@@ -243,9 +294,7 @@ def replay_lockstep(
             hits = caches[0].access_batch(chunk)[None]
         else:
             hits = bank.classify(chunk, BANK_PROBES_PER_CALL)
-        for member_pending, member_hits in zip(pending, hits):
-            if not member_hits.all():
-                member_pending.append(chunk[~member_hits])
+        pending.append((chunk, hits))
         undrained += chunk.shape[0]
         if undrained >= DEFAULT_CHUNK_ACCESSES:
             drain()
@@ -262,25 +311,18 @@ def replay_lockstep(
                     f"({interval_fill} accesses into a {chunk_accesses}-access interval)"
                 )
             if interval_fill == chunk_accesses:
-                for icache in driven:
-                    icache.end_interval(instructions=interval_fill * instructions_per_line)
+                close_interval(interval_fill * instructions_per_line)
                 interval_fill = 0
     drain()
     if bank is not None:
         bank.settle()
+    if group is not None:
+        group.write_back()
     instructions = accesses * instructions_per_line
     return [
         _cycles(system, base_cpi, instructions, l2_hits, l2_misses)
         for l2_hits, l2_misses in zip(miss_l2, miss_memory)
     ]
-
-
-def _drain(hierarchy: MemoryHierarchy, pending: List[np.ndarray]) -> Tuple[int, int]:
-    """Service buffered L1 misses through the L2 in one call, in order;
-    returns ``(l2_hits, l2_misses)``."""
-    if not pending:
-        return 0, 0
-    return hierarchy.access_batch_from_l1_misses(np.concatenate(pending))
 
 
 def _cycles(

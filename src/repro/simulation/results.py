@@ -78,21 +78,19 @@ class SimulationResult:
         if self.l2_accesses != self.l1_misses:
             raise ValueError("conservation: l2_accesses differs from l1_misses")
         if self.dri_stats is not None:
-            intervals = self.dri_stats.intervals
-            if sum(record.accesses for record in intervals) != self.l1_accesses:
+            columns = self.dri_stats.interval_columns()
+            if sum(columns["accesses"]) != self.l1_accesses:
                 raise ValueError("conservation: interval accesses do not sum to l1_accesses")
-            if sum(record.misses for record in intervals) != self.l1_misses:
+            if sum(columns["misses"]) != self.l1_misses:
                 raise ValueError("conservation: interval misses do not sum to l1_misses")
             # The resize ladder holds powers of two up to the full size.
             full = self.dri_stats.full_size_bytes
-            for record in intervals:
-                for name, size in (
-                    ("size_bytes_during", record.size_bytes_during),
-                    ("size_bytes_at_end", record.size_bytes_at_end),
-                ):
+            names = ("size_bytes_during", "size_bytes_at_end")
+            for index, sizes in enumerate(zip(*(columns[name] for name in names))):
+                for name, size in zip(names, sizes):
                     if size < 1 or size & (size - 1) or size > full:
                         raise ValueError(
-                            f"conservation: interval {record.index} {name} {size} is not a "
+                            f"conservation: interval {index} {name} {size} is not a "
                             f"power of two at most full_size_bytes {full}"
                         )
 

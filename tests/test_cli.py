@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import csv
+from unittest import mock
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config.parameters import DRIParameters
+from repro.simulation.simulator import Simulator
 
 
 class TestParser:
@@ -78,6 +83,31 @@ class TestCommands:
         assert "relative_energy_delay" in output
         assert "average_size_fraction" in output
 
+    def test_run_writes_the_interval_trajectory(self, tmp_path, capsys):
+        """``--trajectory`` writes one CSV row per interval, the finalized
+        tail included, summing to the run's L1 counts; the printed table
+        does not change."""
+        argv = ["run", "compress", "--instructions", "60000", "--sense-interval", "5000",
+                "--miss-bound", "40", "--size-bound", "1024"]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        path = tmp_path / "trajectory.csv"
+        assert main(argv + ["--trajectory", str(path)]) == 0
+        assert capsys.readouterr().out == table
+        with path.open(newline="") as handle:
+            reader = csv.DictReader(handle)
+            header, rows = reader.fieldnames, list(reader)
+        assert header == ["index", "instructions", "accesses", "misses",
+                          "size_bytes_during", "size_bytes_at_end", "resized"]
+        result = Simulator(trace_instructions=60_000).run_dri(
+            "compress", DRIParameters(miss_bound=40, size_bound=1024, sense_interval=5_000)
+        )
+        assert len(rows) == len(result.dri_stats.intervals) > 1
+        assert sum(int(row["accesses"]) for row in rows) == result.l1_accesses
+        assert sum(int(row["misses"]) for row in rows) == result.l1_misses
+        assert [int(row["size_bytes_during"]) for row in rows] == result.dri_stats.size_trajectory()
+        assert [int(row["index"]) for row in rows] == list(range(len(rows)))
+
     def test_figure3_quick_subset(self, capsys):
         exit_code = main(
             ["figure3", "--benchmarks", "compress", "--quick", "--instructions", "60000"]
@@ -121,13 +151,19 @@ class TestCommands:
             (["run", "li", "--size-bound", "3000"], "--size-bound"),
             (["run", "li", "--sense-interval", "0"], "--sense-interval"),
             (["run", "li", "--miss-bound", "-1"], "--miss-bound"),
+            (["run", "li", "--instructions", "20000", "--trajectory", "/nonexistent/t.csv"],
+             "--trajectory"),
         ],
-        ids=["run-instructions", "figure3-instructions", "size-bound", "sense-interval", "miss-bound"],
+        ids=["run-instructions", "figure3-instructions", "size-bound", "sense-interval", "miss-bound",
+             "trajectory"],
     )
     def test_bad_numeric_flag_exits_with_usage_error(self, argv, flag, capsys):
-        # A usage error (status 2) naming the flag, not a ValueError traceback.
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
+        # A usage error (status 2) naming the flag, not a ValueError
+        # traceback, and raised before anything is simulated.
+        simulated = AssertionError("simulated before the usage error")
+        with mock.patch("repro.cli.ParameterSweep.evaluate", side_effect=simulated):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
         assert excinfo.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and f"error: argument {flag}: " in errors[0]

@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.config.parameters import DRIParameters, PolicySpec
 from repro.config.system import CacheGeometry, SystemConfig
+from repro.dri.controller import ResizeGroup
 from repro.dri.dri_cache import DRIICache
 from repro.dri.policies import policy_names
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.kernels import NUMBA_AVAILABLE, numba_version
-from repro.simulation.engine import replay, replay_batched, resolve_engine
+from repro.simulation.engine import replay, replay_batched, replay_lockstep, resolve_engine
 from repro.simulation.simulator import Simulator
 from repro.simulation.sweep import ParameterSweep
 from repro.workloads.generator import generate_trace
@@ -276,6 +278,119 @@ class TestDRIEquivalence:
             if record.accesses == icache.interval_length_accesses
         )
         assert icache.end_interval_calls == closed > 0
+
+    def test_lockstep_group_closes_intervals_in_the_group_pass(self):
+        """With more than one member, every complete interval closes in one
+        ``ResizeGroup`` pass for all DRI members, never through their
+        ``end_interval``; the trailing partial one is left to ``finalize``."""
+        trace = generate_trace(
+            get_benchmark("compress"), total_instructions=INSTRUCTIONS + 2_000, seed=SEED
+        )
+        system = SystemConfig()
+        members = []
+        for miss_bound in (10, 30):
+            parameters = DRIParameters(
+                miss_bound=miss_bound, size_bound=1024, sense_interval=5_000
+            )
+            icache = _CountingDRIICache(
+                system.l1_icache,
+                parameters,
+                address_bits=system.address_bits,
+                auto_interval=False,
+                instructions_per_access=trace.instructions_per_line,
+            )
+            members.append((icache, MemoryHierarchy(system), parameters))
+        with mock.patch.object(
+            ResizeGroup, "end_of_interval", autospec=True, side_effect=ResizeGroup.end_of_interval
+        ) as passes:
+            replay_lockstep(trace, members, 0.75, system)
+        closed = len(trace) // members[0][0].interval_length_accesses
+        assert passes.call_count == closed > 0
+        for icache, _, _ in members:
+            icache.finalize()
+            assert icache.end_interval_calls == 0
+            assert len(icache.dri_stats.intervals) == closed + 1
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_engine_refuses_to_drive_a_self_driving_cache(self, engine):
+        """A DRI cache that closes its own intervals (``auto_interval=True``)
+        replayed with ``dri=`` parameters would have every interval closed
+        twice, the second time empty, and each empty interval is a downsize
+        decision.  Both engines refuse it before replaying anything, for one
+        run as for many."""
+        trace = generate_trace(get_benchmark("li"), total_instructions=80_000, seed=SEED)
+        parameters = DRIParameters(miss_bound=20, size_bound=1024, sense_interval=4_000)
+        system = SystemConfig()
+
+        def self_driving():
+            return DRIICache(
+                system.l1_icache,
+                parameters,
+                auto_interval=True,
+                instructions_per_access=trace.instructions_per_line,
+            )
+
+        icache = self_driving()
+        with pytest.raises(ValueError, match="auto_interval=False"):
+            replay(
+                trace, icache, MemoryHierarchy(system), 0.75, system, dri=parameters, engine=engine
+            )
+        assert icache.stats.accesses == 0
+        members = [(self_driving(), MemoryHierarchy(system), parameters)] * 2
+        with pytest.raises(ValueError, match="auto_interval=False"):
+            replay_lockstep(trace, members, 0.75, system)
+
+    def test_lockstep_members_forced_off_their_ladder_match_scalar(self):
+        """A size forced between two rungs (1K to 64K by 4: 2K and 32K are
+        no rungs) stays until the first resize (a hysteresis member waits
+        three intervals), which steps to the neighbouring rung either way;
+        32K sits just below the top rung, so its upsize is not clamped
+        away.  Every member of the group still equals its scalar run."""
+        trace = generate_trace(get_benchmark("li"), total_instructions=80_000, seed=SEED)
+        system = SystemConfig()
+
+        def member(miss_bound, size, policy="miss-bound"):
+            parameters = DRIParameters(
+                miss_bound=miss_bound, size_bound=1024, sense_interval=4_000, divisibility=4
+            ).with_policy(policy)
+            icache = DRIICache(
+                system.l1_icache,
+                parameters,
+                address_bits=system.address_bits,
+                auto_interval=False,
+                instructions_per_access=trace.instructions_per_line,
+            )
+            icache.controller.force_size(size)
+            return icache, MemoryHierarchy(system), parameters
+
+        cases = [(0, 2048), (10_000, 2048), (0, 32768), (10_000, 32768), (20, 32768),
+                 (20, 2048, "phase-detect"), (10_000, 32768, "hysteresis:consecutive=3"),
+                 (20, 65536)]
+        members = [member(*case) for case in cases]
+        cycles = replay_lockstep(trace, members, 0.75, system)
+        def _controller_state(icache):
+            controller = icache.controller
+            throttle = controller.throttle
+            return (controller.current_size, controller._interval_index, throttle.counter,
+                    throttle.hold_remaining, throttle.engagements)
+
+        sizes_seen = set()
+        for case, (icache, hierarchy, parameters), member_cycles in zip(cases, members, cycles):
+            scalar, scalar_hierarchy, _ = member(*case)
+            scalar_cycles = replay(
+                trace, scalar, scalar_hierarchy, 0.75, system, dri=parameters, engine="scalar"
+            )
+            assert member_cycles == scalar_cycles
+            assert _cache_stats_tuple(icache.stats) == _cache_stats_tuple(scalar.stats)
+            assert _controller_state(icache) == _controller_state(scalar)
+            icache.finalize()
+            scalar.finalize()
+            assert _interval_tuples(icache.dri_stats) == _interval_tuples(scalar.dri_stats)
+            sizes_seen.update(icache.dri_stats.size_trajectory()[:2])
+        assert members[6][0].dri_stats.size_trajectory()[:4] == [32768] * 3 + [16384]
+        # Both off-ladder sizes ran, and each stepped both ways off them.
+        assert {2048, 32768} <= sizes_seen
+        assert {1024, 4096, 16384, 65536} <= sizes_seen
 
     def test_seeded_random_workload_grid(self):
         """Property check: random workloads x parameters agree across engines."""

@@ -1,7 +1,13 @@
-"""Property-based tests (hypothesis) on the core data structures and invariants."""
+"""Property-based tests (hypothesis) on the core data structures and invariants.
+
+``HYPOTHESIS_PROFILE=deep`` runs every property that does not set its own
+``max_examples`` (the engine differentials) on 1,000 examples instead of
+Hypothesis's default 100.
+"""
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 from itertools import cycle
 from unittest import mock
@@ -22,6 +28,10 @@ from repro.memory.replacement import LRUState
 from repro.simulation.engine import replay_batched, replay_lockstep, replay_scalar
 from repro.workloads.source import TraceSource
 from repro.workloads.trace import InstructionTrace
+
+# Loaded before the properties below are defined, whose settings inherit it.
+settings.register_profile("deep", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -250,8 +260,9 @@ class _CutSource(TraceSource):
 
 
 @st.composite
-def engine_cases(draw, l1_ways_log=st.integers(0, 3)):
-    """A random hierarchy, DRI configuration, policy, and chunked trace."""
+def engine_cases(draw, l1_ways_log=st.integers(0, 3), max_intervals=5):
+    """A random hierarchy, DRI configuration, policy, and chunked trace of
+    up to ``max_intervals`` complete sense intervals."""
     l1_block_log = draw(st.integers(4, 6))
     l1_block = 1 << l1_block_log
     l1_ways = 1 << draw(l1_ways_log)
@@ -276,7 +287,7 @@ def engine_cases(draw, l1_ways_log=st.integers(0, 3)):
                                 hold_intervals=draw(st.integers(0, 4))),
     ).with_policy(draw(st.sampled_from(["miss-bound"] + sorted(policy_names()))))
     # 0 to a few intervals plus a partial one, so some never close one.
-    length = draw(st.integers(0, 5)) * interval + draw(st.integers(0, interval - 1))
+    length = draw(st.integers(0, max_intervals)) * interval + draw(st.integers(0, interval - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def footprint():
@@ -308,8 +319,9 @@ def _counters(stats):
     return (stats.accesses, stats.hits, stats.misses, stats.evictions, stats.invalidations)
 
 
-def _member(system, parameters, source):
-    """A fresh (L1, L2/memory, parameters) run; ``None`` is conventional."""
+def _member(system, parameters, source, start=None):
+    """A fresh (L1, L2/memory, parameters) run; ``None`` is conventional.
+    A DRI run starts at size ``start`` when given (on its ladder or not)."""
     if parameters is None:
         icache = Cache(system.l1_icache)
     else:
@@ -320,6 +332,8 @@ def _member(system, parameters, source):
             auto_interval=False,
             instructions_per_access=source.instructions_per_line,
         )
+        if start is not None:
+            icache.controller.force_size(start)
     return icache, MemoryHierarchy(system), parameters
 
 
@@ -337,12 +351,18 @@ def _outcome(member, cycles):
     )
     if parameters is None:
         return outcome
+    controller = icache.controller
+    before_finalize = (
+        (controller.current_size, controller._interval_index),
+        (icache._interval_accesses, icache._interval_misses),
+    )
     icache.finalize()
     dri = icache.dri_stats
-    throttle = icache.controller.throttle
-    return outcome + (
+    throttle = controller.throttle
+    return outcome + before_finalize + (
         dri.intervals,
         (dri.upsizings, dri.downsizings, dri.throttled_downsizings, dri.size_histogram),
+        (dri.accesses, dri.misses, dri.average_size_bytes),
         (throttle.counter, throttle.hold_remaining, throttle.engagements),
     )
 
@@ -355,7 +375,7 @@ def _replay_outcome(engine, system, parameters, source):
 
 class TestEngineDifferential:
     @given(case=engine_cases())
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_scalar_and_batched_agree(self, case):
         """Counters, every interval record, the throttle, the tag planes,
         and the LRU ranks agree across the two engines, at a drawn L2
@@ -368,15 +388,18 @@ class TestEngineDifferential:
 
 @st.composite
 def lockstep_cases(draw):
-    """An engine case's hierarchy, trace, cuts and drain period, replayed
-    by 1-8 members: conventional runs, DRI runs with their own miss-bound,
-    size-bound and policy that share the case's interval, and copies of
-    earlier members.  The L1 is direct-mapped in most cases, where members
-    that share a set mask share one classification pass: a DRI run at
-    full size shares the conventional runs' mask under another tag shift,
-    a copy shares its original's mask and shift all along."""
+    """An engine case's hierarchy, trace (up to 12 intervals), cuts and
+    drain period, replayed by 1-8 members: conventional runs, DRI runs
+    with their own miss-bound, size-bound, policy, ladder divisibility
+    (so one group mixes uneven ladders), throttle and, sometimes, a
+    forced start size on or off the ladder, that share the case's
+    interval, and copies of earlier members.  The L1 is
+    direct-mapped in most cases, where members that share a set mask
+    share one classification pass: a DRI run at full size shares the
+    conventional runs' mask under another tag shift, a copy shares its
+    original's mask and shift all along."""
     system, parameters, source, drain_period = draw(
-        engine_cases(l1_ways_log=st.one_of(st.just(0), st.integers(0, 3)))
+        engine_cases(l1_ways_log=st.one_of(st.just(0), st.integers(0, 3)), max_intervals=12)
     )
     l1 = system.l1_icache
     interval = parameters.sense_interval // 8
@@ -387,35 +410,44 @@ def lockstep_cases(draw):
         if kind == "copy":
             members.append(draw(st.sampled_from(members)))
         elif kind == "conventional":
-            members.append(None)
+            members.append((None, None))
         else:
+            set_bytes = l1.block_size * l1.associativity
             size_bound_log = draw(st.integers(0, l1.index_bits))
-            members.append(replace(
+            start_log = draw(st.one_of(st.none(), st.integers(size_bound_log, l1.index_bits)))
+            dri = replace(
                 parameters,
                 miss_bound=draw(st.integers(0, interval)),
-                size_bound=(l1.block_size * l1.associativity) << size_bound_log,
-            ).with_policy(draw(st.sampled_from(sorted(policy_names())))))
+                size_bound=set_bytes << size_bound_log,
+                divisibility=draw(st.sampled_from([2, 4, 8])),
+                throttle=ThrottleConfig(counter_bits=draw(st.integers(1, 3)),
+                                        hold_intervals=draw(st.integers(0, 4))),
+            ).with_policy(draw(st.sampled_from(sorted(policy_names()))))
+            members.append((dri, None if start_log is None else set_bytes << start_log))
     return system, members, source, drain_period
 
 
 class TestLockstepDifferential:
     @given(case=lockstep_cases())
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_every_member_matches_its_scalar_run(self, case):
         """One lockstep pass over the trace leaves every member exactly as
         its own scalar replay does: cycles, L1 and L2 counters (evictions
-        included), interval records, tag planes and LRU ranks.  The
-        drawn drain period also caps the bank's probes per classifier
-        call, so chunks split across calls are drawn too."""
+        included), controller size, interval index and open interval
+        before ``finalize``, interval records, throttle state, tag planes
+        and LRU ranks.  The drawn drain period also caps the bank's probes
+        per classifier call, so chunks split across calls are drawn too."""
         system, parameter_sets, source, drain_period = case
         with mock.patch.multiple(
             "repro.simulation.engine",
             DEFAULT_CHUNK_ACCESSES=drain_period,
             BANK_PROBES_PER_CALL=drain_period,
         ):
-            members = [_member(system, parameters, source) for parameters in parameter_sets]
+            members = [
+                _member(system, parameters, source, start) for parameters, start in parameter_sets
+            ]
             cycles = replay_lockstep(source, members, 0.75, system)
-            for member, member_cycles in zip(members, cycles):
-                scalar = _member(system, member[2], source)
+            for (parameters, start), member, member_cycles in zip(parameter_sets, members, cycles):
+                scalar = _member(system, parameters, source, start)
                 scalar_cycles = replay_scalar(source, *scalar[:2], 0.75, system, dri=scalar[2])
                 assert _outcome(member, member_cycles) == _outcome(scalar, scalar_cycles)
