@@ -233,12 +233,28 @@ class DRIICache(Cache):
         Raises ``ValueError`` if a gated-off set (at or above
         :attr:`current_sets`) holds a valid tag: gating must have wiped
         it, and nothing indexes it until an upsize re-enables it empty.
+        A set-associative cache's rows must also stay recency lists: no
+        valid tag after an invalid frame, and no tag twice.
         """
-        if (self._tag_plane[self.current_sets :] != -1).any():
+        plane = self._tag_plane
+        if (plane[self.current_sets :] != -1).any():
             raise ValueError(
                 f"{self.name}: a gated-off set above the {self.current_sets} active "
                 f"sets holds a valid tag (parameters: {self.parameters})"
             )
+        if self.geometry.associativity > 1:
+            valid = plane != -1
+            ordered = np.sort(plane, axis=1)
+            for defect, frames in (
+                ("a valid tag after an invalid frame", valid[:, 1:] > valid[:, :-1]),
+                ("one tag twice", (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != -1)),
+            ):
+                rows = np.flatnonzero(frames.any(axis=1))
+                if rows.size:
+                    raise ValueError(
+                        f"{self.name}: set {rows[0]} holds {defect} "
+                        f"(parameters: {self.parameters})"
+                    )
         if self._interval_accesses == 0:
             return
         accesses = self._interval_accesses

@@ -7,7 +7,6 @@ from repro.memory.hierarchy import (
     MemoryHierarchy,
     ServiceLevel,
 )
-from repro.memory.replacement import LRUState, ReplacementState
 
 __all__ = [
     "AccessResult",
@@ -17,6 +16,4 @@ __all__ = [
     "MainMemory",
     "MemoryHierarchy",
     "ServiceLevel",
-    "LRUState",
-    "ReplacementState",
 ]

@@ -8,11 +8,16 @@ the CPU model, and energy by :mod:`repro.energy`.
 Design notes
 ------------
 * The tag store is a dense ``(num_sets, associativity)`` int64 **tag
-  plane** (-1 = invalid frame), with a parallel cache-wide LRU state
-  (:mod:`repro.memory.replacement`): one array of recency ranks the
-  shape of the plane.  There are no per-set Python objects, so the
-  batched path can classify and fill whole chunks of accesses without
-  entering the interpreter per address.
+  plane** (-1 = invalid frame) whose rows are LRU recency lists: column
+  0 holds a set's most recently used tag, and invalid frames sit only at
+  the tail.  A hit at depth d moves its tag to column 0 and shifts
+  columns 0..d-1 right by one; a miss shifts every column right, drops
+  the last one (an eviction iff it was valid) and writes column 0.
+  Under LRU, hits, misses and evictions do not depend on which way holds
+  a block, so the row order is all the replacement state there is.
+  There are no per-set Python objects, so the batched path can classify
+  and fill whole chunks of accesses without entering the interpreter per
+  address.
 * :meth:`Cache.access_batch` classifies a chunk vectorised at any
   associativity.  Direct-mapped caches split the work in two: a per-mask
   pass (:func:`_direct_mapped_pass`) sorts the chunk by set once and
@@ -23,9 +28,9 @@ Design notes
   writes back its last probe's tag.  Set-associative caches process the
   chunk in *wavefronts* — the k-th access of every touched set is
   independent of every other set's, so each wavefront is one vectorised
-  probe/fill step over distinct sets.  Sets hammered far more often than
-  the rest of the chunk (a tight loop in one set) fall out of the
-  wavefronts early and are finished by the scalar tail, keeping the
+  compare-and-shift step over distinct sets.  Sets hammered far more
+  often than the rest of the chunk (a tight loop in one set) fall out of
+  the wavefronts early and are finished by the scalar tail, keeping the
   vector width useful.
 * Both paths are bit-identical to calling :meth:`Cache.access` per
   address, including statistics, eviction counts, and final contents.
@@ -54,7 +59,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config.system import CacheGeometry
-from repro.memory.replacement import LRUState
 
 MIN_WAVEFRONT_SETS = 8
 """Below this many still-active sets, a wavefront stops paying for numpy
@@ -199,13 +203,12 @@ class Cache:
         # notes; the direct-mapped pass derives its own from the mask).
         self._set_key_dtype = np.min_scalar_type(self._num_sets - 1)
         self._associativity = geometry.associativity
-        # The dense substrate: one int64 tag per block frame (-1 = invalid)
-        # plus the cache-wide replacement state arrays parallel to it.
+        # The dense substrate: one int64 tag per block frame (-1 = invalid),
+        # each row most recent first.
         self._tag_plane = np.full((self._num_sets, self._associativity), -1, dtype=np.int64)
         # Direct-mapped scalar probes use a flat view of the single column:
         # `item()`/scalar stores on it keep the whole probe in plain ints.
         self._dm_plane = self._tag_plane[:, 0] if self._associativity == 1 else None
-        self._policy = LRUState(self._num_sets, self._associativity)
 
     # ------------------------------------------------------------------
     # Address decomposition
@@ -258,10 +261,10 @@ class Cache:
 
         Direct-mapped caches take a specialised path: one ``item()`` read
         of the flat tag column, a pure-int compare, and a scalar store —
-        no numpy row gather, no list construction, no policy call (with a
-        single way the victim is always way 0 and no policy state can
-        influence it, which is also why the batched direct-mapped
-        classifier never consults the policy).
+        no numpy row gather and no list construction.  A set-associative
+        row is moved as a recency list: a hit moves its tag to the front,
+        a miss drops the last frame (evicting it iff it is valid) and
+        puts the new tag in front.
         """
         if self._dm_plane is not None:
             plane = self._dm_plane
@@ -272,22 +275,17 @@ class Cache:
             return False, (stored if stored >= 0 else None)
         row = self._tag_plane[set_index].tolist()
         try:
-            way = row.index(tag)
+            depth = row.index(tag)
         except ValueError:
-            way = -1
-        if way >= 0:
-            self._policy.touch_one(set_index, way)
-            return True, None
-        # Miss: prefer an empty frame, else ask the policy for a victim.
-        evicted: Optional[int] = None
-        try:
-            victim = row.index(-1)
-        except ValueError:
-            victim = self._policy.victim_one(set_index)
-            evicted = row[victim]
-        self._tag_plane[set_index, victim] = tag
-        self._policy.fill_one(set_index, victim)
-        return False, evicted
+            evicted = row.pop()
+            row.insert(0, tag)
+            self._tag_plane[set_index] = row
+            return False, (evicted if evicted >= 0 else None)
+        if depth:
+            del row[depth]
+            row.insert(0, tag)
+            self._tag_plane[set_index] = row
+        return True, None
 
     def contains(self, address: int) -> bool:
         """True if the block holding ``address`` is resident under the
@@ -369,10 +367,11 @@ class Cache:
         A stable sort by set groups each set's probes in program order.
         The k-th probe of a set depends only on that set's earlier probes
         and state, never on another set's — so wavefront k (the k-th probe
-        of *every* set still active) is one vectorised step: a tag-plane
-        row comparison for hits, an empty-frame/policy-victim selection
-        and fill for misses, and a replacement-state update, all over
-        distinct sets.  When fewer than :data:`MIN_WAVEFRONT_SETS` sets
+        of *every* set still active) is one vectorised step over distinct
+        sets.  The step shifts each row right by one up to the probe's
+        depth (every column for a miss, dropping the last) and writes the
+        probe's tag to column 0: column d moves iff the tag is not among
+        columns 0..d-1.  When fewer than :data:`MIN_WAVEFRONT_SETS` sets
         remain active (a chunk dominated by a few hot sets), the remaining
         probes are finished per set with the scalar reference.
         """
@@ -380,24 +379,21 @@ class Cache:
         if count == 0:
             return np.empty(0, dtype=bool)
         plane = self._tag_plane
-        policy = self._policy
 
         order = np.argsort(set_indices.astype(self._set_key_dtype), kind="stable")
         sorted_sets = set_indices[order]
         sorted_tags = tags[order]
-        sorted_hits = np.empty(count, dtype=bool)
 
-        # A probe repeating its set's previous tag always hits the
-        # most-recent way, and an LRU touch of the MRU way is a no-op —
-        # so duplicate runs are classified up front and drop out of the
-        # wavefronts.
-        duplicate = np.empty(count, dtype=bool)
-        duplicate[0] = False
-        duplicate[1:] = (sorted_sets[1:] == sorted_sets[:-1]) & (
+        # A probe repeating its set's previous tag always hits at depth 0,
+        # where the shift is a no-op — so duplicate runs are classified up
+        # front and drop out of the wavefronts.  Every other probe's
+        # outcome overwrites its entry below.
+        sorted_hits = np.empty(count, dtype=bool)
+        sorted_hits[0] = False
+        sorted_hits[1:] = (sorted_sets[1:] == sorted_sets[:-1]) & (
             sorted_tags[1:] == sorted_tags[:-1]
         )
-        sorted_hits[duplicate] = True
-        kept = np.nonzero(~duplicate)[0]
+        kept = np.flatnonzero(~sorted_hits)
         kept_sets = sorted_sets[kept]
         kept_tags = sorted_tags[kept]
         kept_count = kept.shape[0]
@@ -406,12 +402,14 @@ class Cache:
         # Per-set probe runs of the deduplicated chunk, largest first:
         # ordering the touched sets by descending probe count makes
         # wavefront k's active sets a contiguous prefix of every per-set
-        # array.
-        boundaries = np.empty(kept_count, dtype=bool)
-        boundaries[0] = True
-        boundaries[1:] = kept_sets[1:] != kept_sets[:-1]
-        starts = np.nonzero(boundaries)[0]
-        counts = np.diff(starts, append=kept_count)
+        # array.  One boundary array, closed by a final True, gives each
+        # run's first probe and one past its last.
+        boundaries = np.empty(kept_count + 1, dtype=bool)
+        boundaries[0] = boundaries[kept_count] = True
+        np.not_equal(kept_sets[1:], kept_sets[:-1], out=boundaries[1:kept_count])
+        edges = np.flatnonzero(boundaries)
+        starts = edges[:-1]
+        counts = edges[1:] - starts
         by_count = np.argsort(-counts, kind="stable")
         sets_desc = kept_sets[starts[by_count]]
         starts_desc = starts[by_count]
@@ -424,38 +422,27 @@ class Cache:
         narrow = np.nonzero(actives[1:] < MIN_WAVEFRONT_SETS)[0]
         rounds = int(narrow[0]) + 1 if narrow.size else max_rounds
 
-        # The touched sets' state, gathered once for the whole chunk.
-        tag_work = plane[sets_desc]
-        policy_work = policy.gather(sets_desc)
+        # The touched sets' rows, gathered once for the whole chunk and
+        # transposed: by_depth[d] holds column d of every touched row.
+        by_depth = np.take(plane, sets_desc, axis=0).T.copy()
+        last = self._associativity - 1
         evictions = 0
 
         for round_index in range(rounds):
             active = int(actives[round_index])
             positions = starts_desc[:active] + round_index
             wave_tags = kept_tags[positions]
-            rows = tag_work[:active]
-            hit_matrix = rows == wave_tags[:, None]
-            is_hit = hit_matrix.any(axis=1)
-            kept_hits[positions] = is_hit
-            ways = hit_matrix.argmax(axis=1)
-            miss_rows = np.nonzero(~is_hit)[0]
-            if miss_rows.size:
-                empty_matrix = rows[miss_rows] == -1
-                has_empty = empty_matrix.any(axis=1)
-                victims = empty_matrix.argmax(axis=1)
-                full = np.nonzero(~has_empty)[0]
-                if full.size:
-                    # Only full sets consult the policy, exactly as the
-                    # scalar path does; their victims always hold valid
-                    # blocks, so each one evicts.
-                    victims[full] = policy.victims_block(policy_work, miss_rows[full])
-                    evictions += full.size
-                ways[miss_rows] = victims
-                rows[miss_rows, victims] = wave_tags[miss_rows]
-            policy.update_block(policy_work, active, ways, is_hit)
+            rows = by_depth[:, :active]
+            # not_found[d]: the tag is in none of columns 0..d.
+            not_found = np.logical_and.accumulate(rows != wave_tags, axis=0)
+            misses = not_found[last]
+            kept_hits[positions] = ~misses
+            # A miss drops the last frame, and evicts iff that one is valid.
+            evictions += int(np.count_nonzero(misses & (rows[last] != -1)))
+            rows[1:] = np.where(not_found[:-1], rows[:-1], rows[1:])
+            rows[0] = wave_tags
 
-        plane[sets_desc] = tag_work
-        policy.scatter(sets_desc, policy_work)
+        plane[sets_desc] = by_depth.T
 
         if rounds < max_rounds:
             # Scalar tail: the few sets probed more often than the completed
@@ -492,7 +479,6 @@ class Cache:
         dropped = int(np.count_nonzero(row != -1))
         if dropped:
             row[:] = -1
-            self._policy.reset_one(set_index)
             self.stats.invalidations += dropped
         return dropped
 
@@ -504,7 +490,6 @@ class Cache:
         dropped = int(np.count_nonzero(region != -1))
         if dropped:
             region[...] = -1
-            self._policy.reset_range(start, stop)
             self.stats.invalidations += dropped
         return dropped
 
@@ -517,7 +502,8 @@ class Cache:
         return int(np.count_nonzero(self._tag_plane != -1))
 
     def set_tags(self, set_index: int) -> Tuple[int, ...]:
-        """The valid tags resident in ``set_index`` (way order, no side effects)."""
+        """The valid tags resident in ``set_index``, most recent first (no
+        side effects)."""
         row = self._tag_plane[set_index]
         return tuple(int(tag) for tag in row[row != -1])
 
@@ -530,13 +516,13 @@ class CacheBank(Cache):
     """Same-geometry caches stacked on one tag plane and classified together.
 
     The lockstep engine replays one trace for K caches at once.  The bank
-    allocates one ``(K * sets, ways)`` tag plane and one LRU rank array;
-    member k owns rows ``k * sets`` up to ``(k + 1) * sets``, and its own
-    ``_tag_plane``, ``_dm_plane`` and ``_policy.ranks`` become row-slice
-    views of them, so invalidation and every per-member query keep
-    working unchanged.  Member k indexes with set mask ``mask_k`` and tag
-    shift ``shift_k``: its :meth:`Cache._index_key` when the bank is
-    built, kept in a ``(K, 2)`` array until :meth:`set_masks` changes it.
+    allocates one ``(K * sets, ways)`` tag plane; member k owns rows
+    ``k * sets`` up to ``(k + 1) * sets``, and its own ``_tag_plane`` and
+    ``_dm_plane`` become row-slice views of it, so invalidation and every
+    per-member query keep working unchanged.  Member k indexes with set
+    mask ``mask_k`` and tag shift ``shift_k``: its
+    :meth:`Cache._index_key` when the bank is built, kept in a ``(K, 2)``
+    array until :meth:`set_masks` changes it.
 
     Direct-mapped members that share a set mask share every outcome but
     their first probe of each touched set (see :func:`_direct_mapped_pass`),
@@ -559,20 +545,16 @@ class CacheBank(Cache):
         super().__init__(geometry, name="bank")
         sets, ways = geometry.num_sets, geometry.associativity
         self.members = list(members)
-        # The classifiers read only the plane, the ranks, the sort key
-        # type, the associativity and the member row offsets; the bank
-        # itself is never indexed.
+        # The classifiers read only the plane, the sort key type, the
+        # associativity and the member row offsets; the bank itself is
+        # never indexed.
         self._num_sets = len(members) * sets
         self._set_key_dtype = np.min_scalar_type(self._num_sets - 1)
         self._tag_plane = np.concatenate([member._tag_plane for member in members])
         self._dm_plane = self._tag_plane[:, 0] if ways == 1 else None
-        self._policy = LRUState(self._num_sets, ways)
-        np.concatenate([member._policy.ranks for member in members], out=self._policy.ranks)
         for index, member in enumerate(members):
-            rows = slice(index * sets, (index + 1) * sets)
-            member._tag_plane = self._tag_plane[rows]
+            member._tag_plane = self._tag_plane[index * sets : (index + 1) * sets]
             member._dm_plane = member._tag_plane[:, 0] if ways == 1 else None
-            member._policy.ranks = self._policy.ranks[rows]
         self._offsets = np.arange(len(members), dtype=np.int64)[:, None] * sets
         self._keys = np.array([member._index_key() for member in members], dtype=np.int64)
         self._classes = self._mask_classes() if ways == 1 else None

@@ -41,9 +41,10 @@ killers into retried, reported, isolated events:
   instead of an exception that kills the campaign;
 * an optional ``chunk_timeout`` kills a hung pool and retries the
   timed-out chunk;
-* if the pool keeps dying without making progress (``max_respawns``
-  consecutive deaths), the executor degrades to in-process serial
-  execution so the campaign still completes.
+* if the pool keeps dying without making progress (more than
+  :data:`DEFAULT_MAX_RESPAWNS` consecutive deaths), the executor
+  degrades to in-process serial execution so the campaign still
+  completes.
 
 Every event is counted in a :class:`CampaignHealth` record (retries,
 respawns, timeouts, bisections, task errors, per-chunk wall times) that
@@ -311,9 +312,6 @@ class SweepExecutor:
     backoff:
         Exponential-backoff base in seconds (0 disables the delay —
         tests use that).
-    max_respawns:
-        Consecutive pool deaths without a completed chunk before the
-        executor degrades to in-process serial execution.
     health:
         A :class:`CampaignHealth` to accumulate into (the owning sweep
         passes one record to every executor of the campaign); ``None``
@@ -329,7 +327,6 @@ class SweepExecutor:
         max_retries: int = DEFAULT_MAX_RETRIES,
         chunk_timeout: Optional[float] = None,
         backoff: float = DEFAULT_BACKOFF,
-        max_respawns: int = DEFAULT_MAX_RESPAWNS,
         health: Optional[CampaignHealth] = None,
     ) -> None:
         if jobs < 1:
@@ -345,7 +342,6 @@ class SweepExecutor:
         self.max_retries = max_retries
         self.chunk_timeout = chunk_timeout
         self.backoff = backoff
-        self.max_respawns = max_respawns
         self.health = health if health is not None else CampaignHealth()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._respawn_pending = False
@@ -683,7 +679,7 @@ class SweepExecutor:
     def _register_pool_failure(self) -> None:
         self._respawn_pending = True
         self._consecutive_pool_failures += 1
-        if self._consecutive_pool_failures > self.max_respawns:
+        if self._consecutive_pool_failures > DEFAULT_MAX_RESPAWNS:
             self._degraded = True
             self.health.degraded = True
 

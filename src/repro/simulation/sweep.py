@@ -55,7 +55,6 @@ from repro.energy.comparison import PERFORMANCE_CONSTRAINT, ComparisonResult, co
 from repro.energy.model import EnergyModel
 from repro.simulation.executor import (
     DEFAULT_BACKOFF,
-    DEFAULT_MAX_RESPAWNS,
     DEFAULT_MAX_RETRIES,
     CampaignHealth,
     StoreMap,
@@ -210,12 +209,10 @@ class ParameterSweep:
     chunk:
         Tasks per pool chunk (the ``--chunk`` escape hatch); ``None``
         (the default) lets the executor pick adaptively.
-    max_retries / chunk_timeout / backoff / max_respawns:
+    max_retries / chunk_timeout / backoff:
         The executor's fault-tolerance knobs (DESIGN.md §11): retries
         per chunk before bisection, the optional per-chunk wall-clock
-        deadline in seconds, the exponential-backoff base, and the
-        consecutive-pool-death budget before degrading to in-process
-        serial execution.
+        deadline in seconds, and the exponential-backoff base.
     health:
         An optional :class:`CampaignHealth` record to accumulate into
         (drivers pass one so a multi-sweep experiment reports a single
@@ -236,7 +233,6 @@ class ParameterSweep:
         max_retries: int = DEFAULT_MAX_RETRIES,
         chunk_timeout: Optional[float] = None,
         backoff: float = DEFAULT_BACKOFF,
-        max_respawns: int = DEFAULT_MAX_RESPAWNS,
         health: Optional[CampaignHealth] = None,
     ) -> None:
         self.simulator = simulator if simulator is not None else Simulator()
@@ -247,7 +243,6 @@ class ParameterSweep:
         self.max_retries = max_retries
         self.chunk_timeout = chunk_timeout
         self.backoff = backoff
-        self.max_respawns = max_respawns
         self._health = health if health is not None else CampaignHealth()
         self._executor: Optional[SweepExecutor] = None
         self._conventional_cache: Dict[str, SimulationResult] = {}
@@ -281,7 +276,6 @@ class ParameterSweep:
                 max_retries=self.max_retries,
                 chunk_timeout=self.chunk_timeout,
                 backoff=self.backoff,
-                max_respawns=self.max_respawns,
                 health=self._health,
             )
             self._executor = executor

@@ -192,7 +192,6 @@ class TestWideSetIndexBatch:
         assert batched.stats == reference.stats
         assert reference.stats.evictions > 0
         assert np.array_equal(batched._tag_plane, reference._tag_plane)
-        assert np.array_equal(batched._policy.ranks, reference._policy.ranks)
 
 
 class TestDirectMappedBank:

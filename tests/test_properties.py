@@ -8,7 +8,8 @@ Hypothesis's default 100.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
+from collections import OrderedDict
+from dataclasses import asdict, replace
 from itertools import cycle
 from unittest import mock
 
@@ -24,7 +25,6 @@ from repro.dri.policies import policy_names
 from repro.energy.model import EnergyModel, RunStatistics
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.replacement import LRUState
 from repro.simulation.engine import replay_batched, replay_lockstep, replay_scalar
 from repro.workloads.source import TraceSource
 from repro.workloads.trace import InstructionTrace
@@ -84,19 +84,133 @@ class TestCacheProperties:
 class TestLRUProperties:
     @given(
         associativity_log=st.integers(0, 3),
-        touches=st.lists(st.integers(0, 7), min_size=1, max_size=64),
+        touches=st.lists(st.integers(0, 15), min_size=1, max_size=64),
     )
     @settings(max_examples=50, deadline=None)
     def test_victim_is_always_least_recent(self, associativity_log, touches):
+        """In a one-set cache, a miss in a full set evicts the least
+        recently used tag, and the row lists the tags most recent first."""
         associativity = 1 << associativity_log
-        state = LRUState(num_sets=1, associativity=associativity)
-        recency = list(range(associativity))  # reference: most recent first
+        cache = Cache(geometry_from(5 + associativity_log, associativity))
+        recency = []  # reference: most recent first
         for touch in touches:
-            way = touch % associativity
-            state.touch_one(0, way)
-            recency.remove(way)
-            recency.insert(0, way)
-            assert state.victim_one(0) == recency[-1]
+            result = cache.access(touch * 32)
+            victim = None
+            if touch in recency:
+                recency.remove(touch)
+            elif len(recency) == associativity:
+                victim = recency.pop()
+            recency.insert(0, touch)
+            assert result.evicted_tag == victim
+            assert cache._tag_plane[0].tolist() == recency + [-1] * (associativity - len(recency))
+
+
+# ----------------------------------------------------------------------
+# Set-associative LRU against an independent reference
+# ----------------------------------------------------------------------
+class _ReferenceLRU:
+    """Textbook per-set LRU: one ``OrderedDict`` of resident tags per set,
+    least recent first.  It shares no code with :class:`Cache`."""
+
+    def __init__(self, geometry: CacheGeometry):
+        self.block_size = geometry.block_size
+        self.num_sets = geometry.size_bytes // (geometry.block_size * geometry.associativity)
+        self.ways = geometry.associativity
+        self.sets = [OrderedDict() for _ in range(self.num_sets)]
+        self.counts = dict(accesses=0, hits=0, misses=0, evictions=0, invalidations=0)
+
+    def access(self, address: int) -> bool:
+        block = address // self.block_size
+        index, tag = block % self.num_sets, block // self.num_sets
+        resident = self.sets[index]
+        self.counts["accesses"] += 1
+        if tag in resident:
+            resident.move_to_end(tag)
+            self.counts["hits"] += 1
+            return True
+        self.counts["misses"] += 1
+        if len(resident) == self.ways:
+            resident.popitem(last=False)
+            self.counts["evictions"] += 1
+        resident[tag] = None
+        return False
+
+    def invalidate(self, start: int, stop: int) -> None:
+        for resident in self.sets[start:stop]:
+            self.counts["invalidations"] += len(resident)
+            resident.clear()
+
+    def recency(self, index: int):
+        """Set ``index``'s resident tags, most recent first."""
+        return list(reversed(self.sets[index]))
+
+
+@st.composite
+def lru_streams(draw):
+    """A 2-8-way cache of few sets, a stream that hammers a few hot sets
+    (so chunks run wavefronts over many sets, then the scalar tail on the
+    hot ones), the chunk cuts, and an optional invalidation after each
+    chunk."""
+    ways_log, sets_log = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    geometry = CacheGeometry(
+        size_bytes=32 << (ways_log + sets_log), block_size=32, associativity=1 << ways_log
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = geometry.num_sets
+    length = draw(st.integers(1, 600))
+    hot = rng.integers(0, sets, size=int(rng.integers(1, 4)))
+    hot_share = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    set_indices = np.where(
+        rng.random(length) < hot_share,
+        rng.choice(hot, size=length),
+        rng.integers(0, sets, size=length),
+    )
+    tags = rng.integers(0, draw(st.integers(1, 3 * geometry.associativity)), size=length)
+    offsets = rng.integers(0, 32, size=length)
+    stream = ((tags * sets + set_indices) * 32 + offsets).tolist()
+    cuts = draw(st.lists(st.integers(1, 200), min_size=1, max_size=5))
+    chunks, position = [], 0
+    for take in cycle(cuts):
+        if position >= length:
+            break
+        chunks.append(stream[position : position + take])
+        position += take
+    invalidations = [
+        draw(st.one_of(st.none(), st.tuples(st.integers(0, sets), st.integers(0, sets))))
+        for _ in chunks
+    ]
+    return geometry, chunks, invalidations
+
+
+class TestReferenceLRUDifferential:
+    @given(case=lru_streams())
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_scalar_and_batched_match_an_independent_lru(self, case):
+        """``Cache.access`` per address and ``Cache.access_batch`` per
+        chunk agree with a textbook LRU on every probe's hit, every
+        statistics counter (evictions and invalidations included) and
+        every row's resident tags in recency order."""
+        geometry, chunks, invalidations = case
+        reference, scalar, batched = _ReferenceLRU(geometry), Cache(geometry), Cache(geometry)
+        for chunk, invalidation in zip(chunks, invalidations):
+            expected = [reference.access(address) for address in chunk]
+            assert [scalar.access(address).hit for address in chunk] == expected
+            hits = batched.access_batch(np.array(chunk, dtype=np.uint64))
+            assert hits.tolist() == expected
+            if invalidation is not None:
+                start, stop = sorted(invalidation)
+                reference.invalidate(start, stop)
+                scalar.invalidate_range(start, stop)
+                batched.invalidate_range(start, stop)
+            # Each tag-plane row is its set's recency list, padded with
+            # invalid frames.
+            rows = [
+                recency + [-1] * (reference.ways - len(recency))
+                for recency in map(reference.recency, range(reference.num_sets))
+            ]
+            for cache in (scalar, batched):
+                assert asdict(cache.stats) == reference.counts
+                assert cache._tag_plane.tolist() == rows
 
 
 # ----------------------------------------------------------------------
@@ -345,9 +459,7 @@ def _outcome(member, cycles):
         _counters(hierarchy.l2.stats),
         (hierarchy.l2_accesses, hierarchy.l2_misses, hierarchy.memory.accesses),
         icache._tag_plane.tolist(),
-        icache._policy.ranks.tolist(),
         hierarchy.l2._tag_plane.tolist(),
-        hierarchy.l2._policy.ranks.tolist(),
     )
     if parameters is None:
         return outcome
@@ -377,9 +489,9 @@ class TestEngineDifferential:
     @given(case=engine_cases())
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_scalar_and_batched_agree(self, case):
-        """Counters, every interval record, the throttle, the tag planes,
-        and the LRU ranks agree across the two engines, at a drawn L2
-        drain period."""
+        """Counters, every interval record, the throttle, and the tag
+        planes (each row in recency order) agree across the two engines,
+        at a drawn L2 drain period."""
         system, parameters, source, drain_period = case
         with mock.patch("repro.simulation.engine.DEFAULT_CHUNK_ACCESSES", drain_period):
             scalar = _replay_outcome(replay_scalar, system, parameters, source)
@@ -434,9 +546,10 @@ class TestLockstepDifferential:
         """One lockstep pass over the trace leaves every member exactly as
         its own scalar replay does: cycles, L1 and L2 counters (evictions
         included), controller size, interval index and open interval
-        before ``finalize``, interval records, throttle state, tag planes
-        and LRU ranks.  The drawn drain period also caps the bank's probes
-        per classifier call, so chunks split across calls are drawn too."""
+        before ``finalize``, interval records, throttle state, and tag
+        planes in recency order.  The drawn drain period also caps the
+        bank's probes per classifier call, so chunks split across calls
+        are drawn too."""
         system, parameter_sets, source, drain_period = case
         with mock.patch.multiple(
             "repro.simulation.engine",

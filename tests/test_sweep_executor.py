@@ -477,7 +477,8 @@ class TestSerialDegradation:
                 os._exit(1)
 
         monkeypatch.setattr(executor_module, "_fault_hook", sick_hook)
-        sweep = _fault_sweep(max_retries=1, max_respawns=1)
+        monkeypatch.setattr(executor_module, "DEFAULT_MAX_RESPAWNS", 1)
+        sweep = _fault_sweep(max_retries=1)
         with sweep:
             streamed = {
                 task: result for task, result in sweep.prefetch_iter(pairs)
