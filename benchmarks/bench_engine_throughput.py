@@ -44,20 +44,24 @@ batched DRI replay throughput (the strategy indirection must stay in the
 interval-boundary noise, not the access path) and the policy shootout's
 per-policy suite means.
 
+Every timed row (``replay``, ``generation``, ``lockstep`` and the
+policies' ``replay_overhead``) is the best per-call time over three
+windows of at least ``TIMING_WINDOW_S``, a call repeating inside a window
+until it is filled, so a row of a few milliseconds is averaged over
+hundreds of calls rather than taken from three.
+
 The ``generation`` section streams ``lines`` line fetches of each of li,
 go and gcc (the paper-scale benchmarks) in 125,000-line chunks with no
-replay: ``wall_clock_s`` is the best of three passes over all three
-streams, ``lines_per_s`` counts every benchmark's lines, and
-``peak_python_mib`` is one more pass under ``tracemalloc``.  It has no
-floor.
+replay: ``wall_clock_s`` is one pass over all three streams,
+``lines_per_s`` counts every benchmark's lines, and ``peak_python_mib``
+is one more pass under ``tracemalloc``.  It has no floor.
 
 The ``lockstep`` section replays one benchmark's 16-point Figure 3 grid
 plus its conventional baseline on the batched engine twice: once per run
 (seventeen passes over the trace, each classified alone, which is also
 how the single-run ``replay`` rows run) and in one lockstep pass
-(``Simulator.run_many``).  Each form is timed over windows of at least
-``LOCKSTEP_WINDOW_S``; the two must agree bit for bit, and the ratio is
-reported with no floor.
+(``Simulator.run_many``).  The two must agree bit for bit, and the ratio
+is reported with no floor.
 
 The scalar direct-mapped rows measure the specialised pure-int probe
 (one flat ``item()`` read per access, no numpy row gather); the
@@ -100,7 +104,6 @@ from repro.workloads.spec95 import get_benchmark
 BENCHMARK = "li"
 TRACE_INSTRUCTIONS = 600_000
 SENSE_INTERVAL = 12_500
-REPEATS = 3
 SPEEDUP_FLOOR = 5.0
 """Acceptance floor for the conventional-baseline replay speedups
 (direct-mapped and 4-way alike)."""
@@ -110,19 +113,30 @@ REPLAY_KINDS = ("conventional", "conventional_4way", "dri", "dri_4way")
 conventional and DRI-driven."""
 
 
-def _time_replay(simulator: Simulator, run, repeats: int = REPEATS) -> tuple:
-    """Best-of-``repeats`` wall-clock and the last result of ``run()``."""
-    simulator.resolve_workload(BENCHMARK)  # trace generation out of the timing
+TIMING_WINDOW_S = 0.5
+"""Shortest timed window of every timed row; short calls repeat inside
+it."""
+
+
+def _windowed(run, windows: int = 3) -> tuple:
+    """Best per-call seconds of ``run()`` over ``windows`` timed windows of
+    at least :data:`TIMING_WINDOW_S` each, and its last result."""
     best = float("inf")
     result = None
-    for _ in range(repeats):
+    for _ in range(windows):
+        calls = 0
         start = time.perf_counter()
-        result = run()
-        best = min(best, time.perf_counter() - start)
+        while True:
+            result = run()
+            calls += 1
+            elapsed = time.perf_counter() - start
+            if elapsed >= TIMING_WINDOW_S:
+                break
+        best = min(best, elapsed / calls)
     return best, result
 
 
-def measure_replay(instructions: int, repeats: int = REPEATS) -> Dict[str, Dict[str, float]]:
+def measure_replay(instructions: int) -> Dict[str, Dict[str, float]]:
     """Accesses/second for both engines on every replay kind."""
     parameters = DRIParameters(
         miss_bound=40, size_bound=1024, sense_interval=SENSE_INTERVAL
@@ -137,11 +151,12 @@ def measure_replay(instructions: int, repeats: int = REPEATS) -> Dict[str, Dict[
             simulator = Simulator(
                 system=system, trace_instructions=instructions, engine=engine
             )
+            simulator.resolve_workload(BENCHMARK)  # trace generation out of the timing
             if kind.startswith("conventional"):
                 run = lambda: simulator.run_conventional(BENCHMARK)
             else:
                 run = lambda: simulator.run_dri(BENCHMARK, parameters)
-            seconds, result = _time_replay(simulator, run, repeats)
+            seconds, result = _windowed(run)
             results[(kind, engine)] = result
             row[f"{engine}_accesses_per_s"] = result.l1_accesses / seconds
             row[f"{engine}_wall_clock_s"] = seconds
@@ -212,7 +227,7 @@ GENERATION_LINES = 10_000_000
 GENERATION_CHUNK_LINES = 125_000
 
 
-def measure_generation(lines: int, repeats: int = REPEATS) -> Dict[str, object]:
+def measure_generation(lines: int) -> Dict[str, object]:
     """Streamed generation alone: ``lines`` lines of each benchmark, no replay."""
 
     def generate() -> int:
@@ -223,11 +238,7 @@ def measure_generation(lines: int, repeats: int = REPEATS) -> Dict[str, object]:
                 count += chunk.shape[0]
         return count
 
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        total = generate()
-        best = min(best, time.perf_counter() - start)
+    best, total = _windowed(generate)
     assert total == lines * len(GENERATION_BENCHMARKS)
     tracemalloc.start()
     generate()
@@ -241,29 +252,6 @@ def measure_generation(lines: int, repeats: int = REPEATS) -> Dict[str, object]:
         "wall_clock_s": best,
         "peak_python_mib": peak / 2**20,
     }
-
-
-LOCKSTEP_WINDOW_S = 0.5
-"""Shortest timed window of the lockstep section; short replays repeat
-inside it."""
-
-
-def _windowed(run, windows: int = 3) -> tuple:
-    """Best per-call seconds of ``run()`` over ``windows`` timed windows of
-    at least :data:`LOCKSTEP_WINDOW_S` each, and its last result."""
-    best = float("inf")
-    result = None
-    for _ in range(windows):
-        calls = 0
-        start = time.perf_counter()
-        while True:
-            result = run()
-            calls += 1
-            elapsed = time.perf_counter() - start
-            if elapsed >= LOCKSTEP_WINDOW_S:
-                break
-        best = min(best, elapsed / calls)
-    return best, result
 
 
 def measure_lockstep(instructions: int) -> Dict[str, object]:
@@ -306,7 +294,7 @@ SHOOTOUT_BENCHMARKS = ("compress", "li", "hydro2d", "mgrid")
 two class-1 codes); ``--quick`` cuts to the first two."""
 
 
-def measure_policy_replay(instructions: int, repeats: int = REPEATS) -> Dict[str, Dict[str, float]]:
+def measure_policy_replay(instructions: int) -> Dict[str, Dict[str, float]]:
     """Batched DRI replay throughput per resize policy.
 
     The policy only runs at interval boundaries, so any visible per-policy
@@ -323,9 +311,8 @@ def measure_policy_replay(instructions: int, repeats: int = REPEATS) -> Dict[str
             sense_interval=SENSE_INTERVAL,
         ).with_policy(name)
         simulator = Simulator(trace_instructions=instructions, engine="batched")
-        seconds, result = _time_replay(
-            simulator, lambda: simulator.run_dri(BENCHMARK, parameters), repeats
-        )
+        simulator.resolve_workload(BENCHMARK)  # trace generation out of the timing
+        seconds, result = _windowed(lambda: simulator.run_dri(BENCHMARK, parameters))
         out[name] = {
             "batched_accesses_per_s": result.l1_accesses / seconds,
             "wall_clock_s": seconds,

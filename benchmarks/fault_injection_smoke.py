@@ -56,7 +56,6 @@ def _sweep(**kwargs) -> ParameterSweep:
     return ParameterSweep(
         Simulator(trace_instructions=INSTRUCTIONS, seed=7),
         base_parameters=DRIParameters(sense_interval=SENSE_INTERVAL),
-        backoff=0.0,
         **kwargs,
     )
 
@@ -82,6 +81,7 @@ def main() -> int:
         return 0
 
     pairs = _pairs()
+    executor_module.DEFAULT_BACKOFF = 0.0  # retry at once; the smoke counts retries
     with tempfile.TemporaryDirectory() as scratch:
         _install_hook(os.path.join(scratch, "attempts"))
         sweep = _sweep(jobs=2, chunk=2, max_retries=2)

@@ -28,15 +28,19 @@ The architectural commands accept ``--benchmarks`` (comma-separated
 names), ``--instructions`` (trace length), ``--quick`` (a reduced scale
 for a fast sanity pass), ``--jobs`` (worker processes for the parameter
 sweeps; 0 means all cores, clamped to the task count), ``--chunk``
-(tasks per pool chunk; default adaptive), and ``--engine``
+(tasks per pool chunk; default adaptive), ``--max-retries`` and
+``--chunk-timeout`` (the pool's fault tolerance), and ``--engine``
 (``auto``/``batched``/``scalar`` replay engine; ``auto`` means
-``batched``).  With more
-than one job the figure drivers flatten every (benchmark, grid point)
-pair into one *persistent* worker pool — forked once per command, reused
+``batched``).  Each command builds one sweep from these flags
+(:meth:`~repro.simulation.experiments.ExperimentScale.sweep`; a bad value
+is a usage error before anything is simulated), runs the driver on it,
+closes it, and prints its health ledger to stderr.  With more than one
+job the drivers flatten every (benchmark, grid point) pair into that
+sweep's *persistent* worker pool — forked once per command, reused
 across every grid and sensitivity pass — so the pool stays saturated
-across benchmark boundaries and never pays repeated spin-up.  Output goes to stdout as
-the same text tables the benchmark harness writes under
-``benchmarks/results/``.
+across benchmark boundaries and never pays repeated spin-up.  Output
+goes to stdout as the same text tables the benchmark harness writes
+under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import argparse
 import csv
 import sys
 from contextlib import nullcontext
-from typing import List, Optional, Sequence, TextIO
+from typing import List, NoReturn, Optional, Sequence, TextIO
 
 from repro.analysis.report import (
     format_figure3,
@@ -58,7 +62,7 @@ from repro.config.parameters import DRIParameters, PolicySpec
 from repro.dri.policies import policy_catalog
 from repro.dri.stats import DRIStatistics
 from repro.simulation.engine import ENGINE_KINDS
-from repro.simulation.executor import DEFAULT_MAX_RETRIES, CampaignHealth
+from repro.simulation.executor import DEFAULT_MAX_RETRIES
 from repro.simulation.experiments import (
     DEFAULT_SCALE,
     DEFAULT_SHOOTOUT_POLICIES,
@@ -173,6 +177,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     _add_engine_argument(parser)
+    parser.set_defaults(error=parser.error)
 
 
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
@@ -287,6 +292,14 @@ def _write_trajectory(handle: TextIO, stats: DRIStatistics) -> None:
     writer.writerows(zip(*columns.values()))
 
 
+def _flag_error(args: argparse.Namespace, error: ValueError) -> NoReturn:
+    """Report a ``"<field> <reason>"`` ValueError as a usage error on the
+    flag ``--<field>`` (exit status 2)."""
+    # "size_bound must be ..." -> "argument --size-bound: must be ..."
+    field, _, reason = str(error).partition(" ")
+    args.error(f"argument --{field.replace('_', '-')}: {reason}")
+
+
 def _run_single(args: argparse.Namespace) -> str:
     try:
         policy = PolicySpec.parse(args.policy)
@@ -301,9 +314,7 @@ def _run_single(args: argparse.Namespace) -> str:
             policy=policy,
         )
     except ValueError as error:
-        # "size_bound must be ..." -> "argument --size-bound: must be ..."
-        field, _, reason = str(error).partition(" ")
-        args.error(f"argument --{field.replace('_', '-')}: {reason}")
+        _flag_error(args, error)
     try:
         # Opened before the run, so an unwritable path costs no simulation.
         trajectory = open(args.trajectory, "w", newline="") if args.trajectory else nullcontext()
@@ -317,6 +328,27 @@ def _run_single(args: argparse.Namespace) -> str:
     rows = [[key, f"{value:.4g}" if isinstance(value, float) else str(value)]
             for key, value in summary.items()]
     return format_table(["quantity", "value"], rows)
+
+
+_SENSITIVITY_COMMANDS = {
+    "figure4": (figure4_experiment, "Figure 4: miss-bound at 0.5x / base / 2x"),
+    "figure5": (figure5_experiment, "Figure 5: size-bound at 2x / base / 0.5x"),
+    "figure6": (figure6_experiment, "Figure 6: 64K 4-way / 64K DM / 128K DM"),
+    "interval": (section56_interval_experiment, "Section 5.6: sense-interval length"),
+}
+
+
+def _experiment_table(args: argparse.Namespace, **common) -> str:
+    """Run the command's driver on ``common`` (benchmarks, scale, sweep)
+    and format its table."""
+    if args.command == "figure3":
+        return format_figure3(figure3_experiment(**common))
+    if args.command == "shootout":
+        return format_policy_shootout(
+            policy_shootout(policies=_policies_from_args(args), **common)
+        )
+    driver, title = _SENSITIVITY_COMMANDS[args.command]
+    return format_sensitivity(driver(**common), title=title)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -346,55 +378,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     scale = _scale_from_args(args)
     benchmarks = _benchmarks_from_args(args)
-    health = CampaignHealth()
-    common = dict(
-        benchmarks=benchmarks,
-        scale=scale,
-        jobs=args.jobs,
-        chunk=args.chunk,
-        engine=args.engine,
-        max_retries=args.max_retries,
-        chunk_timeout=args.chunk_timeout,
-        health=health,
-    )
-    if args.command == "figure3":
-        print(format_figure3(figure3_experiment(**common)))
-    elif args.command == "figure4":
-        print(
-            format_sensitivity(
-                figure4_experiment(**common),
-                title="Figure 4: miss-bound at 0.5x / base / 2x",
-            )
+    try:
+        sweep = scale.sweep(
+            engine=args.engine,
+            jobs=args.jobs,
+            chunk=args.chunk,
+            max_retries=args.max_retries,
+            chunk_timeout=args.chunk_timeout,
         )
-    elif args.command == "figure5":
-        print(
-            format_sensitivity(
-                figure5_experiment(**common),
-                title="Figure 5: size-bound at 2x / base / 0.5x",
-            )
-        )
-    elif args.command == "figure6":
-        print(
-            format_sensitivity(
-                figure6_experiment(**common),
-                title="Figure 6: 64K 4-way / 64K DM / 128K DM",
-            )
-        )
-    elif args.command == "interval":
-        print(
-            format_sensitivity(
-                section56_interval_experiment(**common),
-                title="Section 5.6: sense-interval length",
-            )
-        )
-    elif args.command == "shootout":
-        print(
-            format_policy_shootout(
-                policy_shootout(policies=_policies_from_args(args), **common)
-            )
-        )
-    else:  # pragma: no cover - argparse enforces the choices
-        raise SystemExit(f"unknown command {args.command!r}")
+    except ValueError as error:
+        _flag_error(args, error)
+    with sweep:
+        print(_experiment_table(args, benchmarks=benchmarks, scale=scale, sweep=sweep))
+    health = sweep.health
     # The fault-tolerance ledger (retries, respawns, failed tasks,
     # DESIGN.md §11) goes to stderr so table-consuming pipelines on
     # stdout stay clean.

@@ -9,10 +9,9 @@ The DRI i-cache is controlled by four parameters:
 * ``size_bound`` — minimum size, in bytes, the cache may downsize to
   (coarse-grain control that prevents thrashing).
 * ``sense_interval`` — interval length in **dynamic instructions** between
-  resizing decisions.  Instructions are the unit in every drive mode: the
-  DRI i-cache converts to access counts through its
-  ``instructions_per_access`` factor, so auto-interval (cache-driven) and
-  manual (simulator-driven) runs close intervals at the same points.
+  resizing decisions.  The DRI i-cache converts it to an access count
+  through its ``instructions_per_access`` factor, and both replay engines
+  close intervals at that count.
 * ``divisibility`` — factor by which the cache grows/shrinks at each
   resizing step (2 in the paper's base configuration).
 

@@ -16,9 +16,12 @@ Lookups always compare the tag of the *smallest allowed size* (regular
 tag + resizing tag bits), so the surviving blocks remain valid across
 downsizing without any flush or block migration.
 
-The cache counts its accesses and misses per sense interval and consults a
-:class:`~repro.dri.controller.ResizeController` at every boundary; all
-statistics needed by the Section 5.2 energy formulas are accumulated in a
+The cache counts its accesses and misses per sense interval; the replay
+engine (:mod:`repro.simulation.engine`) closes each interval, through
+:meth:`DRIICache.end_interval` and its
+:class:`~repro.dri.controller.ResizeController` or, for a lockstep group,
+one :class:`~repro.dri.controller.ResizeGroup` pass.  All statistics
+needed by the Section 5.2 energy formulas are accumulated in a
 :class:`~repro.dri.stats.DRIStatistics`.
 """
 
@@ -48,18 +51,16 @@ class DRIICache(Cache):
         Adaptivity parameters (miss-bound, size-bound, interval, divisibility).
     name:
         Label for statistics reports.
-    auto_interval:
-        If true (default) the cache evaluates the resize decision by itself
-        whenever the interval's accesses cover ``parameters.sense_interval``
-        *instructions* (each access stands for ``instructions_per_access``
-        instructions); if false the driver must call :meth:`end_interval`
-        explicitly.
     instructions_per_access:
         Dynamic instructions each cache access represents.  The paper
         approximates one access per instruction (the default); trace-driven
         simulation at fetch-line granularity passes the trace's
-        instructions-per-line so the sense interval means *instructions* in
-        both drive modes.
+        instructions-per-line, so the sense interval means *instructions*
+        (:attr:`interval_length_accesses` converts it).
+
+    The cache never closes a sense interval by itself: whoever replays it
+    calls :meth:`end_interval` every :attr:`interval_length_accesses`
+    accesses, as the engines do when given ``dri=`` parameters.
     """
 
     fused_chunk = None
@@ -76,7 +77,6 @@ class DRIICache(Cache):
         parameters: DRIParameters,
         name: str = "DRI-L1I",
         address_bits: int = 32,
-        auto_interval: bool = True,
         instructions_per_access: int = 1,
     ) -> None:
         super().__init__(geometry, name=name)
@@ -86,7 +86,6 @@ class DRIICache(Cache):
         self.mask = SizeMask(geometry, parameters.size_bound, address_bits=address_bits)
         self.controller = ResizeController(parameters, self.mask)
         self.dri_stats = DRIStatistics(full_size_bytes=geometry.size_bytes)
-        self.auto_interval = auto_interval
         self.instructions_per_access = instructions_per_access
         self._interval_length_accesses = max(
             1, parameters.sense_interval // instructions_per_access
@@ -137,40 +136,21 @@ class DRIICache(Cache):
         self._interval_accesses += 1
         if not result.hit:
             self._interval_misses += 1
-        if self.auto_interval and self._interval_accesses >= self._interval_length_accesses:
-            self.end_interval()
         return result
 
     def _access_batch_chunks(self, addresses: np.ndarray) -> np.ndarray:
         """Vectorised lookup under the current size mask and min-size tags.
 
-        Chunks are split internally at sense-interval boundaries (in auto
-        mode) so batched and scalar driving see identical interval counts
-        and resize points; the active set count is re-read after every
-        boundary because a resize may have changed it.  The classification
-        itself is the base cache's (direct-mapped or wavefront
-        set-associative) under :meth:`_index_key`.
+        The classification is the base cache's (direct-mapped or wavefront
+        set-associative) under :meth:`_index_key`; the accesses and misses
+        count into the open sense interval.
         """
-        total = addresses.shape[0]
-        hits = np.empty(total, dtype=bool)
-        position = 0
-        while position < total:
-            if self.auto_interval and self._interval_accesses >= self._interval_length_accesses:
-                self.end_interval()
-            take = total - position
-            if self.auto_interval:
-                take = min(take, self._interval_length_accesses - self._interval_accesses)
-            chunk = addresses[position : position + take]
-            block = (chunk >> np.uint64(self._offset_bits)).astype(np.int64)
-            chunk_hits = self._classify_chunk(block)
-            misses = take - int(np.count_nonzero(chunk_hits))
-            self.dri_stats.record_accesses(take, misses)
-            self._interval_accesses += take
-            self._interval_misses += misses
-            hits[position : position + take] = chunk_hits
-            position += take
-            if self.auto_interval and self._interval_accesses >= self._interval_length_accesses:
-                self.end_interval()
+        hits = super()._access_batch_chunks(addresses)
+        accesses = hits.shape[0]
+        misses = accesses - int(np.count_nonzero(hits))
+        self.dri_stats.record_accesses(accesses, misses)
+        self._interval_accesses += accesses
+        self._interval_misses += misses
         return hits
 
     def _index_key(self) -> Tuple[int, int]:

@@ -313,8 +313,8 @@ class Cache:
         return self._access_batch_chunks(addresses)
 
     def _access_batch_chunks(self, addresses: np.ndarray) -> np.ndarray:
-        """Decompose and classify a validated batch (no interval boundaries
-        to respect in a plain cache; the DRI cache overrides this)."""
+        """Decompose and classify a validated batch (the DRI cache extends
+        this to count into its open sense interval)."""
         return self._classify_chunk((addresses >> np.uint64(self._offset_bits)).astype(np.int64))
 
     def _index_key(self) -> Tuple[int, int]:

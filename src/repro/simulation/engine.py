@@ -115,8 +115,7 @@ def replay_scalar(
     instructions_per_line = source.instructions_per_line
 
     # The interval length is the cache's own conversion of the
-    # instruction-denominated sense_interval, so manual and auto driving
-    # can never disagree.
+    # instruction-denominated sense_interval, which both engines read.
     dri_cache = _driven(icache, dri)
     per_interval = dri_cache.interval_length_accesses if dri_cache is not None else 0
 
@@ -170,21 +169,9 @@ parameters (``None`` for a run without interval decisions)."""
 
 
 def _driven(icache: Cache, dri: Optional[DRIParameters]) -> Optional[DRIICache]:
-    """The DRI cache whose sense intervals the engine drives, if any: a
-    DRI cache replayed with ``dri`` parameters.
-
-    Raises ``ValueError`` if that cache drives its own intervals
-    (``auto_interval=True``): it would close each interval itself, and
-    the engine would then close an empty one.
-    """
-    if dri is None or not isinstance(icache, DRIICache):
-        return None
-    if icache.auto_interval:
-        raise ValueError(
-            f"{icache.name}: the engine drives this DRI cache's sense intervals "
-            "(dri= is given), so it must be built with auto_interval=False"
-        )
-    return icache
+    """The DRI cache whose sense intervals the engine closes, if any: a
+    DRI cache replayed with ``dri`` parameters."""
+    return icache if dri is not None and isinstance(icache, DRIICache) else None
 
 
 def replay_lockstep(
@@ -242,8 +229,6 @@ def replay_lockstep(
     chunk_accesses = lengths.pop() if lengths else DEFAULT_CHUNK_ACCESSES
     bank = group = None
     if len(caches) > 1:
-        if any(isinstance(icache, DRIICache) and icache.auto_interval for icache in caches):
-            raise ValueError("lockstep DRI members must be driven manually (auto_interval=False)")
         bank = CacheBank(caches)
         if driven:
             group = ResizeGroup(

@@ -31,8 +31,8 @@ and one IPC round trip per grid point.  The executor amortizes all three:
 Fault tolerance (DESIGN.md §11) turns worker crashes from campaign
 killers into retried, reported, isolated events:
 
-* a failed chunk is retried with exponential backoff up to
-  ``max_retries`` times;
+* a failed chunk is retried with exponential backoff
+  (:data:`DEFAULT_BACKOFF`) up to ``max_retries`` times;
 * a broken pool (a worker died: OOM kill, segfault, ``os._exit``) is
   never reused — the executor discards it, respawns a fresh one, and
   re-runs every chunk that was in flight;
@@ -114,7 +114,8 @@ degrades to in-process serial execution."""
 
 DEFAULT_BACKOFF = 0.1
 """Base of the exponential retry backoff, in seconds: a chunk's n-th
-retry waits ``backoff * 2**(n-1)`` before resubmission."""
+retry waits ``DEFAULT_BACKOFF * 2**(n-1)`` before resubmission.  Read at
+each retry, so the fault tests and the fault-injection smoke set it to 0."""
 
 # ----------------------------------------------------------------------
 # Worker-process side
@@ -303,15 +304,14 @@ class SweepExecutor:
         (:meth:`chunk_size`).
     max_retries:
         Retries per chunk before bisection (singleton chunks become
-        :class:`TaskError` records instead).
+        :class:`TaskError` records instead).  The owning
+        :class:`~repro.simulation.sweep.ParameterSweep` checks this and
+        ``chunk_timeout`` when it is built.
     chunk_timeout:
         Optional wall-clock deadline per in-flight chunk, in seconds; an
         overdue chunk's pool is killed and the chunk retried.  When set,
         at most ``jobs`` chunks are kept in flight so every deadline
         measures a *running* chunk.
-    backoff:
-        Exponential-backoff base in seconds (0 disables the delay —
-        tests use that).
     health:
         A :class:`CampaignHealth` to accumulate into (the owning sweep
         passes one record to every executor of the campaign); ``None``
@@ -326,22 +326,16 @@ class SweepExecutor:
         chunk: Optional[int] = None,
         max_retries: int = DEFAULT_MAX_RETRIES,
         chunk_timeout: Optional[float] = None,
-        backoff: float = DEFAULT_BACKOFF,
         health: Optional[CampaignHealth] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("SweepExecutor needs at least one worker")
-        if max_retries < 0:
-            raise ValueError("max_retries cannot be negative")
-        if chunk_timeout is not None and chunk_timeout <= 0:
-            raise ValueError("chunk_timeout must be positive (or None)")
         self.system = system
         self.engine = engine
         self.jobs = jobs
         self.chunk = chunk
         self.max_retries = max_retries
         self.chunk_timeout = chunk_timeout
-        self.backoff = backoff
         self.health = health if health is not None else CampaignHealth()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._respawn_pending = False
@@ -695,8 +689,8 @@ class SweepExecutor:
         if job.attempts < self.max_retries:
             job.attempts += 1
             self.health.retries += 1
-            if self.backoff > 0:
-                job.not_before = time.monotonic() + self.backoff * (
+            if DEFAULT_BACKOFF > 0:
+                job.not_before = time.monotonic() + DEFAULT_BACKOFF * (
                     2 ** (job.attempts - 1)
                 )
             queue.append(job)

@@ -38,7 +38,6 @@ from repro.circuit.gated_vdd import table2_summary
 from repro.config.parameters import DRIParameters, PolicySpec
 from repro.config.system import DEFAULT_SYSTEM, SystemConfig
 from repro.energy.model import EnergyModel
-from repro.simulation.executor import DEFAULT_MAX_RETRIES, CampaignHealth
 from repro.simulation.simulator import Simulator
 from repro.simulation.sweep import (
     DEFAULT_MISS_BOUNDS,
@@ -69,6 +68,22 @@ class ExperimentScale:
         """DRI parameters with this scale's sense interval."""
         return DRIParameters(sense_interval=self.sense_interval)
 
+    def sweep(
+        self, system: SystemConfig = DEFAULT_SYSTEM, engine: str = "auto", **settings
+    ) -> ParameterSweep:
+        """A sweep at this scale: a :class:`Simulator` of ``system`` with this
+        trace length and seed on ``engine``, the default energy model, and
+        :meth:`base_parameters`.  ``settings`` (``jobs``, ``chunk``, ...) go
+        to :class:`ParameterSweep` as given; close the sweep if they make
+        it run a pool."""
+        simulator = Simulator(
+            system=system,
+            trace_instructions=self.trace_instructions,
+            seed=self.seed,
+            engine=engine,
+        )
+        return ParameterSweep(simulator, EnergyModel(), self.base_parameters(), **settings)
+
 
 DEFAULT_SCALE = ExperimentScale()
 QUICK_SCALE = ExperimentScale(
@@ -77,34 +92,6 @@ QUICK_SCALE = ExperimentScale(
     miss_bounds=(10, 60, 200),
     size_bounds=(1024, 8192, 65536),
 )
-
-
-def _make_sweep(
-    scale: ExperimentScale,
-    system: SystemConfig = DEFAULT_SYSTEM,
-    jobs: int = 1,
-    chunk: Optional[int] = None,
-    engine: str = "auto",
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    chunk_timeout: Optional[float] = None,
-    health: Optional[CampaignHealth] = None,
-) -> ParameterSweep:
-    simulator = Simulator(
-        system=system,
-        trace_instructions=scale.trace_instructions,
-        seed=scale.seed,
-        engine=engine,
-    )
-    return ParameterSweep(
-        simulator=simulator,
-        energy_model=EnergyModel(),
-        base_parameters=scale.base_parameters(),
-        jobs=jobs,
-        chunk=chunk,
-        max_retries=max_retries,
-        chunk_timeout=chunk_timeout,
-        health=health,
-    )
 
 
 @dataclass
@@ -195,29 +182,18 @@ class Figure3Result:
 def figure3_experiment(
     benchmarks: Optional[Sequence[str]] = None,
     scale: ExperimentScale = DEFAULT_SCALE,
-    system: SystemConfig = DEFAULT_SYSTEM,
     sweep: Optional[ParameterSweep] = None,
-    jobs: int = 1,
-    chunk: Optional[int] = None,
-    engine: str = "auto",
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    chunk_timeout: Optional[float] = None,
-    health: Optional[CampaignHealth] = None,
 ) -> Figure3Result:
-    """Best-case constrained and unconstrained energy-delay per benchmark."""
+    """Best-case constrained and unconstrained energy-delay per benchmark.
+
+    Like every driver here, it runs on ``sweep`` (default: a serial
+    ``scale.sweep()``), which carries the system, engine and executor
+    settings.
+    """
     if benchmarks is None:
         benchmarks = benchmark_names()
     if sweep is None:
-        sweep = _make_sweep(
-            scale,
-            system,
-            jobs=jobs,
-            chunk=chunk,
-            engine=engine,
-            max_retries=max_retries,
-            chunk_timeout=chunk_timeout,
-            health=health,
-        )
+        sweep = scale.sweep()
     # One flat (benchmark, grid point) task list over one pool.
     grids = sweep.grid_many(
         benchmarks, miss_bounds=scale.miss_bounds, size_bounds=scale.size_bounds
@@ -251,29 +227,6 @@ class SensitivityResult:
 
     def row(self, benchmark: str, variation: str) -> BenchmarkRow:
         return self.rows[benchmark][variation]
-
-
-def _base_parameters_for(
-    sweep: ParameterSweep,
-    scale: ExperimentScale,
-    name: str,
-    base_parameters: Optional[Dict[str, DRIParameters]],
-) -> DRIParameters:
-    """The base (Figure 3 constrained) parameters for one benchmark.
-
-    Experiments that vary a single knob all start from the constrained base
-    configuration; callers that already ran the Figure 3 search can pass it
-    in via ``base_parameters`` to avoid repeating the grid search.
-    """
-    if base_parameters is not None and name in base_parameters:
-        return base_parameters[name]
-    found, _ = sweep.best_configuration(
-        name,
-        constrained=True,
-        miss_bounds=scale.miss_bounds,
-        size_bounds=scale.size_bounds,
-    )
-    return found
 
 
 def _base_parameters_many(
@@ -314,30 +267,15 @@ def _base_parameters_many(
 def _sensitivity(
     benchmarks: Sequence[str],
     scale: ExperimentScale,
-    system: SystemConfig,
     variations: Dict[str, float],
     vary: str,
-    sweep: Optional[ParameterSweep] = None,
-    base_parameters: Optional[Dict[str, DRIParameters]] = None,
-    jobs: int = 1,
-    chunk: Optional[int] = None,
-    engine: str = "auto",
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    chunk_timeout: Optional[float] = None,
-    health: Optional[CampaignHealth] = None,
+    sweep: Optional[ParameterSweep],
+    base_parameters: Optional[Dict[str, DRIParameters]],
 ) -> SensitivityResult:
     """Shared driver for Figures 4 and 5."""
     if sweep is None:
-        sweep = _make_sweep(
-            scale,
-            system,
-            jobs=jobs,
-            chunk=chunk,
-            engine=engine,
-            max_retries=max_retries,
-            chunk_timeout=chunk_timeout,
-            health=health,
-        )
+        sweep = scale.sweep()
+    full_size = sweep.simulator.system.l1_icache.size_bytes
     base_map = _base_parameters_many(sweep, scale, benchmarks, base_parameters)
     labelled: List[tuple] = []
     for name in benchmarks:
@@ -347,8 +285,8 @@ def _sensitivity(
                 params = base_params.scaled_miss_bound(factor)
             else:
                 params = base_params.scaled_size_bound(factor)
-                if params.size_bound > system.l1_icache.size_bytes:
-                    params = replace(params, size_bound=system.l1_icache.size_bytes)
+                if params.size_bound > full_size:
+                    params = replace(params, size_bound=full_size)
             labelled.append((name, label, params))
     # All benchmarks' variation points flow through one pool.
     points = sweep.evaluate_many([(name, params) for name, _, params in labelled])
@@ -361,69 +299,27 @@ def _sensitivity(
 def figure4_experiment(
     benchmarks: Optional[Sequence[str]] = None,
     scale: ExperimentScale = DEFAULT_SCALE,
-    system: SystemConfig = DEFAULT_SYSTEM,
     sweep: Optional[ParameterSweep] = None,
     base_parameters: Optional[Dict[str, DRIParameters]] = None,
-    jobs: int = 1,
-    chunk: Optional[int] = None,
-    engine: str = "auto",
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    chunk_timeout: Optional[float] = None,
-    health: Optional[CampaignHealth] = None,
 ) -> SensitivityResult:
     """Vary the miss-bound to 0.5x, 1x, and 2x of the base configuration."""
     if benchmarks is None:
         benchmarks = benchmark_names()
     variations = {"0.5x": 0.5, "base": 1.0, "2x": 2.0}
-    return _sensitivity(
-        benchmarks,
-        scale,
-        system,
-        variations,
-        vary="miss_bound",
-        sweep=sweep,
-        base_parameters=base_parameters,
-        jobs=jobs,
-        chunk=chunk,
-        engine=engine,
-        max_retries=max_retries,
-        chunk_timeout=chunk_timeout,
-        health=health,
-    )
+    return _sensitivity(benchmarks, scale, variations, "miss_bound", sweep, base_parameters)
 
 
 def figure5_experiment(
     benchmarks: Optional[Sequence[str]] = None,
     scale: ExperimentScale = DEFAULT_SCALE,
-    system: SystemConfig = DEFAULT_SYSTEM,
     sweep: Optional[ParameterSweep] = None,
     base_parameters: Optional[Dict[str, DRIParameters]] = None,
-    jobs: int = 1,
-    chunk: Optional[int] = None,
-    engine: str = "auto",
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    chunk_timeout: Optional[float] = None,
-    health: Optional[CampaignHealth] = None,
 ) -> SensitivityResult:
     """Vary the size-bound to 2x, 1x, and 0.5x of the base configuration."""
     if benchmarks is None:
         benchmarks = benchmark_names()
     variations = {"2x": 2.0, "base": 1.0, "0.5x": 0.5}
-    return _sensitivity(
-        benchmarks,
-        scale,
-        system,
-        variations,
-        vary="size_bound",
-        sweep=sweep,
-        base_parameters=base_parameters,
-        jobs=jobs,
-        chunk=chunk,
-        engine=engine,
-        max_retries=max_retries,
-        chunk_timeout=chunk_timeout,
-        health=health,
-    )
+    return _sensitivity(benchmarks, scale, variations, "size_bound", sweep, base_parameters)
 
 
 # ----------------------------------------------------------------------
@@ -432,13 +328,8 @@ def figure5_experiment(
 def figure6_experiment(
     benchmarks: Optional[Sequence[str]] = None,
     scale: ExperimentScale = DEFAULT_SCALE,
+    sweep: Optional[ParameterSweep] = None,
     base_parameters: Optional[Dict[str, DRIParameters]] = None,
-    jobs: int = 1,
-    chunk: Optional[int] = None,
-    engine: str = "auto",
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    chunk_timeout: Optional[float] = None,
-    health: Optional[CampaignHealth] = None,
 ) -> SensitivityResult:
     """Compare 64K 4-way, 64K direct-mapped, and 128K direct-mapped DRI caches.
 
@@ -446,6 +337,13 @@ def figure6_experiment(
     cache of the same size and associativity, the DRI parameters are the
     64K direct-mapped base ones, and the 128K cache uses one extra
     resizing bit so its size-bound matches the 64K cache's.
+
+    ``sweep`` must simulate the 64K direct-mapped L1: the base parameters
+    are searched on it and its column runs on it, so that column's runs
+    are the memoized base points.  The other two columns run on
+    :meth:`~repro.simulation.sweep.ParameterSweep.sibling` sweeps whose
+    energy constants are ``sweep``'s rescaled to their size; each is
+    closed when its column is done.
     """
     if benchmarks is None:
         benchmarks = benchmark_names()
@@ -454,38 +352,25 @@ def figure6_experiment(
         "64K-DM": DEFAULT_SYSTEM.with_icache(64 * 1024, associativity=1),
         "128K-DM": DEFAULT_SYSTEM.with_icache(128 * 1024, associativity=1),
     }
-    base_sweep = _make_sweep(
-        scale,
-        configurations["64K-DM"],
-        jobs=jobs,
-        chunk=chunk,
-        engine=engine,
-        max_retries=max_retries,
-        chunk_timeout=chunk_timeout,
-        health=health,
-    )
-    resolved_parameters = _base_parameters_many(base_sweep, scale, benchmarks, base_parameters)
+    if sweep is None:
+        sweep = scale.sweep(configurations["64K-DM"])
+    elif sweep.simulator.system != configurations["64K-DM"]:
+        raise ValueError(
+            "figure6_experiment runs its 64K-DM column on the given sweep, "
+            "which must simulate the 64K direct-mapped L1"
+        )
+    resolved_parameters = _base_parameters_many(sweep, scale, benchmarks, base_parameters)
+    pairs = [(name, resolved_parameters[name]) for name in benchmarks]
 
     result = SensitivityResult()
     for label, system in configurations.items():
-        sweep = _make_sweep(
-            scale,
-            system,
-            jobs=jobs,
-            chunk=chunk,
-            engine=engine,
-            max_retries=max_retries,
-            chunk_timeout=chunk_timeout,
-            health=health,
-        )
-        scaled_constants = sweep.energy_model.constants.scaled_to_size(
-            system.l1_icache.size_bytes
-        )
-        sweep.energy_model = EnergyModel(constants=scaled_constants)
-        # Each configuration's benchmarks flow through one pool.
-        points = sweep.evaluate_many(
-            [(name, resolved_parameters[name]) for name in benchmarks]
-        )
+        if system == sweep.simulator.system:
+            points = sweep.evaluate_many(pairs)
+        else:
+            constants = sweep.energy_model.constants.scaled_to_size(system.l1_icache.size_bytes)
+            # Each configuration's benchmarks flow through one pool.
+            with sweep.sibling(system, EnergyModel(constants=constants)) as sibling:
+                points = sibling.evaluate_many(pairs)
         for name, point in zip(benchmarks, points):
             result.add(name, label, BenchmarkRow.from_point(point))
     return result
@@ -529,11 +414,11 @@ def static_versus_dynamic_experiment(
     if benchmarks is None:
         benchmarks = benchmark_names()
     if sweep is None:
-        sweep = _make_sweep(scale, DEFAULT_SYSTEM)
+        sweep = scale.sweep()
+    base_map = _base_parameters_many(sweep, scale, benchmarks, base_parameters)
     rows = []
     for name in benchmarks:
-        params = _base_parameters_for(sweep, scale, name, base_parameters)
-        dynamic_point = sweep.evaluate(name, params)
+        dynamic_point = sweep.evaluate(name, base_map[name])
         static_size, static_result = sweep.best_static_size(
             name, sizes=scale.size_bounds, constrained=True
         )
@@ -569,10 +454,11 @@ def throttle_ablation_experiment(
     if benchmarks is None:
         benchmarks = benchmark_names()
     if sweep is None:
-        sweep = _make_sweep(scale, DEFAULT_SYSTEM)
+        sweep = scale.sweep()
+    base_map = _base_parameters_many(sweep, scale, benchmarks, base_parameters)
     result = SensitivityResult()
     for name in benchmarks:
-        params = _base_parameters_for(sweep, scale, name, base_parameters)
+        params = base_map[name]
         with_throttle = params
         without_throttle = replace(
             params, throttle=ThrottleConfig(counter_bits=3, hold_intervals=0)
@@ -593,27 +479,12 @@ def section56_interval_experiment(
     interval_factors: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
     sweep: Optional[ParameterSweep] = None,
     base_parameters: Optional[Dict[str, DRIParameters]] = None,
-    jobs: int = 1,
-    chunk: Optional[int] = None,
-    engine: str = "auto",
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    chunk_timeout: Optional[float] = None,
-    health: Optional[CampaignHealth] = None,
 ) -> SensitivityResult:
     """Vary the sense-interval length around the base configuration."""
     if benchmarks is None:
         benchmarks = benchmark_names()
     if sweep is None:
-        sweep = _make_sweep(
-            scale,
-            DEFAULT_SYSTEM,
-            jobs=jobs,
-            chunk=chunk,
-            engine=engine,
-            max_retries=max_retries,
-            chunk_timeout=chunk_timeout,
-            health=health,
-        )
+        sweep = scale.sweep()
     base_map = _base_parameters_many(sweep, scale, benchmarks, base_parameters)
     labelled = []
     for name in benchmarks:
@@ -705,15 +576,8 @@ def policy_shootout(
     policies: Optional[Sequence[Union[str, PolicySpec]]] = None,
     benchmarks: Optional[Sequence[str]] = None,
     scale: ExperimentScale = DEFAULT_SCALE,
-    system: SystemConfig = DEFAULT_SYSTEM,
     sweep: Optional[ParameterSweep] = None,
     base_parameters: Optional[Dict[str, DRIParameters]] = None,
-    jobs: int = 1,
-    chunk: Optional[int] = None,
-    engine: str = "auto",
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    chunk_timeout: Optional[float] = None,
-    health: Optional[CampaignHealth] = None,
 ) -> PolicyShootoutResult:
     """Run the resize-policy zoo head-to-head over the Figure 3 suite.
 
@@ -735,16 +599,7 @@ def policy_shootout(
     if benchmarks is None:
         benchmarks = benchmark_names()
     if sweep is None:
-        sweep = _make_sweep(
-            scale,
-            system,
-            jobs=jobs,
-            chunk=chunk,
-            engine=engine,
-            max_retries=max_retries,
-            chunk_timeout=chunk_timeout,
-            health=health,
-        )
+        sweep = scale.sweep()
     base_map = _base_parameters_many(sweep, scale, benchmarks, base_parameters)
     labelled: List[tuple] = []
     for name in benchmarks:
@@ -763,18 +618,17 @@ def section56_divisibility_experiment(
     divisibilities: Sequence[int] = (2, 4, 8),
     sweep: Optional[ParameterSweep] = None,
     base_parameters: Optional[Dict[str, DRIParameters]] = None,
-    engine: str = "auto",
 ) -> SensitivityResult:
     """Vary the divisibility (resizing granularity) around the base configuration."""
     if benchmarks is None:
         benchmarks = benchmark_names()
     if sweep is None:
-        sweep = _make_sweep(scale, DEFAULT_SYSTEM, engine=engine)
+        sweep = scale.sweep()
+    base_map = _base_parameters_many(sweep, scale, benchmarks, base_parameters)
     result = SensitivityResult()
     for name in benchmarks:
-        base_params = _base_parameters_for(sweep, scale, name, base_parameters)
         for divisibility in divisibilities:
-            params = base_params.with_divisibility(divisibility)
+            params = base_map[name].with_divisibility(divisibility)
             point = sweep.evaluate(name, params)
             result.add(name, f"div{divisibility}", BenchmarkRow.from_point(point))
     return result

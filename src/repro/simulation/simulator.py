@@ -217,7 +217,7 @@ class Simulator:
     # Members and results
     # ------------------------------------------------------------------
     def _member(self, trace: TraceLike, parameters: Optional[DRIParameters]) -> Member:
-        """A run's fresh L1 (conventional or manually driven DRI) and L2/memory."""
+        """A run's fresh L1 (conventional or DRI) and L2/memory."""
         if parameters is None:
             icache: Cache = Cache(self.system.l1_icache, name="L1I")
         else:
@@ -225,7 +225,6 @@ class Simulator:
                 self.system.l1_icache,
                 parameters,
                 address_bits=self.system.address_bits,
-                auto_interval=False,
                 instructions_per_access=trace.instructions_per_line,
             )
         return icache, MemoryHierarchy(self.system), parameters

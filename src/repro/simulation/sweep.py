@@ -54,7 +54,6 @@ from repro.config.system import CacheGeometry, SystemConfig
 from repro.energy.comparison import PERFORMANCE_CONSTRAINT, ComparisonResult, compare_runs
 from repro.energy.model import EnergyModel
 from repro.simulation.executor import (
-    DEFAULT_BACKOFF,
     DEFAULT_MAX_RETRIES,
     CampaignHealth,
     StoreMap,
@@ -209,14 +208,15 @@ class ParameterSweep:
     chunk:
         Tasks per pool chunk (the ``--chunk`` escape hatch); ``None``
         (the default) lets the executor pick adaptively.
-    max_retries / chunk_timeout / backoff:
+    max_retries / chunk_timeout:
         The executor's fault-tolerance knobs (DESIGN.md §11): retries
-        per chunk before bisection, the optional per-chunk wall-clock
-        deadline in seconds, and the exponential-backoff base.
-    health:
-        An optional :class:`CampaignHealth` record to accumulate into
-        (drivers pass one so a multi-sweep experiment reports a single
-        ledger); ``None`` makes a private one, exposed as :attr:`health`.
+        per chunk before bisection (at least 0), and the optional
+        per-chunk wall-clock deadline in seconds (positive).  Both are
+        checked here, whatever ``jobs`` is, so a bad value fails before
+        anything is simulated.
+
+    The sweep's :class:`CampaignHealth` ledger is :attr:`health`;
+    :meth:`sibling` sweeps add to their parent's.
 
     A parallel sweep keeps one warm :class:`SweepExecutor` across calls;
     :meth:`close` (or using the sweep as a context manager) shuts its
@@ -232,9 +232,11 @@ class ParameterSweep:
         chunk: Optional[int] = None,
         max_retries: int = DEFAULT_MAX_RETRIES,
         chunk_timeout: Optional[float] = None,
-        backoff: float = DEFAULT_BACKOFF,
-        health: Optional[CampaignHealth] = None,
     ) -> None:
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be at least 0, got {max_retries}")
+        if chunk_timeout is not None and chunk_timeout <= 0:
+            raise ValueError(f"chunk_timeout must be positive, got {chunk_timeout}")
         self.simulator = simulator if simulator is not None else Simulator()
         self.energy_model = energy_model if energy_model is not None else EnergyModel()
         self.base_parameters = base_parameters
@@ -242,8 +244,7 @@ class ParameterSweep:
         self.chunk = chunk
         self.max_retries = max_retries
         self.chunk_timeout = chunk_timeout
-        self.backoff = backoff
-        self._health = health if health is not None else CampaignHealth()
+        self._health = CampaignHealth()
         self._executor: Optional[SweepExecutor] = None
         self._conventional_cache: Dict[str, SimulationResult] = {}
         self._dri_cache: Dict[
@@ -275,11 +276,31 @@ class ParameterSweep:
                 chunk=self.chunk,
                 max_retries=self.max_retries,
                 chunk_timeout=self.chunk_timeout,
-                backoff=self.backoff,
                 health=self._health,
             )
             self._executor = executor
         return executor
+
+    def sibling(self, system: SystemConfig, energy_model: EnergyModel) -> "ParameterSweep":
+        """A new sweep like this one, on ``system`` with ``energy_model``.
+
+        It replays traces of the same length and seed on the same engine,
+        starts from the same base parameters, runs with the same executor
+        settings and adds to this sweep's :attr:`health`.  Its memo,
+        traces, stores and pool are its own: close it when done.
+        """
+        simulator = self.simulator
+        sibling = ParameterSweep(
+            Simulator(system, simulator.trace_instructions, simulator.seed, simulator.engine),
+            energy_model,
+            self.base_parameters,
+            jobs=self.jobs,
+            chunk=self.chunk,
+            max_retries=self.max_retries,
+            chunk_timeout=self.chunk_timeout,
+        )
+        sibling._health = self._health
+        return sibling
 
     @property
     def health(self) -> CampaignHealth:

@@ -211,7 +211,7 @@ class TestDirectMappedBank:
         valid block) or an empty frame."""
         members = [Cache(self.GEOMETRY)]
         for size_bound, size in self.DRI_SIZES:
-            dri = DRIICache(self.GEOMETRY, DRIParameters(size_bound=size_bound), auto_interval=False)
+            dri = DRIICache(self.GEOMETRY, DRIParameters(size_bound=size_bound))
             dri.controller.force_size(size)
             members.append(dri)
         rng = np.random.default_rng(15)

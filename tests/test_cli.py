@@ -10,6 +10,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.config.parameters import DRIParameters
 from repro.simulation.simulator import Simulator
+from repro.simulation.sweep import ParameterSweep
 
 
 class TestParser:
@@ -139,6 +140,22 @@ class TestCommands:
         assert "compress" in output
         assert "Mean energy-delay reduction" in output
 
+    def test_figure6_closes_every_sweep_it_builds(self, capsys):
+        """The command's sweep and Figure 6's two siblings each run a pool
+        and spill stores at ``--jobs 2``, and all three are closed; the
+        64K-DM column costs no task (10 grid tasks plus 2 per sibling)."""
+        argv = ["figure6", "--benchmarks", "compress", "--quick", "--instructions", "60000",
+                "--jobs", "2"]
+        with mock.patch.object(
+            ParameterSweep, "__init__", autospec=True, side_effect=ParameterSweep.__init__
+        ) as built:
+            assert main(argv) == 0
+        sweeps = [call.args[0] for call in built.call_args_list]
+        assert len(sweeps) == 3
+        for sweep in sweeps:
+            assert sweep._executor is None and sweep._store_dir is None
+        assert "campaign health: 14 tasks ok" in capsys.readouterr().err
+
     def test_unknown_benchmark_exits_with_message(self):
         with pytest.raises(SystemExit):
             main(["figure3", "--benchmarks", "nosuchbench", "--quick"])
@@ -153,15 +170,21 @@ class TestCommands:
             (["run", "li", "--miss-bound", "-1"], "--miss-bound"),
             (["run", "li", "--instructions", "20000", "--trajectory", "/nonexistent/t.csv"],
              "--trajectory"),
+            (["figure3", "--quick", "--max-retries", "-1"], "--max-retries"),
+            (["figure3", "--quick", "--max-retries", "-1", "--jobs", "2"], "--max-retries"),
+            (["figure3", "--quick", "--chunk-timeout", "0"], "--chunk-timeout"),
+            (["figure3", "--quick", "--chunk-timeout", "0", "--jobs", "2"], "--chunk-timeout"),
         ],
         ids=["run-instructions", "figure3-instructions", "size-bound", "sense-interval", "miss-bound",
-             "trajectory"],
+             "trajectory", "max-retries-jobs1", "max-retries-jobs2", "chunk-timeout-jobs1",
+             "chunk-timeout-jobs2"],
     )
     def test_bad_numeric_flag_exits_with_usage_error(self, argv, flag, capsys):
         # A usage error (status 2) naming the flag, not a ValueError
         # traceback, and raised before anything is simulated.
         simulated = AssertionError("simulated before the usage error")
-        with mock.patch("repro.cli.ParameterSweep.evaluate", side_effect=simulated):
+        with mock.patch("repro.cli.ParameterSweep.evaluate", side_effect=simulated), \
+                mock.patch("repro.cli.ParameterSweep.prefetch_iter", side_effect=simulated):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
         assert excinfo.value.code == 2

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.config.parameters import DRIParameters
-from repro.config.system import CacheGeometry
+from repro.config.system import CacheGeometry, SystemConfig
 from repro.dri.dri_cache import DRIICache
 from repro.dri.throttle import ResizeDecision
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.simulation.engine import replay
+from repro.workloads.trace import InstructionTrace
 
 
 def make_cache(
@@ -16,13 +20,12 @@ def make_cache(
     miss_bound: int = 50,
     sense_interval: int = 256,
     associativity: int = 1,
-    auto_interval: bool = False,
 ) -> DRIICache:
     geometry = CacheGeometry(size_bytes=size_bytes, block_size=32, associativity=associativity)
     parameters = DRIParameters(
         miss_bound=miss_bound, size_bound=size_bound, sense_interval=sense_interval
     )
-    return DRIICache(geometry, parameters, auto_interval=auto_interval)
+    return DRIICache(geometry, parameters)
 
 
 class TestBasics:
@@ -120,13 +123,33 @@ class TestUpsizing:
 
 
 class TestIntervals:
-    def test_auto_interval_mode_resizes_by_itself(self):
-        cache = make_cache(sense_interval=64, miss_bound=50, auto_interval=True)
+    def test_accesses_never_close_an_interval(self):
+        """Only the replay loop closes sense intervals: a whole interval's
+        worth of accesses, one by one or batched, leaves it open."""
+        cache = make_cache(sense_interval=64, miss_bound=50)
         for index in range(64):
             cache.access((index % 4) * 32)
-        # After 64 accesses with almost no misses the cache downsized.
-        assert cache.current_size_bytes < 8 * 1024
-        assert len(cache.dri_stats.intervals) == 1
+        cache.access_batch(np.arange(4, dtype=np.uint64) * 32)
+        assert cache.current_size_bytes == 8 * 1024
+        assert cache.dri_stats.intervals == []
+        assert cache._open_interval() == (68, 4)
+
+    def test_engine_closes_each_sense_interval(self):
+        """Replayed with ``dri=`` parameters, the engine closes an interval
+        every ``interval_length_accesses`` accesses: after 64 accesses
+        with almost no misses the cache has downsized once."""
+        parameters = make_cache(sense_interval=64).parameters
+        system = SystemConfig(l1_icache=CacheGeometry(size_bytes=8 * 1024, block_size=32))
+        trace = InstructionTrace(
+            name="loop", line_addresses=(np.arange(64, dtype=np.uint64) % 4) * 32,
+            instructions_per_line=1,
+        )
+        for engine in ("scalar", "batched"):
+            cache = make_cache(sense_interval=64, miss_bound=50)
+            replay(trace, cache, MemoryHierarchy(system), 1.0, system, dri=parameters,
+                   engine=engine)
+            assert cache.current_size_bytes == 4 * 1024, engine
+            assert len(cache.dri_stats.intervals) == 1, engine
 
     def test_manual_interval_instruction_count(self):
         cache = make_cache()

@@ -32,6 +32,7 @@ from repro.workloads.generator import generate_trace
 from repro.workloads.phases import BenchmarkClass, LoopSpec, PhaseSpec, WorkloadSpec
 from repro.workloads.source import TraceSource
 from repro.workloads.spec95 import get_benchmark
+from repro.workloads.trace import InstructionTrace
 
 INSTRUCTIONS = 80_000
 SEED = 7
@@ -180,10 +181,11 @@ class TestDRIEquivalence:
         assert a.dri_stats.size_trajectory() == b.dri_stats.size_trajectory()
         assert _interval_tuples(a.dri_stats) == _interval_tuples(b.dri_stats)
 
-    def test_auto_interval_cache_without_dri_parameters_matches_across_engines(self):
-        """Regression: replay with a self-driving (auto-interval) DRI cache and
-        dri=None must defer to the cache's own interval machinery in both
-        engines — the scalar loop used to fire end_interval on every access."""
+    def test_dri_cache_without_dri_parameters_matches_across_engines(self):
+        """Regression: replay of a DRI cache with dri=None takes no interval
+        decisions in either engine — the scalar loop used to fire
+        end_interval on every access.  Every access stays in one open
+        interval, which ``finalize`` records at full size."""
         trace = generate_trace(
             get_benchmark("hydro2d"), total_instructions=40_000, seed=SEED
         )
@@ -194,21 +196,21 @@ class TestDRIEquivalence:
             icache = DRIICache(
                 system.l1_icache,
                 parameters,
-                auto_interval=True,
                 instructions_per_access=trace.instructions_per_line,
             )
             cycles = replay(
                 trace, icache, MemoryHierarchy(system), 0.75, system, dri=None, engine=engine
             )
+            assert icache.dri_stats.intervals == [], engine
+            icache.finalize()
             results[engine] = (
                 cycles,
                 icache.stats.misses,
-                icache.dri_stats.size_trajectory(),
-                len(icache.dri_stats.intervals),
+                _interval_tuples(icache.dri_stats),
             )
         assert results["scalar"] == results["batched"]
-        # The cache drove its own intervals: one per 5000 instructions.
-        assert results["scalar"][3] == 40_000 // 5_000 - 1 or results["scalar"][3] == 40_000 // 5_000
+        (interval,) = results["scalar"][2]
+        assert interval[2:] == (len(trace), results["scalar"][1], 65536, 65536, "none")
 
     @pytest.mark.parametrize("policy", sorted(policy_names()))
     def test_every_policy_runs_identical_across_engines(self, policy):
@@ -267,7 +269,6 @@ class TestDRIEquivalence:
             system.l1_icache,
             parameters,
             address_bits=system.address_bits,
-            auto_interval=False,
             instructions_per_access=trace.instructions_per_line,
         )
         replay_batched(trace, icache, MemoryHierarchy(system), 0.75, system, dri=parameters)
@@ -296,7 +297,6 @@ class TestDRIEquivalence:
                 system.l1_icache,
                 parameters,
                 address_bits=system.address_bits,
-                auto_interval=False,
                 instructions_per_access=trace.instructions_per_line,
             )
             members.append((icache, MemoryHierarchy(system), parameters))
@@ -310,35 +310,6 @@ class TestDRIEquivalence:
             icache.finalize()
             assert icache.end_interval_calls == 0
             assert len(icache.dri_stats.intervals) == closed + 1
-
-    @pytest.mark.parametrize("engine", ["scalar", "batched"])
-    def test_engine_refuses_to_drive_a_self_driving_cache(self, engine):
-        """A DRI cache that closes its own intervals (``auto_interval=True``)
-        replayed with ``dri=`` parameters would have every interval closed
-        twice, the second time empty, and each empty interval is a downsize
-        decision.  Both engines refuse it before replaying anything, for one
-        run as for many."""
-        trace = generate_trace(get_benchmark("li"), total_instructions=80_000, seed=SEED)
-        parameters = DRIParameters(miss_bound=20, size_bound=1024, sense_interval=4_000)
-        system = SystemConfig()
-
-        def self_driving():
-            return DRIICache(
-                system.l1_icache,
-                parameters,
-                auto_interval=True,
-                instructions_per_access=trace.instructions_per_line,
-            )
-
-        icache = self_driving()
-        with pytest.raises(ValueError, match="auto_interval=False"):
-            replay(
-                trace, icache, MemoryHierarchy(system), 0.75, system, dri=parameters, engine=engine
-            )
-        assert icache.stats.accesses == 0
-        members = [(self_driving(), MemoryHierarchy(system), parameters)] * 2
-        with pytest.raises(ValueError, match="auto_interval=False"):
-            replay_lockstep(trace, members, 0.75, system)
 
     def test_lockstep_members_forced_off_their_ladder_match_scalar(self):
         """A size forced between two rungs (1K to 64K by 4: 2K and 32K are
@@ -357,7 +328,6 @@ class TestDRIEquivalence:
                 system.l1_icache,
                 parameters,
                 address_bits=system.address_bits,
-                auto_interval=False,
                 instructions_per_access=trace.instructions_per_line,
             )
             icache.controller.force_size(size)
@@ -481,17 +451,27 @@ class TestAccessBatch:
         assert _cache_stats_tuple(mixed.stats) == _cache_stats_tuple(reference.stats)
         assert np.array_equal(mixed._tag_plane, reference._tag_plane)
 
-    def test_batch_on_auto_interval_dri_cache_matches_scalar(self):
-        """Auto-interval DRI caches split batches at interval boundaries."""
+    def test_batch_on_dri_cache_matches_scalar(self):
+        """A DRI cache's ``access_batch`` over each sense interval equals its
+        ``access`` loop, with the intervals closed at the same points."""
         rng = np.random.default_rng(19)
         addresses = self._random_addresses(rng, count=2_500, span=2**18)
         geometry = CacheGeometry(size_bytes=8 * 1024, block_size=32, associativity=1)
         parameters = DRIParameters(miss_bound=20, size_bound=1024, sense_interval=300)
-        scalar_cache = DRIICache(geometry, parameters, auto_interval=True)
-        for address in addresses.tolist():
-            scalar_cache.access(address)
-        batched_cache = DRIICache(geometry, parameters, auto_interval=True)
-        batched_cache.access_batch(addresses)
+        scalar_cache = DRIICache(geometry, parameters)
+        batched_cache = DRIICache(geometry, parameters)
+        # 2,500 accesses: eight 300-access intervals and a 100-access tail.
+        for start in range(0, len(addresses), 300):
+            interval = addresses[start : start + 300]
+            for address in interval.tolist():
+                scalar_cache.access(address)
+            batched_cache.access_batch(interval)
+            for cache in (scalar_cache, batched_cache):
+                if len(interval) == 300:
+                    cache.end_interval()
+                else:
+                    cache.finalize()
+        assert len(scalar_cache.dri_stats.intervals) == 9
         assert _cache_stats_tuple(batched_cache.stats) == _cache_stats_tuple(scalar_cache.stats)
         assert (
             batched_cache.dri_stats.size_trajectory()
@@ -611,10 +591,10 @@ class TestSetAssociativeEquivalence:
 
 
 class TestSenseIntervalUnits:
-    """Regression: the sense interval means *instructions* in every drive mode."""
+    """Regression: the sense interval means *instructions*, whoever closes it."""
 
     def test_auto_and_manual_driving_agree(self):
-        """Auto-interval driving matches the simulator's manual driving."""
+        """The engines close intervals where a hand-written loop does."""
         trace = generate_trace(
             get_benchmark("hydro2d"), total_instructions=INSTRUCTIONS, seed=SEED
         )
@@ -624,7 +604,6 @@ class TestSenseIntervalUnits:
         manual = DRIICache(
             CacheGeometry(size_bytes=64 * 1024, associativity=1),
             parameters,
-            auto_interval=False,
             instructions_per_access=per_line,
         )
         interval_accesses = parameters.sense_interval // per_line
@@ -635,40 +614,43 @@ class TestSenseIntervalUnits:
             if since >= interval_accesses:
                 manual.end_interval(instructions=since * per_line)
                 since = 0
-        auto = DRIICache(
-            CacheGeometry(size_bytes=64 * 1024, associativity=1),
-            parameters,
-            auto_interval=True,
-            instructions_per_access=per_line,
-        )
-        for address in trace.addresses():
-            auto.access(address)
-        assert auto.dri_stats.size_trajectory() == manual.dri_stats.size_trajectory()
-        assert _interval_tuples(auto.dri_stats) == _interval_tuples(manual.dri_stats)
+        assert len(manual.dri_stats.intervals) == 16
+        system = SystemConfig()
+        for engine in ("scalar", "batched"):
+            driven = DRIICache(
+                system.l1_icache,
+                parameters,
+                instructions_per_access=per_line,
+            )
+            replay(trace, driven, MemoryHierarchy(system), 0.75, system, dri=parameters,
+                   engine=engine)
+            assert driven.dri_stats.size_trajectory() == manual.dri_stats.size_trajectory()
+            assert _interval_tuples(driven.dri_stats) == _interval_tuples(manual.dri_stats)
 
     def test_interval_length_is_in_instructions(self):
         """With 8 instructions per access, an 800-instruction interval closes
         after 100 accesses — not after 800 accesses as the pre-fix accounting
         (an 8x discrepancy between drive modes) would have it."""
         parameters = DRIParameters(miss_bound=10_000, size_bound=1024, sense_interval=800)
-        cache = DRIICache(
-            CacheGeometry(size_bytes=8 * 1024, associativity=1),
-            parameters,
-            auto_interval=True,
-            instructions_per_access=8,
+        system = SystemConfig(l1_icache=CacheGeometry(size_bytes=8 * 1024, associativity=1))
+        trace = InstructionTrace(
+            name="lines", line_addresses=np.arange(100, dtype=np.uint64) * 32,
+            instructions_per_line=8,
         )
-        for index in range(100):
-            cache.access(index * 32)
-        assert len(cache.dri_stats.intervals) == 1
-        assert cache.dri_stats.intervals[0].accesses == 100
-        assert cache.dri_stats.intervals[0].instructions == 800
+        for engine in ("scalar", "batched"):
+            cache = DRIICache(system.l1_icache, parameters, instructions_per_access=8)
+            assert cache.interval_length_accesses == 100
+            replay(trace, cache, MemoryHierarchy(system), 0.75, system, dri=parameters,
+                   engine=engine)
+            assert len(cache.dri_stats.intervals) == 1, engine
+            assert cache.dri_stats.intervals[0].accesses == 100
+            assert cache.dri_stats.intervals[0].instructions == 800
 
     def test_finalize_scales_instructions_by_access_width(self):
         parameters = DRIParameters(miss_bound=10, size_bound=1024, sense_interval=8_000)
         cache = DRIICache(
             CacheGeometry(size_bytes=8 * 1024, associativity=1),
             parameters,
-            auto_interval=False,
             instructions_per_access=8,
         )
         for index in range(5):
@@ -815,7 +797,6 @@ class TestDeferredL2Drain:
                 system.l1_icache,
                 parameters,
                 address_bits=system.address_bits,
-                auto_interval=False,
                 instructions_per_access=trace.instructions_per_line,
             )
 

@@ -2,19 +2,29 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+from repro.config.system import DEFAULT_SYSTEM
+from repro.energy.model import EnergyModel
+from repro.simulation.executor import SweepExecutor
 from repro.simulation.experiments import (
+    BenchmarkRow,
     ExperimentScale,
     figure3_experiment,
     figure4_experiment,
     figure5_experiment,
     figure6_experiment,
+    policy_shootout,
     section521_ratios,
     section56_divisibility_experiment,
     section56_interval_experiment,
+    static_versus_dynamic_experiment,
     table2_experiment,
+    throttle_ablation_experiment,
 )
+from repro.simulation.sweep import ParameterSweep
 
 TINY_SCALE = ExperimentScale(
     trace_instructions=80_000,
@@ -131,3 +141,86 @@ class TestFigure6:
         small = result.row("compress", "64K-DM").relative_energy_delay
         large = result.row("compress", "128K-DM").relative_energy_delay
         assert large <= small + 0.05
+
+
+def _spy_on_new_sweeps():
+    """Patch ``ParameterSweep.__init__`` to record every sweep built."""
+    return mock.patch.object(
+        ParameterSweep, "__init__", autospec=True, side_effect=ParameterSweep.__init__
+    )
+
+
+DRIVERS = {
+    "figure3": lambda sweep: figure3_experiment(("compress",), TINY_SCALE, sweep=sweep),
+    "figure4": lambda sweep: figure4_experiment(("compress",), TINY_SCALE, sweep=sweep),
+    "figure5": lambda sweep: figure5_experiment(("compress",), TINY_SCALE, sweep=sweep),
+    "figure6": lambda sweep: figure6_experiment(("compress",), TINY_SCALE, sweep=sweep),
+    "interval": lambda sweep: section56_interval_experiment(
+        ("compress",), TINY_SCALE, interval_factors=(1.0, 2.0), sweep=sweep
+    ),
+    "divisibility": lambda sweep: section56_divisibility_experiment(
+        ("compress",), TINY_SCALE, divisibilities=(2, 4), sweep=sweep
+    ),
+    "shootout": lambda sweep: policy_shootout(
+        ("miss-bound", "pid"), ("compress",), TINY_SCALE, sweep=sweep
+    ),
+    "static-vs-dynamic": lambda sweep: static_versus_dynamic_experiment(
+        ("compress",), TINY_SCALE, sweep=sweep
+    ),
+    "throttle": lambda sweep: throttle_ablation_experiment(
+        ("compress",), TINY_SCALE, sweep=sweep
+    ),
+}
+
+
+class TestDriversTakeTheirSweep:
+    @pytest.fixture(scope="class")
+    def shared(self):
+        return TINY_SCALE.sweep()
+
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_a_driver_given_a_sweep_builds_no_other(self, name, shared):
+        """Only Figure 6 builds sweeps of its own: its 64K 4-way and 128K
+        direct-mapped siblings."""
+        with _spy_on_new_sweeps() as built:
+            DRIVERS[name](shared)
+        assert built.call_count == (2 if name == "figure6" else 0)
+
+    def test_figure6_takes_its_64k_dm_column_from_the_sweep_memo(self):
+        benchmarks = ("compress", "swim")
+        sweep = TINY_SCALE.sweep()
+        result = figure6_experiment(benchmarks, TINY_SCALE, sweep=sweep)
+        # Four fresh sweeps would run the base grid on one, then every
+        # benchmark's baseline and DRI run on each of three more.
+        base = TINY_SCALE.sweep()
+        grids = base.grid_many(
+            benchmarks, miss_bounds=TINY_SCALE.miss_bounds, size_bounds=TINY_SCALE.size_bounds
+        )
+        four_fresh = base.health.tasks_run + 3 * 2 * len(benchmarks)
+        assert sweep.health.tasks_run == four_fresh - 4
+        # The memoized column equals one run on a fresh sweep whose energy
+        # constants are rescaled to 64K, as each column's are.
+        fresh = TINY_SCALE.sweep()
+        fresh.energy_model = EnergyModel(
+            constants=fresh.energy_model.constants.scaled_to_size(64 * 1024)
+        )
+        for name in benchmarks:
+            parameters = grids[name].best(constrained=True).parameters
+            expected = BenchmarkRow.from_point(fresh.evaluate(name, parameters))
+            assert result.row(name, "64K-DM") == expected
+
+    def test_figure6_closes_its_sibling_sweeps(self):
+        with TINY_SCALE.sweep(jobs=2) as sweep:
+            with _spy_on_new_sweeps() as built, mock.patch.object(
+                SweepExecutor, "__init__", autospec=True, side_effect=SweepExecutor.__init__
+            ) as pools:
+                figure6_experiment(("compress",), TINY_SCALE, sweep=sweep)
+        siblings = [call.args[0] for call in built.call_args_list]
+        assert len(siblings) == 2 and pools.call_count == 3  # each sibling ran a pool
+        for sibling in siblings:
+            assert sibling._executor is None and sibling._store_dir is None
+
+    def test_figure6_rejects_a_sweep_of_another_l1(self):
+        four_way = TINY_SCALE.sweep(DEFAULT_SYSTEM.with_icache(64 * 1024, associativity=4))
+        with pytest.raises(ValueError, match="64K direct-mapped"):
+            figure6_experiment(("compress",), TINY_SCALE, sweep=four_way)

@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.config.parameters import DRIParameters, PolicySpec, ThrottleConfig
-from repro.config.system import CacheGeometry
+from repro.config.system import DEFAULT_SYSTEM, CacheGeometry
 from repro.dri.controller import ResizeController
 from repro.dri.dri_cache import DRIICache
 from repro.dri.mask import SizeMask
@@ -49,6 +49,8 @@ from repro.dri.policies import (
     register_policy,
 )
 from repro.dri.throttle import ResizeDecision
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.simulation.engine import replay_batched
 from repro.simulation.simulator import Simulator
 from repro.simulation.sweep import ParameterSweep
 from repro.workloads.generator import generate_trace, phase_change_accesses
@@ -358,12 +360,11 @@ class TestPhaseDetectGroundTruth:
             miss_bound=30, size_bound=2048, sense_interval=sense_interval
         ).with_policy("phase-detect")
         icache = DRIICache(
-            CacheGeometry(size_bytes=64 * 1024, block_size=32, associativity=1),
-            parameters,
-            auto_interval=True,
-            instructions_per_access=per_line,
+            DEFAULT_SYSTEM.l1_icache, parameters, instructions_per_access=per_line
         )
-        icache.access_batch(trace.line_addresses)
+        replay_batched(
+            trace, icache, MemoryHierarchy(DEFAULT_SYSTEM), 0.75, DEFAULT_SYSTEM, dri=parameters
+        )
         detected = icache.controller.policy.detected_change_intervals
 
         for expected in expected_intervals:
@@ -423,12 +424,12 @@ class TestPhaseDetectGroundTruth:
                 policy=policy,
             )
             icache = DRIICache(
-                CacheGeometry(size_bytes=64 * 1024, block_size=32, associativity=1),
-                parameters,
-                auto_interval=True,
-                instructions_per_access=per_line,
+                DEFAULT_SYSTEM.l1_icache, parameters, instructions_per_access=per_line
             )
-            icache.access_batch(trace.line_addresses)
+            replay_batched(
+                trace, icache, MemoryHierarchy(DEFAULT_SYSTEM), 0.75, DEFAULT_SYSTEM,
+                dri=parameters,
+            )
             detected = list(icache.controller.policy.detected_change_intervals)
             matched = [
                 expected

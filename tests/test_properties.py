@@ -258,9 +258,11 @@ class TestDRICacheProperties:
         geometry = CacheGeometry(size_bytes=8 * 1024, block_size=32)
         size_bound = 1 << min(bound_exp, 13)
         parameters = DRIParameters(miss_bound=miss_bound, size_bound=size_bound, sense_interval=64)
-        cache = DRIICache(geometry, parameters, auto_interval=True)
-        for address in trace:
+        cache = DRIICache(geometry, parameters)
+        for count, address in enumerate(trace, 1):
             cache.access(address)
+            if count % cache.interval_length_accesses == 0:
+                cache.end_interval()
             size = cache.current_size_bytes
             assert size_bound <= size <= geometry.size_bytes
             assert size & (size - 1) == 0
@@ -273,9 +275,11 @@ class TestDRICacheProperties:
     def test_resident_blocks_never_exceed_active_capacity(self, trace):
         geometry = CacheGeometry(size_bytes=4 * 1024, block_size=32)
         parameters = DRIParameters(miss_bound=5, size_bound=1024, sense_interval=32)
-        cache = DRIICache(geometry, parameters, auto_interval=True)
-        for address in trace:
+        cache = DRIICache(geometry, parameters)
+        for count, address in enumerate(trace, 1):
             cache.access(address)
+            if count % cache.interval_length_accesses == 0:
+                cache.end_interval()
             active_blocks = cache.current_sets * geometry.associativity
             assert cache.resident_blocks() <= max(
                 active_blocks, cache.geometry.num_blocks // 1
@@ -443,7 +447,6 @@ def _member(system, parameters, source, start=None):
             system.l1_icache,
             parameters,
             address_bits=system.address_bits,
-            auto_interval=False,
             instructions_per_access=source.instructions_per_line,
         )
         if start is not None:

@@ -317,7 +317,6 @@ class TestStreamedReplayAcceptance:
             system.l1_icache,
             parameters,
             address_bits=system.address_bits,
-            auto_interval=False,
             instructions_per_access=8,
         )
         hierarchy = MemoryHierarchy(system)

@@ -155,3 +155,45 @@ class TestMemoKey:
         (key_s,) = scalar._dri_cache.keys()
         assert key_b != key_s
         assert "batched" in key_b and "scalar" in key_s
+
+
+class TestSettings:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"max_retries": -1}, "max_retries must be at least 0, got -1"),
+            ({"chunk_timeout": 0.0}, "chunk_timeout must be positive, got 0.0"),
+            ({"chunk_timeout": -2.5}, "chunk_timeout must be positive, got -2.5"),
+        ],
+    )
+    def test_bad_fault_tolerance_settings_fail_at_build(self, setting, message, jobs):
+        # Checked when the sweep is built, whether or not it would ever
+        # run a pool.
+        with pytest.raises(ValueError, match=message):
+            ParameterSweep(Simulator(trace_instructions=40_000), jobs=jobs, **setting)
+
+    def test_sibling_keeps_everything_but_system_and_energy_model(self):
+        from repro.config.system import DEFAULT_SYSTEM
+        from repro.energy.model import EnergyModel
+
+        parent = ParameterSweep(
+            Simulator(trace_instructions=40_000, seed=11, engine="scalar"),
+            base_parameters=DRIParameters(sense_interval=5_000),
+            jobs=2,
+            chunk=3,
+            max_retries=4,
+            chunk_timeout=9.0,
+        )
+        system = DEFAULT_SYSTEM.with_icache(64 * 1024, associativity=4)
+        model = EnergyModel(constants=parent.energy_model.constants.scaled_to_size(128 * 1024))
+        with parent.sibling(system, model) as sibling:
+            simulator = sibling.simulator
+            assert (simulator.system, simulator.trace_instructions, simulator.seed,
+                    simulator.engine) == (system, 40_000, 11, "scalar")
+            assert sibling.energy_model is model
+            assert sibling.base_parameters == parent.base_parameters
+            assert (sibling.jobs, sibling.chunk, sibling.max_retries, sibling.chunk_timeout) == (
+                2, 3, 4, 9.0)
+            assert sibling.health is parent.health
+            assert sibling._dri_cache == {} and sibling._executor is None

@@ -35,6 +35,13 @@ INSTRUCTIONS = 60_000
 SENSE_INTERVAL = 5_000
 
 
+@pytest.fixture(autouse=True)
+def _retry_without_backoff(monkeypatch):
+    """Failed chunks are resubmitted at once: the fault tests count
+    retries, and the real backoff would only slow them down."""
+    monkeypatch.setattr(executor_module, "DEFAULT_BACKOFF", 0.0)
+
+
 def _sweep(jobs: int = 1, chunk=None) -> ParameterSweep:
     return ParameterSweep(
         Simulator(trace_instructions=INSTRUCTIONS, seed=7),
@@ -294,7 +301,6 @@ def _fault_pairs():
 
 def _fault_sweep(**kwargs) -> ParameterSweep:
     kwargs.setdefault("jobs", 2)
-    kwargs.setdefault("backoff", 0.0)
     return ParameterSweep(
         Simulator(trace_instructions=INSTRUCTIONS, seed=7),
         base_parameters=DRIParameters(sense_interval=SENSE_INTERVAL),
