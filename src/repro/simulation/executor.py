@@ -117,6 +117,14 @@ DEFAULT_BACKOFF = 0.1
 retry waits ``DEFAULT_BACKOFF * 2**(n-1)`` before resubmission.  Read at
 each retry, so the fault tests and the fault-injection smoke set it to 0."""
 
+
+def check_fault_settings(max_retries: int, chunk_timeout: Optional[float]) -> None:
+    """Reject a negative ``max_retries`` or a non-positive ``chunk_timeout``."""
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be at least 0, got {max_retries}")
+    if chunk_timeout is not None and chunk_timeout <= 0:
+        raise ValueError(f"chunk_timeout must be positive, got {chunk_timeout}")
+
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
@@ -304,9 +312,7 @@ class SweepExecutor:
         (:meth:`chunk_size`).
     max_retries:
         Retries per chunk before bisection (singleton chunks become
-        :class:`TaskError` records instead).  The owning
-        :class:`~repro.simulation.sweep.ParameterSweep` checks this and
-        ``chunk_timeout`` when it is built.
+        :class:`TaskError` records instead); at least 0.
     chunk_timeout:
         Optional wall-clock deadline per in-flight chunk, in seconds; an
         overdue chunk's pool is killed and the chunk retried.  When set,
@@ -330,6 +336,7 @@ class SweepExecutor:
     ) -> None:
         if jobs < 1:
             raise ValueError("SweepExecutor needs at least one worker")
+        check_fault_settings(max_retries, chunk_timeout)
         self.system = system
         self.engine = engine
         self.jobs = jobs

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.circuit.gated_vdd import table2_summary
 from repro.config.parameters import DRIParameters, PolicySpec
-from repro.config.system import DEFAULT_SYSTEM, SystemConfig
+from repro.config.system import DEFAULT_SYSTEM
 from repro.energy.model import EnergyModel
 from repro.simulation.simulator import Simulator
 from repro.simulation.sweep import (
@@ -68,19 +68,14 @@ class ExperimentScale:
         """DRI parameters with this scale's sense interval."""
         return DRIParameters(sense_interval=self.sense_interval)
 
-    def sweep(
-        self, system: SystemConfig = DEFAULT_SYSTEM, engine: str = "auto", **settings
-    ) -> ParameterSweep:
-        """A sweep at this scale: a :class:`Simulator` of ``system`` with this
-        trace length and seed on ``engine``, the default energy model, and
-        :meth:`base_parameters`.  ``settings`` (``jobs``, ``chunk``, ...) go
-        to :class:`ParameterSweep` as given; close the sweep if they make
-        it run a pool."""
+    def sweep(self, engine: str = "auto", **settings) -> ParameterSweep:
+        """A sweep at this scale: a :class:`Simulator` of the default system
+        with this trace length and seed on ``engine``, the default energy
+        model, and :meth:`base_parameters`.  ``settings`` (``jobs``,
+        ``chunk``, ...) go to :class:`ParameterSweep` as given; close the
+        sweep if they make it run a pool."""
         simulator = Simulator(
-            system=system,
-            trace_instructions=self.trace_instructions,
-            seed=self.seed,
-            engine=engine,
+            trace_instructions=self.trace_instructions, seed=self.seed, engine=engine
         )
         return ParameterSweep(simulator, EnergyModel(), self.base_parameters(), **settings)
 
@@ -353,7 +348,7 @@ def figure6_experiment(
         "128K-DM": DEFAULT_SYSTEM.with_icache(128 * 1024, associativity=1),
     }
     if sweep is None:
-        sweep = scale.sweep(configurations["64K-DM"])
+        sweep = scale.sweep()
     elif sweep.simulator.system != configurations["64K-DM"]:
         raise ValueError(
             "figure6_experiment runs its 64K-DM column on the given sweep, "

@@ -60,6 +60,7 @@ from repro.simulation.executor import (
     SweepExecutor,
     SweepTask,
     TaskError,
+    check_fault_settings,
     group_by_benchmark,
 )
 from repro.simulation.results import SimulationResult
@@ -233,10 +234,7 @@ class ParameterSweep:
         max_retries: int = DEFAULT_MAX_RETRIES,
         chunk_timeout: Optional[float] = None,
     ) -> None:
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be at least 0, got {max_retries}")
-        if chunk_timeout is not None and chunk_timeout <= 0:
-            raise ValueError(f"chunk_timeout must be positive, got {chunk_timeout}")
+        check_fault_settings(max_retries, chunk_timeout)
         self.simulator = simulator if simulator is not None else Simulator()
         self.energy_model = energy_model if energy_model is not None else EnergyModel()
         self.base_parameters = base_parameters

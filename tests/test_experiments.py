@@ -24,6 +24,7 @@ from repro.simulation.experiments import (
     table2_experiment,
     throttle_ablation_experiment,
 )
+from repro.simulation.simulator import Simulator
 from repro.simulation.sweep import ParameterSweep
 
 TINY_SCALE = ExperimentScale(
@@ -221,6 +222,12 @@ class TestDriversTakeTheirSweep:
             assert sibling._executor is None and sibling._store_dir is None
 
     def test_figure6_rejects_a_sweep_of_another_l1(self):
-        four_way = TINY_SCALE.sweep(DEFAULT_SYSTEM.with_icache(64 * 1024, associativity=4))
+        four_way = ParameterSweep(
+            Simulator(
+                system=DEFAULT_SYSTEM.with_icache(64 * 1024, associativity=4),
+                trace_instructions=TINY_SCALE.trace_instructions,
+                seed=TINY_SCALE.seed,
+            )
+        )
         with pytest.raises(ValueError, match="64K direct-mapped"):
             figure6_experiment(("compress",), TINY_SCALE, sweep=four_way)

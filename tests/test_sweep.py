@@ -173,6 +173,20 @@ class TestSettings:
         with pytest.raises(ValueError, match=message):
             ParameterSweep(Simulator(trace_instructions=40_000), jobs=jobs, **setting)
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"max_retries": -1}, "max_retries must be at least 0, got -1"),
+            ({"chunk_timeout": 0.0}, "chunk_timeout must be positive, got 0.0"),
+        ],
+    )
+    def test_an_executor_built_directly_rejects_them_too(self, setting, message):
+        from repro.config.system import DEFAULT_SYSTEM
+        from repro.simulation.executor import SweepExecutor
+
+        with pytest.raises(ValueError, match=message):
+            SweepExecutor(DEFAULT_SYSTEM, "batched", jobs=2, **setting)
+
     def test_sibling_keeps_everything_but_system_and_energy_model(self):
         from repro.config.system import DEFAULT_SYSTEM
         from repro.energy.model import EnergyModel
