@@ -26,7 +26,10 @@ tracked across PRs.  The JSON schema:
                      "chunk_lines": 125000, "lines_per_s": ...,
                      "wall_clock_s": ..., "peak_python_mib": ...},
       "lockstep": {"runs": 17, "per_run_s": ..., "one_pass_s": ...,
-                   "speedup": ..., "identical": true},
+                   "speedup": ..., "identical": true,
+                   "l2_drains": {"one_pass": ..., "per_run": ...,
+                                 "simulated_share": ...,
+                                 "by_benchmark": {"applu": {...}, ...}}},
       "sweep": {"grid_points": 64, "cpu_count": ...,
                 "wall_clock_s": {"jobs=1": ..., "jobs=2": ..., "jobs=4": ...},
                 "identical_across_jobs": true, "speedup_jobs4": ...,
@@ -61,7 +64,12 @@ plus its conventional baseline on the batched engine twice: once per run
 (seventeen passes over the trace, each classified alone, which is also
 how the single-run ``replay`` rows run) and in one lockstep pass
 (``Simulator.run_many``).  The two must agree bit for bit, and the ratio
-is reported with no floor.
+is reported with no floor.  ``l2_drains`` then counts, with a wrapper on
+``MemoryHierarchy.access_batch_from_l1_misses``, the L2 drains of every
+benchmark's Figure 3 group: in one pass, where runs whose resize
+histories agree share one leader's drain, against the runs replayed one
+at a time, each draining its own L2 (K per drain period).
+``simulated_share`` is the first over the second.
 
 The scalar direct-mapped rows measure the specialised pure-int probe
 (one flat ``item()`` read per access, no numpy row gather); the
@@ -88,6 +96,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence
+from unittest import mock
 
 from _shared import RESULTS_DIR
 
@@ -99,7 +108,7 @@ from repro.simulation.engine import replay_batched
 from repro.simulation.simulator import Simulator
 from repro.simulation.sweep import ParameterSweep
 from repro.workloads.generator import stream_trace
-from repro.workloads.spec95 import get_benchmark
+from repro.workloads.spec95 import benchmark_names, get_benchmark
 
 BENCHMARK = "li"
 TRACE_INSTRUCTIONS = 600_000
@@ -254,8 +263,32 @@ def measure_generation(lines: int) -> Dict[str, object]:
     }
 
 
+def count_drains(simulator: Simulator, parameter_sets) -> Dict[str, Dict[str, int]]:
+    """L2 drains of every benchmark's Figure 3 group, counted by a wrapper
+    on the drain call: in one lockstep pass, where runs that share a
+    resize history share their leader's drain, and in the runs replayed
+    one at a time, where each run drains its own L2 once per drain
+    period (K per period)."""
+    drain = MemoryHierarchy.access_batch_from_l1_misses
+    counts = {}
+    with mock.patch.object(
+        MemoryHierarchy, "access_batch_from_l1_misses", autospec=True, side_effect=drain
+    ) as drains:
+        for benchmark in benchmark_names():
+            trace, base_cpi = simulator.resolve_workload(benchmark)
+            drains.reset_mock()
+            simulator.run_many(trace, base_cpi, parameter_sets)
+            one_pass = drains.call_count
+            drains.reset_mock()
+            for parameters in parameter_sets:
+                simulator.run_many(trace, base_cpi, [parameters])
+            counts[benchmark] = {"one_pass": one_pass, "per_run": drains.call_count}
+    return counts
+
+
 def measure_lockstep(instructions: int) -> Dict[str, object]:
-    """One benchmark's Figure 3 grid plus its baseline: per run and in one pass."""
+    """One benchmark's Figure 3 grid plus its baseline: per run and in one
+    pass; then every benchmark's L2 drains, shared and not."""
     from repro.simulation.experiments import DEFAULT_SCALE
 
     simulator = Simulator(trace_instructions=instructions, engine="batched")
@@ -279,6 +312,9 @@ def measure_lockstep(instructions: int) -> Dict[str, object]:
                 None if stats is None else stats.intervals)
 
     assert [key(r) for r in per_run] == [key(r) for r in one_pass]
+    drains = count_drains(simulator, parameter_sets)
+    simulated = sum(count["one_pass"] for count in drains.values())
+    unshared = sum(count["per_run"] for count in drains.values())
     return {
         "runs": len(parameter_sets),
         "sense_interval": base.sense_interval,
@@ -286,6 +322,12 @@ def measure_lockstep(instructions: int) -> Dict[str, object]:
         "one_pass_s": one_pass_s,
         "speedup": per_run_s / one_pass_s,
         "identical": True,
+        "l2_drains": {
+            "one_pass": simulated,
+            "per_run": unshared,
+            "simulated_share": simulated / unshared,
+            "by_benchmark": drains,
+        },
     }
 
 
@@ -476,6 +518,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"lockstep: {lockstep['runs']} runs of {BENCHMARK} in one pass "
           f"{lockstep['one_pass_s'] * 1e3:.0f} ms vs per run "
           f"{lockstep['per_run_s'] * 1e3:.0f} ms ({lockstep['speedup']:.2f}x, no floor)")
+    drains = lockstep["l2_drains"]
+    print(f"L2 drains of the Figure 3 groups: {drains['one_pass']} simulated in one pass "
+          f"vs {drains['per_run']} per run ({drains['simulated_share']:.0%})")
     sweep = payload["sweep"]
     print(
         f"sweep: {sweep['grid_points']}-point grid on {sweep['cpu_count']} core(s), "

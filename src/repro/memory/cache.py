@@ -48,13 +48,15 @@ Design notes
 * :class:`CacheBank` stacks same-geometry caches on one plane, so the
   lockstep engine classifies a chunk for all of them at once: one
   per-mask pass for every group of direct-mapped members that share a
-  set mask, one composite call for set-associative members.
+  set mask, one composite call for set-associative members.  Fresh
+  members with one set-mask history share a leader and are not
+  classified themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,6 +127,20 @@ def _first_probes(dense: np.ndarray, frames: np.ndarray, first_blocks: np.ndarra
     first_hits = stored == first_blocks >> shifts
     dense[frames] = last_blocks >> shifts
     return stored, first_hits
+
+
+def _retag(rows: np.ndarray, old_shift: int, new_shift: int) -> np.ndarray:
+    """One cache's ``(sets, ways)`` rows with each valid tag cut at tag
+    shift ``new_shift`` instead of ``old_shift``.
+
+    A tag keeps every block bit from its shift up, and the bits below it
+    are the low bits of the set index (a set mask never covers fewer), so
+    a frame of set r holds block ``(tag << old_shift) | (r & low)``.
+    """
+    if old_shift == new_shift:
+        return rows
+    low = np.arange(rows.shape[0], dtype=np.int64)[:, None] & ((1 << old_shift) - 1)
+    return np.where(rows == -1, -1, ((rows << old_shift) | low) >> new_shift)
 
 
 @dataclass
@@ -536,9 +552,17 @@ class CacheBank(Cache):
     Each member's accesses and misses build up in length-K arrays, in all
     and in its open interval (:meth:`close_intervals` ends it), and are
     charged once, by :meth:`settle`.
+
+    Members flagged ``fresh`` (empty, never replayed; the caller vouches
+    for whatever sits below them too) that share a set mask share one
+    *leader*, the first of them.  A cache's contents are a function of
+    its set-mask history, so only leaders are classified; each follower
+    takes its leader's hit row, and its own rows are written by
+    :meth:`settle`.  :meth:`set_masks` splits a share group whose members'
+    masks come to differ.  Unflagged members are their own leaders.
     """
 
-    def __init__(self, members: Sequence[Cache]) -> None:
+    def __init__(self, members: Sequence[Cache], fresh: Sequence[bool] = ()) -> None:
         geometry = members[0].geometry
         if any(member.geometry != geometry for member in members):
             raise ValueError("the caches of a bank must share one geometry")
@@ -557,7 +581,13 @@ class CacheBank(Cache):
             member._dm_plane = member._tag_plane[:, 0] if ways == 1 else None
         self._offsets = np.arange(len(members), dtype=np.int64)[:, None] * sets
         self._keys = np.array([member._index_key() for member in members], dtype=np.int64)
-        self._classes = self._mask_classes() if ways == 1 else None
+        shares = list(fresh) or [False] * len(members)
+        first_by_mask = {}
+        self._leader = np.array([
+            first_by_mask.setdefault(mask, row) if share else row
+            for row, (mask, share) in enumerate(zip(self._keys[:, 0].tolist(), shares))
+        ])
+        self._regroup()
         self._baseline = [
             (member.resident_blocks(), member.stats.invalidations) for member in members
         ]
@@ -566,11 +596,19 @@ class CacheBank(Cache):
         opened = np.array([member._open_interval() for member in members], dtype=np.int64)
         self._open_accesses, self._open_misses = opened.T.copy()
 
+    def _regroup(self) -> None:
+        """Derive the leaders, the followers and (direct-mapped) the mask
+        classes from the member -> leader map."""
+        own = self._leader == np.arange(len(self.members))
+        self.leaders = np.flatnonzero(own)
+        self._followers = np.flatnonzero(~own)
+        self._classes = self._mask_classes() if self._associativity == 1 else None
+
     def _mask_classes(self):
-        """The members grouped by set mask: ``(mask, rows, row offsets,
+        """The leaders grouped by set mask: ``(mask, rows, row offsets,
         tag shifts)`` per class, offsets and shifts as ``(c, 1)`` columns."""
         rows_by_mask = {}
-        for row, mask in enumerate(self._keys[:, 0].tolist()):
+        for row, mask in zip(self.leaders.tolist(), self._keys[self.leaders, 0].tolist()):
             rows_by_mask.setdefault(mask, []).append(row)
         classes = []
         for mask, rows in rows_by_mask.items():
@@ -578,16 +616,58 @@ class CacheBank(Cache):
             classes.append((mask, rows, self._offsets[rows], self._keys[rows, 1:]))
         return classes
 
-    def set_masks(self, rows: np.ndarray, masks: np.ndarray) -> None:
+    def _copy_rows(self, source: int, target: int) -> None:
+        """Write member ``target``'s rows from member ``source``'s, whose
+        blocks it holds, in its own tag shift."""
+        shifts = self._keys[:, 1].tolist()
+        self.members[target]._tag_plane[...] = _retag(
+            self.members[source]._tag_plane, shifts[source], shifts[target]
+        )
+
+    def set_masks(self, rows: np.ndarray, masks: np.ndarray) -> List[Tuple[int, int]]:
         """Index the members at ``rows`` with new set masks (DRI members
-        that resized)."""
+        that resized) and split the share groups whose masks now differ.
+
+        The members that left their leader's mask follow the first of them
+        with their new mask, whose rows become a copy of the old leader's.
+        Returns the ``(old leader, new leader)`` pairs.  Call it before
+        gating wipes any rows (:meth:`invalidate_from`).
+        """
         self._keys[rows, 0] = masks
-        if self._classes is not None:
-            self._classes = self._mask_classes()
+        masks = self._keys[:, 0]
+        splits = {}
+        for row in np.flatnonzero(masks != masks[self._leader]).tolist():
+            old = int(self._leader[row])
+            self._leader[row] = splits.setdefault((old, int(masks[row])), row)
+        pairs = [(old, new) for (old, _), new in splits.items()]
+        for old, new in pairs:
+            self._copy_rows(old, new)
+        self._regroup()
+        return pairs
+
+    def invalidate_from(self, rows: np.ndarray, sets: np.ndarray) -> None:
+        """Invalidate every set from ``sets[i]`` up of the member at
+        ``rows[i]`` (what a downsize gates off).
+
+        A share group downsizes as one, so only its leader's rows are
+        wiped; each follower counts the blocks its leader dropped.
+        """
+        dropped = {}
+        for row, first in zip(rows.tolist(), sets.tolist()):
+            if self._leader[row] == row:
+                dropped[row] = self.members[row].invalidate_range(first, self.geometry.num_sets)
+        for row in rows.tolist():
+            if self._leader[row] != row:
+                self.members[row].stats.invalidations += dropped[int(self._leader[row])]
+
+    def followers(self) -> List[Tuple[int, int]]:
+        """The ``(follower, leader)`` pairs of the share groups."""
+        return list(zip(self._followers.tolist(), self._leader[self._followers].tolist()))
 
     def classify(self, addresses: np.ndarray, max_probes: int) -> np.ndarray:
         """Classify one chunk for every member; returns the ``(K, n)`` hit mask.
 
+        Only leaders are classified; a follower's row is its leader's.
         The members' accesses and misses are counted here and charged by
         :meth:`settle`.  ``max_probes`` bounds the scratch arrays and
         keeps numpy's cost per probe near its minimum: a direct-mapped
@@ -602,6 +682,8 @@ class CacheBank(Cache):
             self._classify_by_mask(blocks, max_probes, hits)
         else:
             self._classify_composite(blocks, max_probes, hits)
+        if self._followers.size:
+            hits[self._followers] = hits[self._leader[self._followers]]
         misses = count - np.count_nonzero(hits, axis=1)
         self._accesses += count
         self._misses += misses
@@ -618,8 +700,8 @@ class CacheBank(Cache):
         return accesses, misses
 
     def _classify_by_mask(self, blocks, max_accesses, hits) -> None:
-        """One per-mask pass per class of members sharing a set mask, then
-        the class's first probes on its members' rows at once."""
+        """One per-mask pass per class of leaders sharing a set mask, then
+        the class's first probes on its leaders' rows at once."""
         for start in range(0, blocks.shape[0], max_accesses):
             block = blocks[start : start + max_accesses]
             for mask, rows, offsets, shifts in self._classes:
@@ -629,18 +711,21 @@ class CacheBank(Cache):
                 hits[rows[:, None], positions + start] = first_hits
 
     def _classify_composite(self, blocks, max_probes, hits) -> None:
-        """All members' composite probes through one wavefront call per
+        """The leaders' composite probes through one wavefront call per
         at most ``max_probes`` of them."""
-        masks, shifts = self._keys[:, :1], self._keys[:, 1:]
-        step = max(1, max_probes // len(self.members))
+        leaders = self.leaders
+        masks, shifts = self._keys[leaders, :1], self._keys[leaders, 1:]
+        offsets = self._offsets[leaders]
+        step = max(1, max_probes // leaders.size)
         for start in range(0, blocks.shape[0], step):
             block = blocks[start : start + step]
-            sets = (block & masks) + self._offsets
+            sets = (block & masks) + offsets
             probe_hits = self._classify_chunk_assoc(sets.ravel(), (block >> shifts).ravel())
-            hits[:, start : start + step] = probe_hits.reshape(len(self.members), -1)
+            hits[leaders, start : start + step] = probe_hits.reshape(leaders.size, -1)
 
     def settle(self) -> None:
-        """Charge each member's classifications, once, after its last one.
+        """Write each follower's rows from its leader, then charge each
+        member's classifications, once, after its last one.
 
         Accesses, hits and misses come from the per-member counts, and
         :meth:`~Cache._record_batch` takes them with the member's open
@@ -649,6 +734,8 @@ class CacheBank(Cache):
         fills and by invalidations.  So its evictions are its misses minus
         the growth in valid frames, with the invalidated frames added back.
         """
+        for follower, leader in self.followers():
+            self._copy_rows(leader, follower)
         state = zip(
             self.members,
             self._baseline,

@@ -19,7 +19,8 @@ scalar and batched:
   trace and one sense interval: their L1s are stacked into one
   :class:`~repro.memory.cache.CacheBank` and each chunk is classified for
   all of them at once, so the trace is generated or read once per group
-  rather than once per run (:func:`replay_batched` is its one-run call).
+  rather than once per run (:func:`replay_batched` is its one-run call);
+  runs whose resize histories agree share one classification and one L2.
 
 Engine selection: ``"auto"`` means ``"batched"``; ``"scalar"`` stays as
 the reference the tests compare the batched engine against.
@@ -61,7 +62,7 @@ from repro.config.system import SystemConfig
 from repro.cpu.pipeline import TimingModel
 from repro.dri.controller import ResizeGroup
 from repro.dri.dri_cache import DRIICache
-from repro.memory.cache import Cache, CacheBank
+from repro.memory.cache import Cache, CacheBank, CacheStatistics
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads.source import TraceSource, as_trace_source
 from repro.workloads.trace import InstructionTrace
@@ -207,14 +208,25 @@ def replay_lockstep(
     chunk.  A single member is classified through its own
     ``access_batch``.
 
+    Shared histories: a cache changes state only by masking sets, so
+    fresh members (:func:`_fresh`) with one set mask hold the same blocks
+    and send their L2s the same misses for as long as their resize
+    decisions agree.  Each such share group has one leader: the bank
+    classifies only leaders and only leaders drain their L2s.  When a
+    boundary gives a group's members different sizes, the bank splits it
+    and each new leader continues from its old leader's L1 rows, L2 and
+    miss counts, before gating wipes any rows.  When the replay returns,
+    every follower holds its leader's rows (``settle``) and L2.
+
     Drain rule: the chunks and their ``(K, n)`` hit masks are kept until
     :data:`DEFAULT_CHUNK_ACCESSES` accesses have been classified (plus
-    once at the end); then each member's misses are taken from them in
+    once at the end); then each leader's misses are taken from them in
     order and drained through its own
     :meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch_from_l1_misses`
     in one call.  Exact because L1 hits and resize decisions read only L1
     state and the i-cache never writes back: the L2 sees the same misses
-    in the same order.  The buffer holds at most one drain period plus
+    in the same order.  A split needs no fix-up of the kept masks: a
+    follower's rows there are its leader's.  The buffer holds at most one drain period plus
     one chunk, so a source must not overwrite a chunk it has yielded.
     """
     source = as_trace_source(trace)
@@ -229,7 +241,9 @@ def replay_lockstep(
     chunk_accesses = lengths.pop() if lengths else DEFAULT_CHUNK_ACCESSES
     bank = group = None
     if len(caches) > 1:
-        bank = CacheBank(caches)
+        bank = CacheBank(
+            caches, [_fresh(icache, hierarchy, system) for icache, hierarchy, _ in members]
+        )
         if driven:
             group = ResizeGroup(
                 [icache.controller for icache in driven], [icache.dri_stats for icache in driven]
@@ -253,12 +267,17 @@ def replay_lockstep(
             hits = np.concatenate([chunk_hits for _, chunk_hits in pending], axis=1)
         pending.clear()
         misses = np.logical_not(hits, out=hits)
-        for index, (_, hierarchy, _) in enumerate(members):
+        for index in bank.leaders.tolist() if bank is not None else [0]:
             member_misses = addresses[misses[index]]
             if member_misses.size:
-                l2_hits, l2_misses = hierarchy.access_batch_from_l1_misses(member_misses)
+                l2_hits, l2_misses = members[index][1].access_batch_from_l1_misses(member_misses)
                 miss_l2[index] += l2_hits
                 miss_memory[index] += l2_misses
+
+    def share_below(leader: int, follower: int) -> None:
+        # A follower's L2 and memory are its leader's, as of the last drain.
+        _copy_hierarchy(members[leader][1], members[follower][1])
+        miss_l2[follower], miss_memory[follower] = miss_l2[leader], miss_memory[leader]
 
     def close_interval(instructions: int) -> None:
         if group is None:
@@ -267,11 +286,11 @@ def replay_lockstep(
         resized, downsized = group.end_of_interval(*bank.close_intervals(rows), instructions)
         if resized.size:
             sets = group.sets
+            # A split's new leader carries on from its old leader's state.
+            for old, new in bank.set_masks(rows[resized], sets[resized] - 1):
+                share_below(old, new)
             # Gating wipes the sets a downsize turns off.
-            for member in downsized.tolist():
-                icache = driven[member]
-                icache.invalidate_range(int(sets[member]), icache.num_sets)
-            bank.set_masks(rows[resized], sets[resized] - 1)
+            bank.invalidate_from(rows[downsized], sets[downsized])
 
     for chunk in source.chunks(chunk_accesses):
         accesses += chunk.shape[0]
@@ -301,6 +320,8 @@ def replay_lockstep(
     drain()
     if bank is not None:
         bank.settle()
+        for follower, leader in bank.followers():
+            share_below(leader, follower)
     if group is not None:
         group.write_back()
     instructions = accesses * instructions_per_line
@@ -308,6 +329,32 @@ def replay_lockstep(
         _cycles(system, base_cpi, instructions, l2_hits, l2_misses)
         for l2_hits, l2_misses in zip(miss_l2, miss_memory)
     ]
+
+
+def _fresh(icache: Cache, hierarchy: MemoryHierarchy, system: SystemConfig) -> bool:
+    """True for a run no replay has touched, whose L1 and L2 contents are
+    a function of its set-mask history alone: an empty L1 and an empty L2
+    of ``system``'s geometry, and zero L1, L2, hierarchy and open-interval
+    counters."""
+    blank = CacheStatistics()
+    return (
+        icache.stats == blank
+        and hierarchy.l2.stats == blank
+        and icache._open_interval() == (0, 0)
+        and hierarchy.l2_accesses == hierarchy.l2_misses == hierarchy.memory.accesses == 0
+        and hierarchy.l2.geometry == system.l2_cache
+        and icache.resident_blocks() == 0
+        and hierarchy.l2.resident_blocks() == 0
+    )
+
+
+def _copy_hierarchy(source: MemoryHierarchy, target: MemoryHierarchy) -> None:
+    """Leave ``target``'s L2 rows and statistics and its hierarchy counters
+    equal to ``source``'s."""
+    np.copyto(target.l2._tag_plane, source.l2._tag_plane)
+    target.l2.stats = source.l2.stats.snapshot()
+    target.l2_accesses, target.l2_misses = source.l2_accesses, source.l2_misses
+    target.memory.accesses = source.memory.accesses
 
 
 def _cycles(

@@ -118,8 +118,13 @@ retry waits ``DEFAULT_BACKOFF * 2**(n-1)`` before resubmission.  Read at
 each retry, so the fault tests and the fault-injection smoke set it to 0."""
 
 
-def check_fault_settings(max_retries: int, chunk_timeout: Optional[float]) -> None:
-    """Reject a negative ``max_retries`` or a non-positive ``chunk_timeout``."""
+def check_fault_settings(
+    chunk: Optional[int], max_retries: int, chunk_timeout: Optional[float]
+) -> None:
+    """Reject a ``chunk`` below one task, a negative ``max_retries`` or a
+    non-positive ``chunk_timeout``."""
+    if chunk is not None and chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
     if max_retries < 0:
         raise ValueError(f"max_retries must be at least 0, got {max_retries}")
     if chunk_timeout is not None and chunk_timeout <= 0:
@@ -308,8 +313,8 @@ class SweepExecutor:
         Worker-process count.  Callers clamp this to the first call's
         task count (see :func:`repro.simulation.sweep._resolve_jobs`).
     chunk:
-        Fixed tasks-per-chunk, or ``None`` for the adaptive policy
-        (:meth:`chunk_size`).
+        Fixed tasks-per-chunk (at least 1), or ``None`` for the adaptive
+        policy (:meth:`chunk_size`).
     max_retries:
         Retries per chunk before bisection (singleton chunks become
         :class:`TaskError` records instead); at least 0.
@@ -336,7 +341,7 @@ class SweepExecutor:
     ) -> None:
         if jobs < 1:
             raise ValueError("SweepExecutor needs at least one worker")
-        check_fault_settings(max_retries, chunk_timeout)
+        check_fault_settings(chunk, max_retries, chunk_timeout)
         self.system = system
         self.engine = engine
         self.jobs = jobs
@@ -438,7 +443,7 @@ class SweepExecutor:
         capped at :data:`MAX_CHUNK_TASKS` so huge grids still rebalance.
         """
         if self.chunk is not None:
-            return max(1, self.chunk)
+            return self.chunk
         size = math.ceil(task_count / (self.jobs * CHUNKS_PER_WORKER))
         return max(1, min(size, MAX_CHUNK_TASKS))
 

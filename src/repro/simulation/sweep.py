@@ -207,8 +207,8 @@ class ParameterSweep:
         :meth:`best_configuration`; 1 (the default) runs serially in
         process, values below 1 mean "all cores".
     chunk:
-        Tasks per pool chunk (the ``--chunk`` escape hatch); ``None``
-        (the default) lets the executor pick adaptively.
+        Tasks per pool chunk (the ``--chunk`` escape hatch), at least 1;
+        ``None`` (the default) lets the executor pick adaptively.
     max_retries / chunk_timeout:
         The executor's fault-tolerance knobs (DESIGN.md §11): retries
         per chunk before bisection (at least 0), and the optional
@@ -234,7 +234,7 @@ class ParameterSweep:
         max_retries: int = DEFAULT_MAX_RETRIES,
         chunk_timeout: Optional[float] = None,
     ) -> None:
-        check_fault_settings(max_retries, chunk_timeout)
+        check_fault_settings(chunk, max_retries, chunk_timeout)
         self.simulator = simulator if simulator is not None else Simulator()
         self.energy_model = energy_model if energy_model is not None else EnergyModel()
         self.base_parameters = base_parameters

@@ -174,10 +174,15 @@ class TestCommands:
             (["figure3", "--quick", "--max-retries", "-1", "--jobs", "2"], "--max-retries"),
             (["figure3", "--quick", "--chunk-timeout", "0"], "--chunk-timeout"),
             (["figure3", "--quick", "--chunk-timeout", "0", "--jobs", "2"], "--chunk-timeout"),
+            (["figure3", "--quick", "--chunk", "0"], "--chunk"),
+            (["figure3", "--quick", "--chunk", "0", "--jobs", "2"], "--chunk"),
+            (["figure3", "--quick", "--chunk", "-3"], "--chunk"),
+            (["figure3", "--quick", "--chunk", "-3", "--jobs", "2"], "--chunk"),
         ],
         ids=["run-instructions", "figure3-instructions", "size-bound", "sense-interval", "miss-bound",
              "trajectory", "max-retries-jobs1", "max-retries-jobs2", "chunk-timeout-jobs1",
-             "chunk-timeout-jobs2"],
+             "chunk-timeout-jobs2", "chunk-zero-jobs1", "chunk-zero-jobs2", "chunk-negative-jobs1",
+             "chunk-negative-jobs2"],
     )
     def test_bad_numeric_flag_exits_with_usage_error(self, argv, flag, capsys):
         # A usage error (status 2) naming the flag, not a ValueError

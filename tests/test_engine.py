@@ -22,10 +22,16 @@ from repro.config.system import CacheGeometry, SystemConfig
 from repro.dri.controller import ResizeGroup
 from repro.dri.dri_cache import DRIICache
 from repro.dri.policies import policy_names
-from repro.memory.cache import Cache
+from repro.memory.cache import Cache, CacheBank
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.kernels import NUMBA_AVAILABLE, numba_version
-from repro.simulation.engine import replay, replay_batched, replay_lockstep, resolve_engine
+from repro.simulation.engine import (
+    DEFAULT_CHUNK_ACCESSES,
+    replay,
+    replay_batched,
+    replay_lockstep,
+    resolve_engine,
+)
 from repro.simulation.simulator import Simulator
 from repro.simulation.sweep import ParameterSweep
 from repro.workloads.generator import generate_trace
@@ -403,6 +409,155 @@ class TestDRIEquivalence:
             ), f"case {case} diverged"
             assert a.dri_stats.size_trajectory() == b.dri_stats.size_trajectory()
             assert _interval_tuples(a.dri_stats) == _interval_tuples(b.dri_stats)
+
+
+class TestSharedHistories:
+    """Fresh lockstep members with one set-mask history share one leader:
+    only leaders are classified and drain an L2, a group splits when its
+    members' sizes part, and when the replay returns every member is where
+    its own scalar run leaves it."""
+
+    @staticmethod
+    def _member(system, trace, parameters):
+        if parameters is None:
+            return Cache(system.l1_icache), MemoryHierarchy(system), None
+        icache = DRIICache(
+            system.l1_icache,
+            parameters,
+            address_bits=system.address_bits,
+            instructions_per_access=trace.instructions_per_line,
+        )
+        return icache, MemoryHierarchy(system), parameters
+
+    @staticmethod
+    def _outcome(member, cycles):
+        """Cycles, L1/L2/hierarchy counters and both planes; for a DRI run
+        also its controller, throttle and open interval before
+        ``finalize``, and every interval record after it."""
+        icache, hierarchy, parameters = member
+        outcome = (
+            cycles,
+            _cache_stats_tuple(icache.stats),
+            _cache_stats_tuple(hierarchy.l2.stats),
+            (hierarchy.l2_accesses, hierarchy.l2_misses, hierarchy.memory.accesses),
+            icache._tag_plane.tolist(),
+            hierarchy.l2._tag_plane.tolist(),
+        )
+        if parameters is None:
+            return outcome
+        controller = icache.controller
+        throttle = controller.throttle
+        outcome += (
+            (controller.current_size, controller._interval_index),
+            (throttle.counter, throttle.hold_remaining, throttle.engagements),
+            (icache._interval_accesses, icache._interval_misses),
+        )
+        icache.finalize()
+        return outcome + (icache.dri_stats.intervals,)
+
+    def _assert_each_matches_scalar(self, system, trace, make_member, parameter_sets, members,
+                                    cycles):
+        for parameters, member, member_cycles in zip(parameter_sets, members, cycles):
+            scalar = make_member(parameters)
+            icache, hierarchy, dri = scalar
+            scalar_cycles = replay(trace, icache, hierarchy, 0.75, system, dri, engine="scalar")
+            assert self._outcome(member, member_cycles) == self._outcome(scalar, scalar_cycles)
+
+    @staticmethod
+    def _spy_drains():
+        return mock.patch.object(
+            MemoryHierarchy,
+            "access_batch_from_l1_misses",
+            autospec=True,
+            side_effect=MemoryHierarchy.access_batch_from_l1_misses,
+        )
+
+    @pytest.mark.parametrize("ways", [1, 4], ids=["direct-mapped", "4-way"])
+    def test_groups_split_where_sizes_part(self, ways):
+        """All five start at 64K in one group led by the conventional run.
+        The first downsize hands its rows to the 1K-bound run (another tag
+        shift); the 4K-bound run leaves that group at its floor, and the
+        64K-bound run and the copy never lead.  A drain every two
+        intervals gives each split a used L2 to hand on."""
+        system = SystemConfig().with_icache(64 * 1024, associativity=ways)
+        trace = generate_trace(get_benchmark("li"), total_instructions=80_000, seed=SEED)
+
+        def dri(size_bound):
+            return DRIParameters(miss_bound=40, size_bound=size_bound, sense_interval=4_000)
+
+        parameter_sets = [None, dri(64 * 1024), dri(1024), dri(4096), dri(1024)]
+        members = [self._member(system, trace, parameters) for parameters in parameter_sets]
+        splits = []
+        set_masks = CacheBank.set_masks
+
+        def record_splits(bank, rows, masks):
+            pairs = set_masks(bank, rows, masks)
+            splits.extend(pairs)
+            return pairs
+
+        with mock.patch.object(CacheBank, "set_masks", record_splits), mock.patch(
+            "repro.simulation.engine.DEFAULT_CHUNK_ACCESSES", 1_000
+        ), self._spy_drains() as drains:
+            cycles = replay_lockstep(trace, members, 0.75, system)
+        assert splits == [(0, 2), (2, 3)]
+        drained = {id(call.args[0]) for call in drains.call_args_list}
+        assert drained == {id(members[index][1]) for index in (0, 2, 3)}
+        sizes = [members[index][0].dri_stats.size_trajectory() for index in (2, 3)]
+        assert sizes[0] != sizes[1] and min(sizes[0]) < 4096 == min(sizes[1])
+
+        self._assert_each_matches_scalar(
+            system, trace, lambda parameters: self._member(system, trace, parameters),
+            parameter_sets, members, cycles,
+        )
+
+    def test_a_used_member_never_shares(self):
+        """A member whose L1 holds tags, or whose L2 has served misses, is
+        its own leader beside fresh members of its set mask."""
+        system = SystemConfig()
+        trace = generate_trace(get_benchmark("li"), total_instructions=40_000, seed=SEED)
+        used = np.random.default_rng(5).integers(0, 1 << 16, size=2_000).astype(np.uint64) * 32
+
+        def make_member(kind):
+            icache, hierarchy, _ = self._member(system, trace, None)
+            if kind == "preloaded":
+                # Each touched set holds the trace's first block there, a
+                # neighbouring block, or nothing: first probes hit, evict
+                # and fill.
+                mask, shift = icache._index_key()
+                blocks = (trace.line_addresses >> np.uint64(5)).astype(np.int64)
+                sets, first = np.unique(blocks & mask, return_index=True)
+                tags = blocks[first] >> shift
+                draw = np.random.default_rng(15).random(sets.size)
+                tags[draw < 0.25] = -1
+                tags[draw > 0.75] += 1
+                icache._tag_plane[sets, 0] = tags
+            elif kind == "used L2":
+                hierarchy.access_batch_from_l1_misses(used)
+            return icache, hierarchy, None
+
+        kinds = ["fresh", "preloaded", "used L2", "fresh"]
+        members = [make_member(kind) for kind in kinds]
+        with self._spy_drains() as drains:
+            cycles = replay_lockstep(trace, members, 0.75, system)
+        drained = {id(call.args[0]) for call in drains.call_args_list}
+        assert drained == {id(members[index][1]) for index in (0, 1, 2)}
+        assert members[1][0].stats.hits != members[0][0].stats.hits
+        self._assert_each_matches_scalar(system, trace, make_member, kinds, members, cycles)
+
+    def test_fresh_conventional_members_drain_once_per_drain_period(self):
+        """Five copies of one run are one share group: one L2 drain per
+        drain period serves all five."""
+        system = SystemConfig()
+        trace = generate_trace(get_benchmark("gcc"), total_instructions=600_000, seed=SEED)
+        assert len(trace) > DEFAULT_CHUNK_ACCESSES
+        members = [self._member(system, trace, None) for _ in range(5)]
+        with self._spy_drains() as drains:
+            cycles = replay_lockstep(trace, members, 0.75, system)
+        assert drains.call_count == -(-len(trace) // DEFAULT_CHUNK_ACCESSES)
+        self._assert_each_matches_scalar(
+            system, trace, lambda parameters: self._member(system, trace, parameters),
+            [None] * 5, members, cycles,
+        )
 
 
 class TestAccessBatch:

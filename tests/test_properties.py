@@ -552,7 +552,12 @@ class TestLockstepDifferential:
         before ``finalize``, interval records, throttle state, and tag
         planes in recency order.  The drawn drain period also caps the
         bank's probes per classifier call, so chunks split across calls
-        are drawn too."""
+        are drawn too.  Fresh members with one set mask share one leader
+        (conventional runs, full-size DRI runs and copies start so), and
+        a share group splits where their sizes part, so the drawn groups
+        cover shares, splits, tag conversion between shifts and followers'
+        rows written at the end; a member forced to a start size shares
+        with those of its mask."""
         system, parameter_sets, source, drain_period = case
         with mock.patch.multiple(
             "repro.simulation.engine",

@@ -165,6 +165,8 @@ class TestSettings:
             ({"max_retries": -1}, "max_retries must be at least 0, got -1"),
             ({"chunk_timeout": 0.0}, "chunk_timeout must be positive, got 0.0"),
             ({"chunk_timeout": -2.5}, "chunk_timeout must be positive, got -2.5"),
+            ({"chunk": 0}, "chunk must be at least 1, got 0"),
+            ({"chunk": -3}, "chunk must be at least 1, got -3"),
         ],
     )
     def test_bad_fault_tolerance_settings_fail_at_build(self, setting, message, jobs):
@@ -178,6 +180,7 @@ class TestSettings:
         [
             ({"max_retries": -1}, "max_retries must be at least 0, got -1"),
             ({"chunk_timeout": 0.0}, "chunk_timeout must be positive, got 0.0"),
+            ({"chunk": 0}, "chunk must be at least 1, got 0"),
         ],
     )
     def test_an_executor_built_directly_rejects_them_too(self, setting, message):
