@@ -11,18 +11,20 @@ and one IPC round trip per grid point.  The executor amortizes all three:
   :class:`~repro.simulation.sweep.ParameterSweep` closes it when it is
   closed or collected).  ``pools_spawned`` and ``worker_pids`` exist so
   tests can assert the pool really persists.
-* **Per-worker state cache** — each worker keeps ``{benchmark: (opened
-  store, base CPI)}`` across tasks.  Task chunks carry only store *paths*;
-  a worker memory-maps a store the first time a chunk references its
-  benchmark and replays the cached source for every later task, so the
-  trace is opened once per (worker, benchmark), not once per task.
-* **Chunked dynamic dispatch** — the task list is cut into chunks
-  (adaptive size, or the caller's ``chunk``) submitted in waves; idle
-  workers pull the next chunk, so assignment is dynamic
-  (work-stealing-style: a worker that lands cheap points takes more
-  chunks) while each IPC message amortizes over a whole chunk.  Inside
-  a chunk, each benchmark's tasks replay in one lockstep pass
-  (:meth:`Simulator.run_many`).
+* **Per-worker state cache** — each worker keeps ``{benchmark: (trace,
+  base CPI)}`` across tasks.  Task chunks carry a small reference per
+  benchmark: a named workload's spec with the sweep's trace length and
+  seed, which the worker generates itself, or the path of a
+  :class:`~repro.workloads.source.TraceStore` holding a pre-built trace,
+  which it memory-maps.  Either way the trace is made once per (worker,
+  benchmark), not once per task.
+* **Group dispatch** — with no fixed ``chunk``, each benchmark's tasks
+  form one chunk (split only when a group holds more than a worker's
+  share of the tasks), submitted largest first; idle workers pull the
+  next chunk, so assignment is dynamic (work-stealing-style: a worker
+  that lands cheap points takes more chunks) while each IPC message
+  amortizes over a whole chunk.  Inside a chunk, each benchmark's tasks
+  replay in one lockstep pass (:meth:`Simulator.run_many`).
 * **Incremental results** — :meth:`run` is an ``as_completed``-style
   generator yielding ``(task index, result)`` as chunks finish, so a
   caller can stream points (the sweep-service direction in ROADMAP.md);
@@ -85,24 +87,24 @@ from typing import (
 
 from repro.config.parameters import DRIParameters
 from repro.config.system import SystemConfig
+from repro.simulation.engine import TraceLike
 from repro.simulation.results import SimulationResult
 from repro.simulation.simulator import Simulator
-from repro.workloads.source import TraceSource, TraceStore
+from repro.workloads.phases import WorkloadSpec
+from repro.workloads.source import TraceStore
 
 SweepTask = Tuple[str, Optional[DRIParameters]]
 """One work unit: (benchmark name, parameters); ``None`` parameters mean
 the conventional baseline run."""
 
-StoreMap = Dict[str, Tuple[str, float]]
-"""``{benchmark: (TraceStore path, base CPI)}`` — the only trace payload
-that ever crosses the process boundary."""
+WorkloadRef = Union[str, Tuple[WorkloadSpec, int, int]]
+"""How a benchmark's trace reaches a worker: a named workload's ``(spec,
+trace length, seed)``, generated where it replays, or the path of a
+:class:`TraceStore` holding a pre-built trace."""
 
-CHUNKS_PER_WORKER = 4
-"""Adaptive chunking target: enough chunks per worker that one slow chunk
-cannot serialise the tail, few enough that IPC stays amortized."""
-
-MAX_CHUNK_TASKS = 32
-"""Adaptive chunk-size ceiling, so very large grids still rebalance."""
+StoreMap = Dict[str, Tuple[WorkloadRef, float]]
+"""``{benchmark: (workload reference, base CPI)}`` — the only trace
+payload that ever crosses the process boundary."""
 
 DEFAULT_MAX_RETRIES = 2
 """Retries per chunk descriptor before it is bisected (or, for a single
@@ -134,8 +136,8 @@ def check_fault_settings(
 # Worker-process side
 # ----------------------------------------------------------------------
 _worker_simulator: Optional[Simulator] = None
-_worker_sources: Dict[str, Tuple[TraceSource, float, str]] = {}
-"""Per-worker cache: ``{benchmark: (opened source, base CPI, store path)}``.
+_worker_sources: Dict[str, Tuple[TraceLike, float, WorkloadRef]] = {}
+"""Per-worker cache: ``{benchmark: (trace, base CPI, workload reference)}``.
 Lives for the whole pool lifetime, across every chunk the worker runs."""
 
 _fault_hook: Optional[Callable[[str, Optional[DRIParameters]], None]] = None
@@ -152,9 +154,9 @@ Production code never sets this.
 def _executor_worker_init(system: SystemConfig, engine: str) -> None:
     """Pool initializer: build the worker's simulator, start an empty cache.
 
-    Runs exactly once per worker process.  Stores are *not* opened here —
-    the benchmark set can grow across calls on a persistent pool, so
-    workers open stores lazily from the paths each chunk carries.
+    Runs exactly once per worker process.  No trace is made here — the
+    benchmark set can grow across calls on a persistent pool, so workers
+    make traces lazily from the references each chunk carries.
     """
     global _worker_simulator, _worker_sources
     _worker_simulator = Simulator(system=system, engine=engine)
@@ -170,28 +172,52 @@ def group_by_benchmark(tasks: Sequence[SweepTask]) -> List[List[int]]:
     return list(groups.values())
 
 
+def _source(
+    cache: Dict[str, Tuple[TraceLike, float, WorkloadRef]],
+    simulator: Simulator,
+    name: str,
+    stores: StoreMap,
+) -> Tuple[TraceLike, float]:
+    """``name``'s (trace, base CPI), made on first use and cached.
+
+    A named workload resolves through :meth:`Simulator.resolve_workload`
+    on a simulator of ``simulator``'s system at the shipped trace length
+    and seed, exactly as the parent would; a store path is memory-mapped.
+    A cached entry is reused while its reference is unchanged.
+    """
+    ref, base_cpi = stores[name]
+    cached = cache.get(name)
+    if cached is None or cached[2] != ref:
+        if isinstance(ref, str):
+            trace: TraceLike = TraceStore.open(ref)
+        else:
+            spec, trace_instructions, seed = ref
+            trace, _ = Simulator(
+                simulator.system, trace_instructions, seed, simulator.engine
+            ).resolve_workload(spec)
+        cached = cache[name] = (trace, base_cpi, ref)
+    return cached[0], cached[1]
+
+
 def _run_chunk(
     stores: StoreMap, tasks: Sequence[SweepTask]
 ) -> Tuple[int, List[SimulationResult]]:
     """Run one chunk of tasks in a worker; returns (worker pid, results).
 
-    ``stores`` names the store path for every benchmark the chunk touches;
-    paths not yet in the worker's cache are opened (one mmap per
-    (worker, benchmark)), cached entries are reused as-is.  Each
-    benchmark's tasks replay together, after the fault hook has seen
-    each of them; results come back in task order.
+    ``stores`` holds the workload reference of every benchmark the chunk
+    touches (see :func:`_source`).  Each benchmark's tasks replay
+    together, after the fault hook has seen each of them; results come
+    back in task order.
     """
     assert _worker_simulator is not None
-    for name, (path, base_cpi) in stores.items():
-        cached = _worker_sources.get(name)
-        if cached is None or cached[2] != path:
-            _worker_sources[name] = (TraceStore.open(path), base_cpi, path)
     results: Dict[int, SimulationResult] = {}
     for group in group_by_benchmark(tasks):
         if _fault_hook is not None:
             for index in group:
                 _fault_hook(*tasks[index])
-        trace, base_cpi, _ = _worker_sources[tasks[group[0]][0]]
+        trace, base_cpi = _source(
+            _worker_sources, _worker_simulator, tasks[group[0]][0], stores
+        )
         group_results = _worker_simulator.run_many(
             trace, base_cpi, [tasks[index][1] for index in group]
         )
@@ -313,8 +339,8 @@ class SweepExecutor:
         Worker-process count.  Callers clamp this to the first call's
         task count (see :func:`repro.simulation.sweep._resolve_jobs`).
     chunk:
-        Fixed tasks-per-chunk (at least 1), or ``None`` for the adaptive
-        policy (:meth:`chunk_size`).
+        Fixed tasks-per-chunk (at least 1), or ``None`` for one chunk per
+        benchmark group (:meth:`chunks`).
     max_retries:
         Retries per chunk before bisection (singleton chunks become
         :class:`TaskError` records instead); at least 0.
@@ -354,7 +380,7 @@ class SweepExecutor:
         self._consecutive_pool_failures = 0
         self._degraded = False
         self._serial_simulator: Optional[Simulator] = None
-        self._serial_sources: Dict[str, Tuple[TraceSource, float, str]] = {}
+        self._serial_sources: Dict[str, Tuple[TraceLike, float, WorkloadRef]] = {}
         self.pools_spawned = 0
         self.tasks_run = 0
         self.worker_pids: Set[int] = set()
@@ -436,16 +462,35 @@ class SweepExecutor:
 
     # -- dispatch ------------------------------------------------------
     def chunk_size(self, task_count: int) -> int:
-        """Tasks per chunk: the fixed ``chunk`` or the adaptive policy.
-
-        Adaptive: aim for :data:`CHUNKS_PER_WORKER` chunks per worker
-        (dynamic assignment keeps stragglers from serialising the tail),
-        capped at :data:`MAX_CHUNK_TASKS` so huge grids still rebalance.
-        """
+        """Most tasks in one chunk: the fixed ``chunk``, else a worker's
+        share, ``ceil(task_count / jobs)``."""
         if self.chunk is not None:
             return self.chunk
-        size = math.ceil(task_count / (self.jobs * CHUNKS_PER_WORKER))
-        return max(1, min(size, MAX_CHUNK_TASKS))
+        return math.ceil(task_count / self.jobs)
+
+    def chunks(self, tasks: Sequence[SweepTask]) -> List[List[int]]:
+        """The task indices of each chunk, in submission order.
+
+        A fixed ``chunk`` cuts the list into runs of that size.  Otherwise
+        each benchmark group (:func:`group_by_benchmark`) is one chunk, so
+        its runs share one lockstep pass over its trace; a group holding
+        more than :meth:`chunk_size` tasks is split into near-equal pieces
+        of at most that many, which keeps every worker busy on a
+        one-benchmark grid.  Chunks go largest first, so the longest
+        passes start while the short ones fill in behind them.
+        """
+        size = self.chunk_size(len(tasks))
+        if self.chunk is not None:
+            indices = range(len(tasks))
+            return [list(indices[start : start + size]) for start in indices[::size]]
+        pieces: List[List[int]] = []
+        for group in group_by_benchmark(tasks):
+            count = math.ceil(len(group) / size)
+            pieces.extend(
+                group[part * len(group) // count : (part + 1) * len(group) // count]
+                for part in range(count)
+            )
+        return sorted(pieces, key=len, reverse=True)
 
     def run(
         self,
@@ -470,11 +515,9 @@ class SweepExecutor:
         """
         if not tasks:
             return
-        size = self.chunk_size(len(tasks))
-        items = list(enumerate(tasks))
         queue: Deque[_ChunkJob] = deque(
-            _ChunkJob(items=items[start : start + size])
-            for start in range(0, len(items), size)
+            _ChunkJob(items=[(index, tasks[index]) for index in chunk])
+            for chunk in self.chunks(tasks)
         )
         inflight: Dict[Future, Tuple[_ChunkJob, float]] = {}
         # Terminal chunk failures are parked here instead of being
@@ -754,13 +797,14 @@ class SweepExecutor:
         """In-process fallback: run the remaining tasks in the parent.
 
         The pool kept dying without progress, so the campaign finishes on
-        the one process known to work.  Tasks run one by one; an
-        exception becomes that task's :class:`TaskError` instead of
-        aborting the rest.  (A task that kills the *parent* — a genuine
-        ``os._exit`` poison — is exactly what bisection catches before
-        degradation is reached; degradation targets pool-level sickness:
-        fork failures, initializer OOM, a broken interpreter in the
-        children.)
+        the one process known to work.  Traces are made as a worker makes
+        them (:func:`_source`: a named workload is generated, a store
+        mapped).  Tasks run one by one; an exception becomes that task's
+        :class:`TaskError` instead of aborting the rest.  (A task that
+        kills the *parent* — a genuine ``os._exit`` poison — is exactly
+        what bisection catches before degradation is reached; degradation
+        targets pool-level sickness: fork failures, initializer OOM, a
+        broken interpreter in the children.)
         """
         if self._serial_simulator is None:
             self._serial_simulator = Simulator(system=self.system, engine=self.engine)
@@ -769,13 +813,11 @@ class SweepExecutor:
             for index, (name, parameters) in job.items:
                 started = time.monotonic()
                 try:
-                    cached = self._serial_sources.get(name)
-                    path, base_cpi = stores[name]
-                    if cached is None or cached[2] != path:
-                        cached = (TraceStore.open(path), base_cpi, path)
-                        self._serial_sources[name] = cached
+                    trace, base_cpi = _source(
+                        self._serial_sources, self._serial_simulator, name, stores
+                    )
                     (result,) = self._serial_simulator.run_many(
-                        cached[0], base_cpi, [parameters]
+                        trace, base_cpi, [parameters]
                     )
                 except Exception as exc:
                     yield self._task_error(

@@ -81,7 +81,19 @@ class Simulator:
         self.trace_instructions = trace_instructions
         self.seed = seed
         self.engine = resolve_engine(engine)
-        self._trace_cache: Dict[Tuple[str, int, int], InstructionTrace] = {}
+        self._trace_cache: Dict[
+            Tuple[str, int, int], List[Tuple[WorkloadSpec, InstructionTrace]]
+        ] = {}
+
+    def with_system(self, system: SystemConfig) -> "Simulator":
+        """A simulator like this one on ``system``, sharing its generated traces.
+
+        A generated trace depends only on its spec, length and seed, so
+        both simulators generate each benchmark once between them.
+        """
+        simulator = Simulator(system, self.trace_instructions, self.seed, self.engine)
+        simulator._trace_cache = self._trace_cache
+        return simulator
 
     # ------------------------------------------------------------------
     # Workload handling
@@ -109,13 +121,16 @@ class Simulator:
                 pass
             return workload, base_cpi
         spec = get_benchmark(workload) if isinstance(workload, str) else workload
-        key = (spec.name, self.trace_instructions, self.seed)
-        trace = self._trace_cache.get(key)
-        if trace is None:
-            trace = generate_trace(
-                spec, total_instructions=self.trace_instructions, seed=self.seed
-            )
-            self._trace_cache[key] = trace
+        generated = self._trace_cache.setdefault(
+            (spec.name, self.trace_instructions, self.seed), []
+        )
+        # A cached trace must come from this very spec, not merely its name:
+        # a custom spec may reuse a registry name.
+        for known, trace in generated:
+            if known is spec or known == spec:
+                return trace, spec.base_cpi
+        trace = generate_trace(spec, total_instructions=self.trace_instructions, seed=self.seed)
+        generated.append((spec, trace))
         return trace, spec.base_cpi
 
     # ------------------------------------------------------------------

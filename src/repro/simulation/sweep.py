@@ -21,15 +21,19 @@ over worker processes (``jobs`` in the constructor, or per call).  The
 pool itself is a persistent :class:`~repro.simulation.executor.SweepExecutor`
 owned by the sweep: workers are forked once, on the first parallel call,
 and reused by every later ``prefetch``/``grid``/``grid_many``/
-``evaluate_many`` call until the sweep is closed.  Each involved
-benchmark's trace is spilled once into an mmap-backed
-:class:`~repro.workloads.source.TraceStore` and the executor ships only
-the store *paths* — every worker memory-maps the same file and caches
-the opened source per benchmark, so the trace data exists once in the
-page cache no matter how many workers replay it, and each worker opens a
-benchmark's store once for the pool's whole lifetime.  Tasks travel in
-adaptive chunks with dynamic assignment (``chunk`` overrides the size),
-and results stream back as chunks finish (:meth:`ParameterSweep.prefetch_iter`).
+``evaluate_many`` call until the sweep is closed.  No trace array
+crosses the process boundary.  A *named* workload (a registry name or a
+:class:`~repro.workloads.phases.WorkloadSpec`, whose trace depends only
+on the spec, the trace length and the seed) travels as its spec, and
+each worker generates and caches the trace itself; the parent never
+generates it unless it replays the workload in process.  Any other
+workload (a pre-built trace, a streamed source) is spilled once into an
+mmap-backed :class:`~repro.workloads.source.TraceStore`, and the
+executor ships only the store *path* — every worker memory-maps the same
+file, so the trace data exists once in the page cache no matter how many
+workers replay it.  Each benchmark's tasks travel as one chunk with
+dynamic assignment (``chunk`` fixes the size instead), and results
+stream back as chunks finish (:meth:`ParameterSweep.prefetch_iter`).
 Every completed point lands in a per-(benchmark, geometry, parameters)
 memo, so repeated evaluations — the Figures 4–6 sensitivity studies all
 revisit the Figure 3 base points — never re-simulate.  The work unit of
@@ -60,15 +64,22 @@ from repro.simulation.executor import (
     SweepExecutor,
     SweepTask,
     TaskError,
+    WorkloadRef,
     check_fault_settings,
     group_by_benchmark,
 )
 from repro.simulation.results import SimulationResult
 from repro.simulation.simulator import Simulator, WorkloadLike
+from repro.workloads.phases import WorkloadSpec
 from repro.workloads.source import TraceSource, TraceStore
+from repro.workloads.spec95 import get_benchmark
 from repro.workloads.trace import InstructionTrace
 
 TraceLike = Union[InstructionTrace, TraceSource]
+
+Identified = Union[WorkloadSpec, TraceLike]
+"""A workload as the sweep keeps it: a named workload's spec (its trace
+not generated) or a pre-built trace or source."""
 
 DEFAULT_MISS_BOUNDS = (10, 30, 80, 200)
 """Default miss-bound grid (misses per sense interval)."""
@@ -106,6 +117,15 @@ def _trace_fingerprint(trace: TraceLike) -> Tuple:
         int(trace.instructions_per_line),
         int(trace.line_size),
         sample,
+    )
+
+
+def _collision(name: str) -> ValueError:
+    return ValueError(
+        f"benchmark name collision: a different workload named "
+        f"{name!r} was already used by this sweep; distinct "
+        f"traces must carry distinct names (the sweep's memo, "
+        f"store, and task identities are all keyed by name)"
     )
 
 
@@ -208,7 +228,7 @@ class ParameterSweep:
         process, values below 1 mean "all cores".
     chunk:
         Tasks per pool chunk (the ``--chunk`` escape hatch), at least 1;
-        ``None`` (the default) lets the executor pick adaptively.
+        ``None`` (the default) sends each benchmark's tasks as one chunk.
     max_retries / chunk_timeout:
         The executor's fault-tolerance knobs (DESIGN.md §11): retries
         per chunk before bisection (at least 0), and the optional
@@ -250,6 +270,7 @@ class ParameterSweep:
         ] = {}
         self._store_dir: Optional[tempfile.TemporaryDirectory] = None
         self._stores: Dict[str, TraceStore] = {}
+        self._specs: Dict[str, WorkloadSpec] = {}
         self._trace_fingerprints: Dict[str, Tuple] = {}
 
     # ------------------------------------------------------------------
@@ -282,14 +303,14 @@ class ParameterSweep:
     def sibling(self, system: SystemConfig, energy_model: EnergyModel) -> "ParameterSweep":
         """A new sweep like this one, on ``system`` with ``energy_model``.
 
-        It replays traces of the same length and seed on the same engine,
-        starts from the same base parameters, runs with the same executor
-        settings and adds to this sweep's :attr:`health`.  Its memo,
-        traces, stores and pool are its own: close it when done.
+        It replays traces of the same length and seed on the same engine
+        (sharing the traces this sweep's simulator generated), starts from
+        the same base parameters, runs with the same executor settings and
+        adds to this sweep's :attr:`health`.  Its memo, stores and pool
+        are its own: close it when done.
         """
-        simulator = self.simulator
         sibling = ParameterSweep(
-            Simulator(system, simulator.trace_instructions, simulator.seed, simulator.engine),
+            self.simulator.with_system(system),
             energy_model,
             self.base_parameters,
             jobs=self.jobs,
@@ -334,36 +355,70 @@ class ParameterSweep:
         except Exception:
             pass
 
-    def _register_trace(self, trace: TraceLike) -> None:
+    def _identify(self, workload: WorkloadLike) -> Tuple[str, Identified, float]:
+        """``(name, workload, base CPI)``, registered under the name.
+
+        A named workload (a registry name or a spec) comes back as its
+        spec, its trace not generated; anything else is resolved by the
+        simulator, which never generates it.
+        """
+        if isinstance(workload, str):
+            workload = get_benchmark(workload)
+        if isinstance(workload, WorkloadSpec):
+            self._register_trace(workload.name, workload)
+            return workload.name, workload, workload.base_cpi
+        trace, base_cpi = self.simulator.resolve_workload(workload)
+        self._register_trace(trace.name, trace)
+        return trace.name, trace, base_cpi
+
+    def _register_trace(self, name: str, workload: Identified) -> None:
         """Guard the per-benchmark memos against name collisions.
 
-        Every memo, store, and task in the sweep is keyed by
-        ``trace.name`` — two *distinct* workloads sharing a name would
+        Every memo, store, and task in the sweep is keyed by the
+        workload's name — two *distinct* workloads sharing a name would
         silently share one memo entry and one spilled store, and the
-        second would reuse the first's results.  A cheap content
+        second would reuse the first's results.  Named workloads are
+        compared by spec; pre-built traces by a cheap content
         fingerprint (length, geometry, head/tail address sample where
-        the addresses are materialised) detects the mismatch and raises
-        instead.
+        the addresses are materialised).  A spec and a pre-built trace
+        under one name are compared by content, which generates the
+        spec's trace (a rare mix).  A mismatch raises.
         """
+        if isinstance(workload, WorkloadSpec):
+            known = self._specs.get(name)
+            if known is not None and known is not workload and known != workload:
+                raise _collision(name)
+            if name in self._trace_fingerprints:
+                self._check_fingerprint(name, self.simulator.resolve_workload(workload)[0])
+            self._specs.setdefault(name, workload)
+            return
+        if name in self._specs and name not in self._trace_fingerprints:
+            named, _ = self.simulator.resolve_workload(self._specs[name])
+            self._trace_fingerprints[name] = _trace_fingerprint(named)
+        self._check_fingerprint(name, workload)
+
+    def _check_fingerprint(self, name: str, trace: TraceLike) -> None:
         fingerprint = _trace_fingerprint(trace)
-        known = self._trace_fingerprints.get(trace.name)
+        known = self._trace_fingerprints.get(name)
         if known is None:
-            self._trace_fingerprints[trace.name] = fingerprint
+            self._trace_fingerprints[name] = fingerprint
             return
         if _fingerprints_conflict(known, fingerprint):
-            raise ValueError(
-                f"benchmark name collision: a different workload named "
-                f"{trace.name!r} was already used by this sweep; distinct "
-                f"traces must carry distinct names (the sweep's memo, "
-                f"store, and task identities are all keyed by name)"
-            )
+            raise _collision(name)
         if fingerprint[3] is not None and known[3] is None:
             # Keep the more specific fingerprint (the one with an
             # address sample) for later comparisons.
-            self._trace_fingerprints[trace.name] = fingerprint
+            self._trace_fingerprints[name] = fingerprint
+
+    def _shipped(self, workload: Identified) -> WorkloadRef:
+        """What a pool ships for a workload: a named workload's spec with
+        this sweep's trace length and seed, else a store path."""
+        if isinstance(workload, WorkloadSpec):
+            return (workload, self.simulator.trace_instructions, self.simulator.seed)
+        return str(self._store_for(workload).path)
 
     def _store_for(self, trace: TraceLike) -> TraceStore:
-        """The mmap-backed store a parallel pool ships for this trace.
+        """The mmap-backed store a parallel pool ships for a pre-built trace.
 
         A workload that already *is* a store is shipped by its own path;
         anything else (in-memory trace, streamed source) is spilled once
@@ -371,7 +426,6 @@ class ParameterSweep:
         chunk, so even a lazily generated trace spills at flat memory —
         and reused for every later pool.
         """
-        self._register_trace(trace)
         if isinstance(trace, TraceStore):
             return trace
         store = self._stores.get(trace.name)
@@ -386,7 +440,7 @@ class ParameterSweep:
         return store
 
     def _dri_key(
-        self, trace: TraceLike, parameters: DRIParameters
+        self, name: str, parameters: DRIParameters
     ) -> Tuple[str, CacheGeometry, str, DRIParameters]:
         """Memo key: one entry per (benchmark, geometry, engine, parameters).
 
@@ -395,20 +449,19 @@ class ParameterSweep:
         cross-check next to batched runs) never conflates provenance.
         """
         return (
-            trace.name,
+            name,
             self.simulator.system.l1_icache,
             self.simulator.engine,
             parameters,
         )
 
-    def _dri_result(
-        self, trace: TraceLike, base_cpi: float, parameters: DRIParameters
-    ) -> SimulationResult:
+    def _dri_result(self, workload: WorkloadLike, parameters: DRIParameters) -> SimulationResult:
         """Run (or reuse) the DRI simulation for one configuration."""
-        self._register_trace(trace)
-        key = self._dri_key(trace, parameters)
+        name, workload, _ = self._identify(workload)
+        key = self._dri_key(name, parameters)
         cached = self._dri_cache.get(key)
         if cached is None:
+            trace, base_cpi = self.simulator.resolve_workload(workload)
             cached = self.simulator.run_dri_trace(trace, base_cpi, parameters)
             self._dri_cache[key] = cached
         return cached
@@ -418,12 +471,11 @@ class ParameterSweep:
     # ------------------------------------------------------------------
     def conventional_baseline(self, workload: WorkloadLike) -> SimulationResult:
         """Run (or reuse) the conventional i-cache baseline for a workload."""
-        trace, _ = self.simulator.resolve_workload(workload)
-        self._register_trace(trace)
-        cached = self._conventional_cache.get(trace.name)
+        name, workload, _ = self._identify(workload)
+        cached = self._conventional_cache.get(name)
         if cached is None:
             cached = self.simulator.run_conventional(workload)
-            self._conventional_cache[trace.name] = cached
+            self._conventional_cache[name] = cached
         return cached
 
     def evaluate(self, workload: WorkloadLike, parameters: DRIParameters) -> SweepPoint:
@@ -435,8 +487,7 @@ class ParameterSweep:
         energy comparison.
         """
         conventional = self.conventional_baseline(workload)
-        trace, base_cpi = self.simulator.resolve_workload(workload)
-        dri_result = self._dri_result(trace, base_cpi, parameters)
+        dri_result = self._dri_result(workload, parameters)
         comparison = compare_runs(
             benchmark=dri_result.benchmark,
             dri_stats=dri_result.run_statistics(conventional),
@@ -524,39 +575,32 @@ class ParameterSweep:
 
     def _pending_tasks(
         self, pairs: Sequence[Tuple[WorkloadLike, Optional[DRIParameters]]]
-    ) -> Tuple[List[_SweepTask], Dict[str, Tuple[TraceLike, float]]]:
-        """Deduplicated not-yet-memoized tasks plus the resolved traces."""
-        resolved: Dict[str, Tuple[TraceLike, float]] = {}
+    ) -> Tuple[List[_SweepTask], Dict[str, Tuple[Identified, float]]]:
+        """Deduplicated not-yet-memoized tasks plus each benchmark's
+        ``(workload, base CPI)``, named workloads left as specs."""
+        resolved: Dict[str, Tuple[Identified, float]] = {}
         tasks: List[_SweepTask] = []
         seen: set = set()
         for workload, parameters in pairs:
-            trace, base_cpi = self.simulator.resolve_workload(workload)
-            self._register_trace(trace)
-            resolved[trace.name] = (trace, base_cpi)
+            name, workload, base_cpi = self._identify(workload)
+            resolved[name] = (workload, base_cpi)
             if parameters is None:
-                if trace.name in self._conventional_cache:
+                if name in self._conventional_cache:
                     continue
-                task: _SweepTask = (trace.name, None)
-            else:
-                if self._dri_key(trace, parameters) in self._dri_cache:
-                    continue
-                task = (trace.name, parameters)
+            elif self._dri_key(name, parameters) in self._dri_cache:
+                continue
+            task: _SweepTask = (name, parameters)
             if task not in seen:
                 seen.add(task)
                 tasks.append(task)
         return tasks, resolved
 
-    def _memoize(
-        self,
-        task: _SweepTask,
-        result: SimulationResult,
-        resolved: Dict[str, Tuple[TraceLike, float]],
-    ) -> None:
+    def _memoize(self, task: _SweepTask, result: SimulationResult) -> None:
         name, parameters = task
         if parameters is None:
             self._conventional_cache[name] = result
         else:
-            self._dri_cache[self._dri_key(resolved[name][0], parameters)] = result
+            self._dri_cache[self._dri_key(name, parameters)] = result
 
     def prefetch_iter(
         self,
@@ -592,7 +636,9 @@ class ParameterSweep:
         if jobs <= 1:
             for group in group_by_benchmark(tasks):
                 group_tasks = [tasks[index] for index in group]
-                trace, base_cpi = resolved[group_tasks[0][0]]
+                trace, base_cpi = self.simulator.resolve_workload(
+                    resolved[group_tasks[0][0]][0]
+                )
                 started = time.monotonic()
                 results = self.simulator.run_many(
                     trace, base_cpi, [parameters for _, parameters in group_tasks]
@@ -600,17 +646,17 @@ class ParameterSweep:
                 self._health.tasks_run += len(group_tasks)
                 self._health.chunk_wall_times.append(time.monotonic() - started)
                 for task, result in zip(group_tasks, results):
-                    self._memoize(task, result, resolved)
+                    self._memoize(task, result)
                 yield from zip(group_tasks, results)
             return
         stores: StoreMap = {
-            name: (str(self._store_for(resolved[name][0]).path), resolved[name][1])
+            name: (self._shipped(resolved[name][0]), resolved[name][1])
             for name in {name for name, _ in tasks}
         }
         executor = self._executor_for(jobs)
 
         def _memoize_result(index: int, result: SimulationResult) -> None:
-            self._memoize(tasks[index], result, resolved)
+            self._memoize(tasks[index], result)
 
         for index, result in executor.run(tasks, stores, on_result=_memoize_result):
             if isinstance(result, TaskError):
@@ -630,8 +676,9 @@ class ParameterSweep:
         the queue drains, instead of pooling within one benchmark's grid
         at a time.  With more than one worker the tasks flow through the
         sweep's persistent :class:`SweepExecutor` (warm across calls);
-        each involved trace is spilled once into an mmap-backed store and
-        the workers receive only its path.  Results land in the same
+        workers generate named workloads from their specs, and any other
+        trace is spilled once into an mmap-backed store whose path they
+        receive.  Results land in the same
         memos the serial path uses, so the subsequent
         :meth:`evaluate`/:meth:`grid` calls are pure lookups; returns the
         number of simulations actually run.
@@ -686,8 +733,7 @@ class ParameterSweep:
         self.prefetch(pairs, jobs=jobs)
         results: Dict[str, SweepResult] = {}
         for workload in workloads:
-            trace, _ = self.simulator.resolve_workload(workload)
-            results[trace.name] = self.grid(
+            results[self._identify(workload)[0]] = self.grid(
                 workload, miss_bounds=miss_bounds, size_bounds=size_bounds, jobs=1
             )
         return results

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.simulation.simulator as simulator_module
 from repro.config.parameters import DRIParameters
 from repro.config.system import CacheGeometry, SystemConfig
 from repro.simulation.simulator import Simulator
@@ -43,3 +44,18 @@ def quick_simulator() -> Simulator:
     """A simulator generating short traces for fast tests."""
     return Simulator(trace_instructions=120_000, seed=7)
 
+
+
+@pytest.fixture
+def generated(monkeypatch) -> list:
+    """Names of the traces ``Simulator`` generates in this process, in
+    call order (forked pool workers append to their own copy)."""
+    names: list = []
+    generate = simulator_module.generate_trace
+
+    def counted(spec, *args, **kwargs):
+        names.append(spec.name)
+        return generate(spec, *args, **kwargs)
+
+    monkeypatch.setattr(simulator_module, "generate_trace", counted)
+    return names

@@ -10,6 +10,7 @@ from repro.config.system import DEFAULT_SYSTEM
 from repro.energy.model import EnergyModel
 from repro.simulation.executor import SweepExecutor
 from repro.simulation.experiments import (
+    QUICK_SCALE,
     BenchmarkRow,
     ExperimentScale,
     figure3_experiment,
@@ -209,6 +210,12 @@ class TestDriversTakeTheirSweep:
             parameters = grids[name].best(constrained=True).parameters
             expected = BenchmarkRow.from_point(fresh.evaluate(name, parameters))
             assert result.row(name, "64K-DM") == expected
+
+    def test_figure6_siblings_reuse_the_parents_traces(self, generated):
+        # A trace depends only on benchmark, length and seed, so the 64K
+        # 4-way and 128K siblings replay the traces the base sweep made.
+        figure6_experiment(("compress", "li"), QUICK_SCALE)
+        assert generated == ["compress", "li"]
 
     def test_figure6_closes_its_sibling_sweeps(self):
         with TINY_SCALE.sweep(jobs=2) as sweep:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.config.parameters import DRIParameters
@@ -130,6 +133,20 @@ class TestWorkloadResolution:
         result = simulator.run_dri(trace, parameters)
         assert result.benchmark == "applu"
         assert result.instructions == 40_000
+
+    def test_a_spec_reusing_a_cached_name_gets_its_own_trace(self, simulator):
+        gcc, _ = simulator.resolve_workload("gcc")
+        impostor = replace(get_benchmark("li"), name="gcc")
+        trace, _ = simulator.resolve_workload(impostor)
+        own = generate_trace(
+            impostor, total_instructions=simulator.trace_instructions, seed=simulator.seed
+        )
+        assert trace is not gcc
+        assert np.array_equal(trace.line_addresses, own.line_addresses)
+        assert not np.array_equal(trace.line_addresses, gcc.line_addresses)
+        # Both stay cached, each under its own spec.
+        assert simulator.resolve_workload("gcc")[0] is gcc
+        assert simulator.resolve_workload(impostor)[0] is trace
 
     def test_unknown_benchmark_raises(self, simulator):
         with pytest.raises(KeyError):

@@ -359,7 +359,8 @@ class TestStreamedReplayAcceptance:
 
 
 class TestSweepStoreShipping:
-    """Parallel sweeps spill one mmapped store per benchmark and ship paths."""
+    """Parallel sweeps spill one mmapped store per pre-built trace and ship
+    its path; named workloads travel as specs and spill nothing."""
 
     def _sweep(self):
         simulator = Simulator(trace_instructions=40_000, seed=11)
@@ -367,15 +368,36 @@ class TestSweepStoreShipping:
             simulator, base_parameters=DRIParameters(sense_interval=5_000)
         )
 
+    @staticmethod
+    def _trace(name):
+        """A pre-built trace equal to the one the sweep's simulator generates."""
+        return generate_trace(get_benchmark(name), total_instructions=40_000, seed=11)
+
     def test_parallel_grid_uses_one_store_per_benchmark(self):
-        sweep = self._sweep()
-        result = sweep.grid(
-            "compress", miss_bounds=(10, 80), size_bounds=(1024, 8192), jobs=2
-        )
-        assert len(result.points) == 4
-        assert set(sweep._stores) == {"compress"}
-        store = sweep._stores["compress"]
-        assert isinstance(store.addresses_mmap, np.memmap)
+        with self._sweep() as sweep:
+            result = sweep.grid(
+                self._trace("compress"), miss_bounds=(10, 80), size_bounds=(1024, 8192), jobs=2
+            )
+            assert len(result.points) == 4
+            assert set(sweep._stores) == {"compress"}
+            store = sweep._stores["compress"]
+            assert isinstance(store.addresses_mmap, np.memmap)
+
+    def test_named_grid_spills_nothing(self, monkeypatch):
+        def no_spill(*args, **kwargs):
+            raise AssertionError("a named workload was spilled to a store")
+
+        grid = dict(miss_bounds=(10, 80), size_bounds=(1024, 8192))
+        with monkeypatch.context() as patch:
+            patch.setattr(TraceStore, "save", no_spill)
+            with self._sweep() as sweep:
+                parallel = sweep.grid("compress", jobs=2, **grid)
+                assert sweep._stores == {} and sweep._store_dir is None
+        serial = self._sweep().grid("compress", **grid)
+        for a, b in zip(serial.points, parallel.points, strict=True):
+            assert a.parameters == b.parameters
+            assert a.simulation.cycles == b.simulation.cycles
+            assert a.simulation.dri_stats.intervals == b.simulation.dri_stats.intervals
 
     def test_parallel_matches_serial_through_stores(self):
         serial = self._sweep().grid(
@@ -405,14 +427,14 @@ class TestSweepStoreShipping:
     def test_closing_deletes_the_spilled_stores_and_the_sweep_respills(self):
         grid = dict(miss_bounds=(10, 80), size_bounds=(1024, 8192))
         with self._sweep() as sweep:
-            sweep.grid("compress", jobs=2, **grid)
+            sweep.grid(self._trace("compress"), jobs=2, **grid)
             first_dir = sweep._store_dir.name
             assert os.path.isdir(first_dir)
         assert not os.path.exists(first_dir)
         assert sweep._stores == {} and sweep._store_dir is None
         # Still usable after close: a new pooled call spills afresh.
         with sweep:
-            parallel = sweep.grid("li", jobs=2, **grid)
+            parallel = sweep.grid(self._trace("li"), jobs=2, **grid)
             assert set(sweep._stores) == {"li"}
             second_dir = sweep._store_dir.name
             assert os.path.isdir(second_dir)

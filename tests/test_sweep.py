@@ -142,6 +142,23 @@ class TestBenchmarkNameCollision:
             with pytest.raises(ValueError, match="collision"):
                 sweep.prefetch(pairs)
 
+    def test_prebuilt_trace_reusing_a_benchmark_name_raises(self, sweep):
+        import dataclasses
+
+        sweep.conventional_baseline("compress")
+        # li's trace at the sweep's own length and seed, named compress.
+        li, _ = Simulator(trace_instructions=80_000, seed=3).resolve_workload("li")
+        with pytest.raises(ValueError, match="collision"):
+            sweep.conventional_baseline(dataclasses.replace(li, name="compress"))
+
+    def test_the_named_trace_itself_shares_the_names_memo(self, sweep):
+        parameters = DRIParameters(miss_bound=40, size_bound=1024, sense_interval=5_000)
+        baseline = sweep.conventional_baseline("compress")
+        point = sweep.evaluate("compress", parameters)
+        trace, _ = sweep.simulator.resolve_workload("compress")
+        assert sweep.conventional_baseline(trace) is baseline
+        assert sweep.evaluate(trace, parameters).simulation is point.simulation
+
 
 class TestMemoKey:
     def test_memo_key_separates_engines(self):

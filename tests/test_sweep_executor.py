@@ -1,10 +1,11 @@
 """Tests for the persistent sweep executor.
 
-Pin the contract of the warm-pool subsystem: the jobs clamp, adaptive
-chunking, pool reuse across consecutive sweep calls (asserted via
-worker-pid capture — the regression is a fresh pool per call), streamed
-``prefetch_iter`` results, and bit-identity of every parallel/chunked
-variant with the serial path, pickled ``PolicySpec``s included.
+Pin the contract of the warm-pool subsystem: the jobs clamp, one chunk
+per benchmark group, pool reuse across consecutive sweep calls (asserted
+via worker-pid capture — the regression is a fresh pool per call),
+streamed ``prefetch_iter`` results, workers that generate named
+workloads themselves, and bit-identity of every parallel/chunked variant
+with the serial path, pickled ``PolicySpec``s included.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from repro.config.parameters import DRIParameters
 from repro.config.system import DEFAULT_SYSTEM
 import repro.simulation.executor as executor_module
 from repro.simulation.executor import (
-    MAX_CHUNK_TASKS,
     CampaignHealth,
     SweepExecutor,
     TaskError,
 )
+from repro.simulation.experiments import QUICK_SCALE, figure3_experiment
 from repro.simulation.simulator import Simulator
 from repro.simulation.sweep import ParameterSweep, _resolve_jobs
 from repro.workloads.generator import generate_trace
@@ -85,22 +86,62 @@ class TestResolveJobs:
         assert _resolve_jobs(0, task_count=1) == 1
 
 
+def _interleaved_tasks(names, per_benchmark):
+    """``per_benchmark`` tasks of each benchmark, dealt round-robin."""
+    base = DRIParameters(size_bound=1024, sense_interval=SENSE_INTERVAL)
+    return [
+        (name, replace(base, miss_bound=10 * (k + 1)))
+        for k in range(per_benchmark)
+        for name in names
+    ]
+
+
 class TestChunkSize:
-    def test_adaptive_targets_four_chunks_per_worker(self):
-        executor = SweepExecutor(DEFAULT_SYSTEM, "batched", jobs=4)
-        assert executor.chunk_size(64) == 4
+    def test_each_benchmark_group_is_one_chunk(self):
+        tasks = _interleaved_tasks(("compress", "li", "gcc"), 5)
+        chunks = SweepExecutor(DEFAULT_SYSTEM, "batched", jobs=2).chunks(tasks)
+        # A worker's share is 8 tasks, so no 5-task group is split.
+        assert [{tasks[index][0] for index in chunk} for chunk in chunks] == [
+            {"compress"},
+            {"li"},
+            {"gcc"},
+        ]
+        assert [len(chunk) for chunk in chunks] == [5, 5, 5]
 
-    def test_adaptive_floor_is_one_task(self):
-        executor = SweepExecutor(DEFAULT_SYSTEM, "batched", jobs=4)
-        assert executor.chunk_size(3) == 1
+    def test_a_group_above_a_workers_share_is_split(self):
+        tasks = _interleaved_tasks(("compress",), 9)
+        chunks = SweepExecutor(DEFAULT_SYSTEM, "batched", jobs=2).chunks(tasks)
+        assert len(chunks) == 2
+        assert max(len(chunk) for chunk in chunks) <= 5
+        assert sorted(index for chunk in chunks for index in chunk) == list(range(9))
 
-    def test_adaptive_cap_keeps_large_grids_rebalancing(self):
-        executor = SweepExecutor(DEFAULT_SYSTEM, "batched", jobs=1)
-        assert executor.chunk_size(10_000) == MAX_CHUNK_TASKS
+    def test_the_largest_group_is_submitted_first(self, monkeypatch):
+        submitted = []
+        submit = SweepExecutor._submit
+
+        def spy(executor, job, stores):
+            submitted.append([task for _, task in job.items])
+            return submit(executor, job, stores)
+
+        monkeypatch.setattr(SweepExecutor, "_submit", spy)
+        base = DRIParameters(size_bound=1024, sense_interval=SENSE_INTERVAL)
+        pairs = [("li", None), ("li", base), ("compress", None)]
+        pairs += [("compress", replace(base, miss_bound=bound)) for bound in (10, 80)]
+        with _sweep(jobs=2) as sweep:
+            assert sweep.prefetch(pairs) == 5
+        assert [[name for name, _ in chunk] for chunk in submitted] == [
+            ["compress"] * 3,
+            ["li"] * 2,
+        ]
 
     def test_explicit_chunk_wins(self):
         executor = SweepExecutor(DEFAULT_SYSTEM, "batched", jobs=4, chunk=7)
         assert executor.chunk_size(64) == 7
+
+    def test_explicit_chunk_cuts_the_list_in_order(self):
+        tasks = _interleaved_tasks(("compress", "li"), 3)
+        chunks = SweepExecutor(DEFAULT_SYSTEM, "batched", jobs=2, chunk=4).chunks(tasks)
+        assert chunks == [[0, 1, 2, 3], [4, 5]]
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
@@ -188,6 +229,40 @@ class TestChunking:
                     "compress", miss_bounds=miss_bounds, size_bounds=size_bounds
                 )
             assert _grid_keys(result) == expected, f"chunk={chunk}"
+
+
+class TestWorkerGeneration:
+    """Named workloads reach the pool as specs; workers generate them."""
+
+    def test_pooled_equals_serial_at_a_non_default_length_and_seed(self):
+        # Neither 600,000 instructions nor seed 2001: a worker that
+        # generated at the defaults would replay another trace.
+        def sweep(jobs):
+            return ParameterSweep(
+                Simulator(trace_instructions=48_000, seed=5),
+                base_parameters=DRIParameters(sense_interval=SENSE_INTERVAL),
+                jobs=jobs,
+            )
+
+        grid = dict(miss_bounds=(10, 80), size_bounds=(1024, 8192))
+        with sweep(2) as pooled:
+            results = pooled.grid_many(["compress", "li"], **grid)
+            assert pooled._stores == {}
+        serial = sweep(1)
+        for name in ("compress", "li"):
+            assert _grid_keys(results[name]) == _grid_keys(serial.grid(name, **grid))
+            assert results[name].conventional.instructions == 48_000
+
+    def test_pooled_figure3_generates_nothing_in_the_parent(self, generated):
+        benchmarks = ["compress", "li"]
+        with QUICK_SCALE.sweep(jobs=2) as sweep:
+            pooled = figure3_experiment(benchmarks, QUICK_SCALE, sweep=sweep)
+            assert sweep._stores == {}
+        assert generated == []
+        serial = figure3_experiment(benchmarks, QUICK_SCALE)
+        assert generated == benchmarks
+        assert pooled.constrained == serial.constrained
+        assert pooled.unconstrained == serial.unconstrained
 
 
 class TestPrefetchIter:
