@@ -23,7 +23,7 @@ tracked across PRs.  The JSON schema:
       "streamed": {"accesses": 10000000, "batched_accesses_per_s": ...,
                    "peak_python_mib": ..., "materialised_trace_mib": ...},
       "generation": {"benchmarks": ["li", "go", "gcc"], "lines": 10000000,
-                     "chunk_lines": 125000, "lines_per_s": ...,
+                     "chunk_lines": 16384, "lines_per_s": ...,
                      "wall_clock_s": ..., "peak_python_mib": ...},
       "lockstep": {"runs": 17, "per_run_s": ..., "one_pass_s": ...,
                    "speedup": ..., "identical": true,
@@ -54,10 +54,11 @@ until it is filled, so a row of a few milliseconds is averaged over
 hundreds of calls rather than taken from three.
 
 The ``generation`` section streams ``lines`` line fetches of each of li,
-go and gcc (the paper-scale benchmarks) in 125,000-line chunks with no
-replay: ``wall_clock_s`` is one pass over all three streams,
-``lines_per_s`` counts every benchmark's lines, and ``peak_python_mib``
-is one more pass under ``tracemalloc``.  It has no floor.
+go and gcc (the paper-scale benchmarks) with no replay, in pieces of the
+length the batched engine reads (``BANK_PROBES_PER_CALL``):
+``wall_clock_s`` is one pass over all three streams, ``lines_per_s``
+counts every benchmark's lines, and ``peak_python_mib`` is one more pass
+under ``tracemalloc``.  It has no floor.
 
 The ``lockstep`` section replays one benchmark's 16-point Figure 3 grid
 plus its conventional baseline on the batched engine twice: once per run
@@ -104,7 +105,7 @@ from repro.config.parameters import DRIParameters
 from repro.config.system import DEFAULT_SYSTEM
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.simulation.engine import replay_batched
+from repro.simulation.engine import BANK_PROBES_PER_CALL, replay_batched
 from repro.simulation.simulator import Simulator
 from repro.simulation.sweep import ParameterSweep
 from repro.workloads.generator import stream_trace
@@ -233,8 +234,6 @@ GENERATION_BENCHMARKS = ("li", "go", "gcc")
 GENERATION_LINES = 10_000_000
 """Lines per benchmark in the generation section (``--quick``: a quarter)."""
 
-GENERATION_CHUNK_LINES = 125_000
-
 
 def measure_generation(lines: int) -> Dict[str, object]:
     """Streamed generation alone: ``lines`` lines of each benchmark, no replay."""
@@ -243,7 +242,7 @@ def measure_generation(lines: int) -> Dict[str, object]:
         count = 0
         for name in GENERATION_BENCHMARKS:
             source = stream_trace(get_benchmark(name), total_instructions=lines * 8)
-            for chunk in source.chunks(GENERATION_CHUNK_LINES):
+            for chunk in source.chunks(BANK_PROBES_PER_CALL):
                 count += chunk.shape[0]
         return count
 
@@ -256,7 +255,7 @@ def measure_generation(lines: int) -> Dict[str, object]:
     return {
         "benchmarks": list(GENERATION_BENCHMARKS),
         "lines": lines,
-        "chunk_lines": GENERATION_CHUNK_LINES,
+        "chunk_lines": BANK_PROBES_PER_CALL,
         "lines_per_s": total / best,
         "wall_clock_s": best,
         "peak_python_mib": peak / 2**20,

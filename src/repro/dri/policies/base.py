@@ -30,6 +30,7 @@ from __future__ import annotations
 import inspect
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Type, Union
 
 from repro.config.parameters import DRIParameters, PolicySpec
@@ -184,6 +185,13 @@ def policy_catalog() -> Dict[str, Dict[str, Any]]:
     return catalog
 
 
+@lru_cache(maxsize=None)
+def _takes_miss_bound(cls: Type[ResizePolicy]) -> bool:
+    """Whether a policy class's constructor takes ``miss_bound`` (read once
+    per class: a campaign builds a policy for every DRI cache)."""
+    return "miss_bound" in inspect.signature(cls.__init__).parameters
+
+
 def build_policy(
     spec: Union[PolicySpec, str], parameters: Optional[DRIParameters] = None
 ) -> ResizePolicy:
@@ -198,10 +206,8 @@ def build_policy(
         spec = PolicySpec.parse(spec)
     cls = get_policy_class(spec.name)
     options = spec.options
-    if parameters is not None and "miss_bound" not in options:
-        signature = inspect.signature(cls.__init__)
-        if "miss_bound" in signature.parameters:
-            options["miss_bound"] = parameters.miss_bound
+    if parameters is not None and "miss_bound" not in options and _takes_miss_bound(cls):
+        options["miss_bound"] = parameters.miss_bound
     try:
         return cls(**options)
     except TypeError as error:

@@ -7,12 +7,12 @@ scalar and batched:
 
 * :func:`replay_scalar` — the original per-address Python loop (one dict
   probe per access), kept as the semantic reference;
-* :func:`replay_batched` — sense-interval-aligned numpy chunks: each chunk
-  is classified hit/miss vectorised through
+* :func:`replay_batched` — numpy pieces of the stream: each piece is
+  classified hit/miss vectorised through
   :meth:`~repro.memory.cache.Cache.access_batch`, DRI resize decisions are
-  applied at chunk boundaries only — exactly where the scalar loop
-  applies them — and the buffered L1 misses are drained through the L2
-  in one vectorised call
+  applied at sense-interval boundaries only — exactly where the scalar
+  loop applies them — and the buffered L1 misses are drained through the
+  L2 in one vectorised call
   (:meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch_from_l1_misses`)
   per :data:`DEFAULT_CHUNK_ACCESSES` accesses, across sense intervals;
 * :func:`replay_lockstep` — the same loop for every run that shares one
@@ -37,18 +37,24 @@ associativity, L1 and L2 alike — never enters the Python interpreter.
 
 Chunking policy
 ---------------
-DRI runs use one chunk per sense interval (the decision points *are* the
-chunk boundaries).  Runs without resize decisions (conventional and
-fixed-size caches) have no boundaries to respect and use a fixed large
-chunk, :data:`DEFAULT_CHUNK_ACCESSES`, which bounds the working memory of
-the classification scratch arrays.  In a lockstep group they take the
-DRI members' interval chunks, which changes no outcome.
+The batched engine reads its source in *pieces* of at most
+:data:`BANK_PROBES_PER_CALL` accesses, the classifier's own call size:
+``min(interval, BANK_PROBES_PER_CALL)`` when the replay takes DRI
+decisions, the cap itself when it takes none.  A piece that straddles a
+sense-interval boundary is split there into two views, so the decision
+points are the scalar loop's whatever the interval's length; an interval
+of 1,562 accesses (Figure 3's 12,500 instructions) is one piece, and the
+paper's 125,000-access interval is about eight.  A generated source
+hands over each piece that lies inside one generation segment as a view.
 
 The batched engine's L2 drain ignores interval boundaries: nothing
 upstream of the L2 reads its state (L1 hits and resize decisions read
 only L1 state, and an i-cache never writes back), so draining once per
 :data:`DEFAULT_CHUNK_ACCESSES` accesses feeds it the same misses in the
-same order, in fewer calls.
+same order, in fewer calls.  A drain falls at the end of a piece that
+completes an interval (before that interval closes) once that many
+accesses are pending, or at the end of any piece when no run takes
+decisions, plus once at the end.
 """
 
 from __future__ import annotations
@@ -71,20 +77,22 @@ TraceLike = Union[InstructionTrace, TraceSource]
 """What the replay functions accept as the reference stream."""
 
 DEFAULT_CHUNK_ACCESSES = 1 << 16
-"""Chunk length (in accesses) for runs without sense-interval boundaries,
-and the batched engine's L2 drain period."""
+"""The batched engine's L2 drain period (in accesses), and the scalar
+engine's chunk length."""
 
 BANK_PROBES_PER_CALL = 1 << 14
-"""Probes per classifier call in a lockstep replay: accesses per per-mask
-pass for a direct-mapped bank (one pass serves every member with that set
-mask), composite probes per call for a set-associative one.  The cap
-bounds the scratch arrays and keeps each call where numpy's cost per probe
-is lowest.  On a 2-vCPU Xeon (4 MiB L2 per core, numpy 2.4) the streamed
-paper-scale campaign (perfbench's ``paper-scale-dm``) took 2.36-2.42 s at
-16,384 composite probes per call and 2.86-2.99 s at 65,536, where the
-classifier's arrays outgrow the L2.  With per-mask passes the same
-campaign ran 2.52-2.64 s at 16,384 accesses per pass and 2.48-2.70 s at
-65,536 (raw walls, six campaigns each), so the cap was kept."""
+"""Probes per classifier call, and the longest piece the batched engine
+asks its source for: accesses per per-mask pass for a direct-mapped bank
+(one pass serves every member with that set mask) and per
+``access_batch`` call for a single run, composite probes per call for a
+set-associative bank.  The cap bounds the scratch arrays and keeps each
+call where numpy's cost per probe is lowest: on a 2-vCPU Xeon (4 MiB L2
+per core, numpy 2.4) composite calls of 65,536 probes, whose arrays
+outgrow the L2, made the streamed paper-scale campaign (perfbench's
+``paper-scale-dm``) about 20% slower than calls of 16,384.  Reading the
+source at this length rather than a whole interval at a time spares the
+re-cut of generation segments into interval-sized copies and the
+interval-sized block temporaries (DESIGN.md section 7)."""
 
 ENGINE_KINDS = ("auto", "batched", "scalar")
 """Accepted engine selectors; "auto" means "batched"."""
@@ -185,12 +193,14 @@ def replay_lockstep(
 
     Each member's outcome is bit-identical to its own :func:`replay_scalar`
     run.  The L1 hit/miss outcome of an access depends only on L1 state,
-    so classifying a chunk up front and then draining its misses through
+    so classifying a piece up front and then draining its misses through
     the L2 in order preserves both the L1 and L2 reference streams.  The
     members share one L1 geometry and, where they take DRI decisions, one
-    sense interval: the source is asked for chunks of exactly that length,
-    so the chunk boundaries *are* the decision points even when the stream
-    is generated or read from disk on the fly.  With more than one member,
+    sense interval: the source is asked for pieces of at most
+    ``min(interval, BANK_PROBES_PER_CALL)`` accesses, and a piece that
+    straddles an interval boundary is classified as two views, so the
+    decision points are the scalar loop's even when the stream is
+    generated or read from disk on the fly.  With more than one member,
     every *complete* interval is closed for every DRI member at once by
     one :class:`~repro.dri.controller.ResizeGroup` pass; a single member
     closes it with its own ``end_interval``, the scalar engine's path,
@@ -201,11 +211,10 @@ def replay_lockstep(
     leaves them.
 
     With more than one member, the L1s are stacked into one
-    :class:`~repro.memory.cache.CacheBank` and each chunk is classified
-    for all of them in calls of at most :data:`BANK_PROBES_PER_CALL`
-    probes, so the trace is generated or read once, not once per run;
-    direct-mapped members that share a set mask share one sort of the
-    chunk.  A single member is classified through its own
+    :class:`~repro.memory.cache.CacheBank` and each piece is classified
+    for all of them at once, so the trace is generated or read once, not
+    once per run; direct-mapped members that share a set mask share one
+    sort of the piece.  A single member is classified through its own
     ``access_batch``.
 
     Shared histories: a cache changes state only by masking sets, so
@@ -218,16 +227,20 @@ def replay_lockstep(
     miss counts, before gating wipes any rows.  When the replay returns,
     every follower holds its leader's rows (``settle``) and L2.
 
-    Drain rule: the chunks and their ``(K, n)`` hit masks are kept until
-    :data:`DEFAULT_CHUNK_ACCESSES` accesses have been classified (plus
-    once at the end); then each leader's misses are taken from them in
-    order and drained through its own
+    Drain rule: the pieces and their ``(K, n)`` hit masks are kept until
+    :data:`DEFAULT_CHUNK_ACCESSES` accesses are pending at the end of a
+    piece that completes an interval, before that interval closes (at the
+    end of any piece when no member takes decisions), plus once at the
+    end; then the pieces are concatenated and each leader's misses are
+    taken from them in order and drained through its own
     :meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch_from_l1_misses`
     in one call.  Exact because L1 hits and resize decisions read only L1
     state and the i-cache never writes back: the L2 sees the same misses
     in the same order.  A split needs no fix-up of the kept masks: a
-    follower's rows there are its leader's.  The buffer holds at most one drain period plus
-    one chunk, so a source must not overwrite a chunk it has yielded.
+    follower's rows there are its leader's, and draining before the close
+    hands a split's new leader an L2 that has already seen them.  The
+    buffer holds at most one drain period plus one interval, so a source
+    must not overwrite a piece it has yielded.
     """
     source = as_trace_source(trace)
     instructions_per_line = source.instructions_per_line
@@ -238,7 +251,8 @@ def replay_lockstep(
     lengths = {icache.interval_length_accesses for icache in driven}
     if len(lengths) > 1:
         raise ValueError(f"lockstep members must share one sense interval, got {sorted(lengths)}")
-    chunk_accesses = lengths.pop() if lengths else DEFAULT_CHUNK_ACCESSES
+    interval = lengths.pop() if lengths else None
+    piece_accesses = min(interval, BANK_PROBES_PER_CALL) if driven else BANK_PROBES_PER_CALL
     bank = group = None
     if len(caches) > 1:
         bank = CacheBank(
@@ -253,19 +267,30 @@ def replay_lockstep(
     miss_memory = [0] * len(members)
     accesses = 0
     interval_fill = 0
-    # The chunks not yet drained, each with its (K, n) hit mask.
+    # The pieces not yet drained, each with its (K, n) hit mask.
     pending: List[Tuple[np.ndarray, np.ndarray]] = []
     undrained = 0
 
-    def drain() -> None:
-        if not pending:
+    def classify(piece: np.ndarray) -> None:
+        nonlocal undrained
+        if bank is None:
+            hits = caches[0].access_batch(piece)[None]
+        else:
+            hits = bank.classify(piece, BANK_PROBES_PER_CALL)
+        pending.append((piece, hits))
+        undrained += piece.shape[0]
+
+    def drain(due: int = 1) -> None:
+        nonlocal undrained
+        if undrained < due:
             return
         if len(pending) == 1:
             addresses, hits = pending[0]
         else:
-            addresses = np.concatenate([chunk for chunk, _ in pending])
-            hits = np.concatenate([chunk_hits for _, chunk_hits in pending], axis=1)
+            addresses = np.concatenate([piece for piece, _ in pending])
+            hits = np.concatenate([piece_hits for _, piece_hits in pending], axis=1)
         pending.clear()
+        undrained = 0
         misses = np.logical_not(hits, out=hits)
         for index in bank.leaders.tolist() if bank is not None else [0]:
             member_misses = addresses[misses[index]]
@@ -292,30 +317,28 @@ def replay_lockstep(
             # Gating wipes the sets a downsize turns off.
             bank.invalidate_from(rows[downsized], sets[downsized])
 
-    for chunk in source.chunks(chunk_accesses):
-        accesses += chunk.shape[0]
-        if bank is None:
-            hits = caches[0].access_batch(chunk)[None]
-        else:
-            hits = bank.classify(chunk, BANK_PROBES_PER_CALL)
-        pending.append((chunk, hits))
-        undrained += chunk.shape[0]
-        if undrained >= DEFAULT_CHUNK_ACCESSES:
-            drain()
-            undrained = 0
-        if driven:
-            # Count accesses into the open interval rather than trusting
-            # each chunk to be exactly interval-sized: a source that cuts
-            # a short chunk mid-stream still closes intervals at the same
-            # points as the scalar loop.
-            interval_fill += chunk.shape[0]
-            if interval_fill > chunk_accesses:
-                raise ValueError(
-                    "trace source yielded more than the requested chunk length "
-                    f"({interval_fill} accesses into a {chunk_accesses}-access interval)"
-                )
-            if interval_fill == chunk_accesses:
-                close_interval(interval_fill * instructions_per_line)
+    for piece in source.chunks(piece_accesses):
+        if piece.shape[0] > piece_accesses:
+            raise ValueError(
+                "trace source yielded more than the requested chunk length "
+                f"({piece.shape[0]} accesses for {piece_accesses})"
+            )
+        accesses += piece.shape[0]
+        if not driven:
+            classify(piece)
+            drain(due=DEFAULT_CHUNK_ACCESSES)
+            continue
+        # Count accesses into the open interval rather than trusting each
+        # piece to tile it: a piece that straddles a boundary is split
+        # there, so intervals close at the same points as the scalar loop.
+        while piece.shape[0]:
+            take = interval - interval_fill
+            head, piece = piece[:take], piece[take:]
+            classify(head)
+            interval_fill += head.shape[0]
+            if interval_fill == interval:
+                drain(due=DEFAULT_CHUNK_ACCESSES)
+                close_interval(interval * instructions_per_line)
                 interval_fill = 0
     drain()
     if bank is not None:

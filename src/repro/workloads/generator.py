@@ -15,15 +15,19 @@ then walks it the way the spec describes:
   codes show even when their loops fit in the cache.
 
 Generation is deterministic for a given ``seed`` so every configuration of
-a sweep sees exactly the same reference stream, and it is fully
-vectorised: each phase builds a *loop bank* (one whole visit of every
-loop, as byte addresses) once, and a batch of loop picks becomes one
-gather from that bank instead of a per-pick Python loop or per-line
-address arithmetic.  The stream is produced in bounded *segments*, so
-the same code either materialises a trace (:func:`generate_trace`) or
-streams it lazily (:func:`stream_trace`) — a 100M-access trace replayed
-through a streaming :class:`GeneratedTraceSource` never exists in
-memory, and both paths yield bit-identical addresses by construction.
+a sweep sees exactly the same reference stream, and it does no per-line
+Python work: each phase builds every loop's whole *visit* (its lines,
+``repeats`` times, as byte addresses) once, and a batch of loop picks
+becomes one ``np.concatenate`` of the picked visits, with no per-line
+address arithmetic and no index array.  That costs a little per pick, so
+a phase whose picks average a few dozen lines or less generates more
+slowly than by a gather; every shipped spec averages hundreds of lines
+per pick or more (DESIGN.md section 7).  The stream is produced in
+bounded *segments*, so the same code either materialises a trace
+(:func:`generate_trace`) or streams it lazily (:func:`stream_trace`) — a
+100M-access trace replayed through a streaming
+:class:`GeneratedTraceSource` never exists in memory, and both paths
+yield bit-identical addresses by construction.
 """
 
 from __future__ import annotations
@@ -146,12 +150,11 @@ def _phase_segments(
     """Yield the phase's line-*address* stream in bounded uint64 segments.
 
     Every pick of a loop emits the same ``size * repeats`` addresses
-    (``start + (position mod size)`` lines), so the phase's *loop bank* —
-    one whole visit of each loop, laid end to end as byte addresses — is
-    built once, and a batch of picks becomes one gather from it: pick ``k``
-    starting at batch position ``s_k`` reads the bank from its loop's
-    offset, so the index is ``repeat(offset[choice] - s, lengths) +
-    arange``.  Scatter redirection is applied per emitted segment.
+    (``start + (position mod size)`` lines), so the phase builds each
+    loop's whole *visit*, as byte addresses, once, and a batch of picks
+    becomes one concatenation of the picked visits.  Picks are drawn from
+    the weights' CDF, the draws ``rng.choice(len(layout), size, p=weights)``
+    makes.  Scatter redirection is applied per emitted segment.
     """
     if num_lines <= 0:
         return
@@ -160,11 +163,12 @@ def _phase_segments(
     weights = np.asarray(phase.normalized_weights, dtype=np.float64)
     pick_lines = np.array([size * repeats for _, size, repeats in layout], dtype=np.int64)
     line_bytes = np.uint64(line_size)
-    bank = np.concatenate([
+    visits = [
         np.tile(np.arange(start, start + size, dtype=np.uint64), repeats) * line_bytes
         for start, size, repeats in layout
-    ])
-    bank_offsets = np.cumsum(pick_lines) - pick_lines
+    ]
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
 
     # Size the pick batches so one expanded segment lands near the target
     # length (spec-dependent only, so streaming stays chunk-invariant).
@@ -176,12 +180,11 @@ def _phase_segments(
 
     emitted = 0
     while emitted < num_lines:
-        choices = rng.choice(len(layout), size=batch_size, p=weights)
-        lengths = pick_lines[choices]
-        starts = np.cumsum(lengths) - lengths
-        total = min(int(starts[-1] + lengths[-1]), num_lines - emitted)
-        index = np.repeat(bank_offsets[choices] - starts, lengths)[:total] + np.arange(total)
-        segment = bank[index]  # fancy indexing: a fresh array the scatter may write
+        choices = cdf.searchsorted(rng.random(batch_size), side="right")
+        # A fresh array the scatter may write, cut to the phase's budget.
+        segment = np.concatenate([visits[choice] for choice in choices.tolist()])
+        segment = segment[: num_lines - emitted]
+        total = segment.shape[0]
         emitted += total
 
         if phase.scatter_rate > 0.0:

@@ -22,10 +22,12 @@ from repro.config.system import CacheGeometry, SystemConfig
 from repro.dri.controller import ResizeGroup
 from repro.dri.dri_cache import DRIICache
 from repro.dri.policies import policy_names
+from repro.memory import cache as cache_module
 from repro.memory.cache import Cache, CacheBank
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.kernels import NUMBA_AVAILABLE, numba_version
 from repro.simulation.engine import (
+    BANK_PROBES_PER_CALL,
     DEFAULT_CHUNK_ACCESSES,
     replay,
     replay_batched,
@@ -34,7 +36,7 @@ from repro.simulation.engine import (
 )
 from repro.simulation.simulator import Simulator
 from repro.simulation.sweep import ParameterSweep
-from repro.workloads.generator import generate_trace
+from repro.workloads.generator import generate_trace, stream_trace
 from repro.workloads.phases import BenchmarkClass, LoopSpec, PhaseSpec, WorkloadSpec
 from repro.workloads.source import TraceSource
 from repro.workloads.spec95 import get_benchmark
@@ -986,6 +988,122 @@ class TestDeferredL2Drain:
         )
         assert len(drain_sizes) == -(-len(trace) // DEFAULT_CHUNK_ACCESSES)
         assert batched == scalar
+
+
+class TestStreamedPieces:
+    """The lockstep engine reads its source in pieces of at most
+    ``BANK_PROBES_PER_CALL`` accesses and splits a piece that straddles a
+    sense-interval boundary.  Here the interval (25,001 accesses) is longer
+    than the cap and not a multiple of it, as the paper's 125,000-access
+    interval is."""
+
+    INTERVAL = 25_001
+
+    @staticmethod
+    def _drain_plan(length, interval, trajectories, misses_at):
+        """The ``(member, size)`` L2 drain calls the drain rule gives.
+
+        A drain is due at the end of a piece that completes an interval
+        once ``DEFAULT_CHUNK_ACCESSES`` accesses are pending, before that
+        interval closes, plus once at the end.  Only leaders drain, in
+        member order; members whose sizes have agreed in every interval so
+        far share one, the first of them.  A leader drains its own misses
+        since the last drain (a split's new leader follows its old leader
+        until then), and a drain with no misses makes no call.
+        """
+        due = list(range(interval, length + 1, interval))
+        cuts, start = [], 0
+        for end in due:
+            if end - start >= DEFAULT_CHUNK_ACCESSES:
+                cuts.append((start, end, end // interval))
+                start = end
+        if start < length:
+            cuts.append((start, length, len(trajectories[0])))
+        plan = []
+        for start, end, intervals in cuts:
+            leaders = {}
+            for member, sizes in enumerate(trajectories):
+                leaders.setdefault(tuple(sizes[:intervals]), member)
+            for member in sorted(leaders.values()):
+                at = misses_at[member]
+                size = int(np.count_nonzero((start <= at) & (at < end)))
+                if size:
+                    plan.append((member, size))
+        return plan
+
+    def test_intervals_longer_than_the_probe_cap_match_scalar(self):
+        """A conventional run and two DRI runs (which share the
+        conventional run's history, then their own, then part) equal their
+        scalar runs, interval records included.  No classifier call gets
+        more than the cap, and the L2 drains are exactly the rule's."""
+        system = SystemConfig()
+        source = stream_trace(get_benchmark("li"), total_instructions=2_000_000, seed=SEED)
+        interval = self.INTERVAL
+        assert interval > BANK_PROBES_PER_CALL and interval % BANK_PROBES_PER_CALL
+        # Both DRI runs leave the conventional run's group at the first
+        # boundary and part where the 16K bound stops the second, at a
+        # boundary where a drain is due.
+        parameter_sets = [None] + [
+            DRIParameters(miss_bound=480, size_bound=size_bound, sense_interval=interval * 8)
+            for size_bound in (1024, 16 * 1024)
+        ]
+
+        def make_member(parameters):
+            return TestSharedHistories._member(system, source, parameters)
+
+        members = [make_member(parameters) for parameters in parameter_sets]
+        rows = {id(hierarchy): row for row, (_, hierarchy, _) in enumerate(members)}
+        classified, passes, drains = [], [], []
+        classify = CacheBank.classify
+        dm_pass = cache_module._direct_mapped_pass
+        drain = MemoryHierarchy.access_batch_from_l1_misses
+
+        def spy_classify(bank, addresses, max_probes):
+            classified.append(addresses.shape[0])
+            return classify(bank, addresses, max_probes)
+
+        def spy_pass(blocks, mask):
+            passes.append(blocks.shape[0])
+            return dm_pass(blocks, mask)
+
+        def spy_drain(hierarchy, addresses):
+            drains.append((rows[id(hierarchy)], addresses.shape[0]))
+            return drain(hierarchy, addresses)
+
+        with mock.patch.object(CacheBank, "classify", spy_classify), mock.patch.object(
+            cache_module, "_direct_mapped_pass", spy_pass
+        ), mock.patch.object(MemoryHierarchy, "access_batch_from_l1_misses", spy_drain):
+            cycles = replay_lockstep(source, members, 0.75, system)
+
+        assert sum(classified) == source.num_accesses
+        assert max(classified) == max(passes) == BANK_PROBES_PER_CALL
+        assert min(classified) < BANK_PROBES_PER_CALL  # straddling pieces were split
+
+        misses_at = []
+        for parameters, member, member_cycles in zip(parameter_sets, members, cycles):
+            icache, hierarchy, dri = make_member(parameters)
+            positions = []
+            miss = hierarchy.access_from_l1_miss
+
+            def record_miss(address, icache=icache, positions=positions, miss=miss):
+                positions.append(icache.stats.accesses - 1)
+                return miss(address)
+
+            hierarchy.access_from_l1_miss = record_miss
+            scalar_cycles = replay(source, icache, hierarchy, 0.75, system, dri, engine="scalar")
+            del hierarchy.access_from_l1_miss
+            misses_at.append(np.array(positions))
+            scalar = TestSharedHistories._outcome((icache, hierarchy, dri), scalar_cycles)
+            assert TestSharedHistories._outcome(member, member_cycles) == scalar
+
+        trajectories = [
+            [system.l1_icache.size_bytes] * len(members[1][0].dri_stats.intervals)
+        ] + [icache.dri_stats.size_trajectory() for icache, _, _ in members[1:]]
+        assert trajectories[1][:3] == trajectories[2][:3] != trajectories[0][:3]
+        assert trajectories[1][3] != trajectories[2][3]
+        plan = self._drain_plan(source.num_accesses, interval, trajectories, misses_at)
+        assert drains == plan
+        assert len({member for member, _ in plan}) == 3
 
 
 class TestParallelSweep:

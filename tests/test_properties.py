@@ -23,9 +23,14 @@ from repro.dri.dri_cache import DRIICache
 from repro.dri.mask import SizeMask
 from repro.dri.policies import policy_names
 from repro.energy.model import EnergyModel, RunStatistics
-from repro.memory.cache import Cache
+from repro.memory.cache import Cache, _direct_mapped_pass
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.simulation.engine import replay_batched, replay_lockstep, replay_scalar
+from repro.simulation.engine import (
+    BANK_PROBES_PER_CALL,
+    replay_batched,
+    replay_lockstep,
+    replay_scalar,
+)
 from repro.workloads.source import TraceSource
 from repro.workloads.trace import InstructionTrace
 
@@ -211,6 +216,51 @@ class TestReferenceLRUDifferential:
             for cache in (scalar, batched):
                 assert asdict(cache.stats) == reference.counts
                 assert cache._tag_plane.tolist() == rows
+
+
+# ----------------------------------------------------------------------
+# The direct-mapped pass against the stable-argsort formulation
+# ----------------------------------------------------------------------
+def _argsort_pass(blocks, mask):
+    """``_direct_mapped_pass`` as a stable argsort of int64 set keys: the
+    formulation the packed keys replaced, kept as the oracle."""
+    keys = blocks & mask
+    order = np.argsort(keys, kind="stable")
+    sorted_keys, sorted_blocks = keys[order], blocks[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    lasts = np.r_[starts[1:], blocks.shape[0]] - 1
+    hits = np.zeros(blocks.shape[0], dtype=bool)
+    hits[order[1:]] = sorted_blocks[1:] == sorted_blocks[:-1]
+    return hits, order[starts], sorted_keys[starts], sorted_blocks[starts], sorted_blocks[lasts]
+
+
+@st.composite
+def direct_mapped_chunks(draw):
+    """A set mask of 1-16 bits and a chunk of 1 to ``BANK_PROBES_PER_CALL``
+    blocks, or one long enough that packed keys pass 32 bits, drawn from
+    a pool of 1 to 5,000 distinct blocks (few distinct blocks repeat
+    heavily), sometimes as a loop."""
+    if draw(st.booleans()):
+        mask_bits, length = draw(st.integers(1, 16)), draw(st.integers(1, BANK_PROBES_PER_CALL))
+    else:
+        # 15-16 set bits plus 18 position bits.
+        mask_bits, length = draw(st.integers(15, 16)), draw(st.integers(2**17 + 1, 2**18))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width, distinct = draw(st.sampled_from([8, 20, 40, 58])), draw(st.integers(1, 5_000))
+    pool = rng.integers(0, 1 << width, size=distinct)
+    blocks = np.resize(pool, length) if draw(st.booleans()) else rng.choice(pool, size=length)
+    return blocks, (1 << mask_bits) - 1
+
+
+class TestDirectMappedPassDifferential:
+    @given(case=direct_mapped_chunks())
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_packed_keys_match_the_stable_argsort(self, case):
+        """Hits, first-probe positions, touched sets and their first and
+        last blocks equal the stable-argsort oracle's, value for value."""
+        blocks, mask = case
+        for got, expected in zip(_direct_mapped_pass(blocks, mask), _argsort_pass(blocks, mask)):
+            assert np.array_equal(got, expected)
 
 
 # ----------------------------------------------------------------------
