@@ -57,7 +57,9 @@ Design notes
   per-mask pass for every group of direct-mapped members that share a
   set mask, one composite call for set-associative members.  Fresh
   members with one set-mask history share a leader and are not
-  classified themselves.
+  classified themselves.  The bank returns each leader's miss positions,
+  the only outcome a replay reads past the L1, and builds no per-member
+  hit mask.
 """
 
 from __future__ import annotations
@@ -79,17 +81,17 @@ def _direct_mapped_pass(blocks: np.ndarray, mask: int):
     """The per-mask half of direct-mapped classification.
 
     Stable-sorts a non-empty chunk of block addresses by set
-    (``blocks & mask``) and returns ``(hits, positions, sets,
+    (``blocks & mask``) and returns ``(misses, positions, sets,
     first_blocks, last_blocks)``:
 
-    * ``hits`` — in program order, True where a probe's block equals the
-      block of the previous probe of its set.  A probe that is not the
-      first of its set in the chunk hits iff that holds, whatever the
-      cache held before the chunk; and "same set and same tag" means
-      "same block" under conventional and DRI indexing alike (a DRI tag
-      keeps every bit above the minimum-size index).  So this is the
-      outcome of every such probe for every direct-mapped cache indexed
-      by ``mask``.  First probes read False here;
+    * ``misses`` — the sorted program-order positions of the probes that
+      are not the first of their set in the chunk and whose block differs
+      from the previous probe's of that set.  Such a probe hits iff its
+      block equals that previous block, whatever the cache held before
+      the chunk; and "same set and same tag" means "same block" under
+      conventional and DRI indexing alike (a DRI tag keeps every bit
+      above the minimum-size index).  So these are the misses among such
+      probes for every direct-mapped cache indexed by ``mask``;
     * ``positions`` — the program-order position of each touched set's
       first probe, whose outcome depends on the cache's stored tag;
     * ``sets``, ``first_blocks``, ``last_blocks`` — each touched set and
@@ -125,13 +127,13 @@ def _direct_mapped_pass(blocks: np.ndarray, mask: int):
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:count])
     edges = np.flatnonzero(boundary)
     first, last = edges[:-1], edges[1:] - 1
-    # A repeat is never a set's first probe: another set means another block.
-    repeats = np.empty(count, dtype=bool)
-    repeats[0] = False
-    np.equal(sorted_blocks[1:], sorted_blocks[:-1], out=repeats[1:])
-    hits = np.empty(count, dtype=bool)
-    hits[order] = repeats
-    return hits, order[first], sorted_keys[first], sorted_blocks[first], sorted_blocks[last]
+    # Every set's first probe changes block too (another set means another
+    # block), so the changes that start no run are the misses.
+    changed = sorted_blocks[1:] != sorted_blocks[:-1]
+    np.not_equal(changed, boundary[1:count], out=changed)
+    misses = order[np.flatnonzero(changed) + 1]
+    misses.sort()
+    return misses, order[first], sorted_keys[first], sorted_blocks[first], sorted_blocks[last]
 
 
 def _first_probes(dense: np.ndarray, frames: np.ndarray, first_blocks: np.ndarray,
@@ -393,10 +395,12 @@ class Cache:
         count = blocks.shape[0]
         if count == 0:
             return np.empty(0, dtype=bool)
-        hits, positions, sets, first_blocks, last_blocks = _direct_mapped_pass(blocks, mask)
+        misses, positions, sets, first_blocks, last_blocks = _direct_mapped_pass(blocks, mask)
         stored, first_hits = _first_probes(self._dm_plane, sets, first_blocks, last_blocks, shift)
+        hits = np.ones(count, dtype=bool)
+        hits[misses] = False
         hits[positions] = first_hits
-        misses = count - int(np.count_nonzero(hits))
+        misses = misses.size + positions.size - int(np.count_nonzero(first_hits))
         # Every miss evicts except one that fills an empty frame, and only
         # the first probe of a set can find its frame empty.
         evictions = misses - int(np.count_nonzero(stored < 0))
@@ -578,15 +582,18 @@ class CacheBank(Cache):
     the classifier's stable sort keeps each member's program order, so
     one :meth:`_classify_chunk_assoc` call over all members equals K calls.
 
-    Each member's accesses and misses build up in length-K arrays, in all
-    and in its open interval (:meth:`close_intervals` ends it), and are
-    charged once, by :meth:`settle`.
+    After the L1 a replay needs only misses (the L2 and the sense
+    intervals read nothing else), so :meth:`classify` returns each
+    leader's miss positions, no hit mask.  Each member's accesses and
+    misses build up in length-K arrays, in all and in its open interval
+    (:meth:`close_intervals` ends it), and are charged once, by
+    :meth:`settle`.
 
     Members flagged ``fresh`` (empty, never replayed; the caller vouches
     for whatever sits below them too) that share a set mask share one
     *leader*, the first of them.  A cache's contents are a function of
     its set-mask history, so only leaders are classified; each follower
-    takes its leader's hit row, and its own rows are written by
+    misses where its leader does, and its own rows are written by
     :meth:`settle`.  :meth:`set_masks` splits a share group whose members'
     masks come to differ.  Unflagged members are their own leaders.
     """
@@ -693,32 +700,38 @@ class CacheBank(Cache):
         """The ``(follower, leader)`` pairs of the share groups."""
         return list(zip(self._followers.tolist(), self._leader[self._followers].tolist()))
 
-    def classify(self, addresses: np.ndarray, max_probes: int) -> np.ndarray:
-        """Classify one chunk for every member; returns the ``(K, n)`` hit mask.
+    def classify(self, addresses: np.ndarray, max_probes: int) -> List[np.ndarray]:
+        """Classify one chunk for every member; returns each leader's misses.
 
-        Only leaders are classified; a follower's row is its leader's.
-        The members' accesses and misses are counted here and charged by
-        :meth:`settle`.  ``max_probes`` bounds the scratch arrays and
-        keeps numpy's cost per probe near its minimum: a direct-mapped
-        pass covers at most that many accesses, a set-associative call
-        that many composite probes.
+        The i-th array holds the program-order positions, strictly
+        increasing, of the accesses that miss in member
+        ``self.leaders[i]``, and so in each of its followers.  Only
+        leaders are classified; every member's accesses and misses are
+        counted here, from its leader's, and charged by :meth:`settle`.
+        ``max_probes`` bounds the scratch arrays and keeps numpy's cost per
+        probe near its minimum: a direct-mapped pass covers at most that
+        many accesses, a set-associative call that many composite probes.
         """
         addresses = np.ascontiguousarray(addresses, dtype=np.uint64)
         count = addresses.shape[0]
         blocks = self._blocks(addresses)
-        hits = np.empty((len(self.members), count), dtype=bool)
+        parts = {leader: [] for leader in self.leaders.tolist()}
         if self._associativity == 1:
-            self._classify_by_mask(blocks, max_probes, hits)
+            self._classify_by_mask(blocks, max_probes, parts)
         else:
-            self._classify_composite(blocks, max_probes, hits)
-        if self._followers.size:
-            hits[self._followers] = hits[self._leader[self._followers]]
-        misses = count - np.count_nonzero(hits, axis=1)
+            self._classify_composite(blocks, max_probes, parts)
+        misses = [
+            chunks[0] if len(chunks) == 1 else np.concatenate(chunks or [np.empty(0, np.intp)])
+            for chunks in parts.values()
+        ]
+        counts = np.zeros(len(self.members), dtype=np.int64)
+        counts[self.leaders] = [positions.size for positions in misses]
+        counts = counts[self._leader]
         self._accesses += count
-        self._misses += misses
+        self._misses += counts
         self._open_accesses += count
-        self._open_misses += misses
-        return hits
+        self._open_misses += counts
+        return misses
 
     def close_intervals(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """End the open interval of the members at ``rows`` and start the
@@ -728,20 +741,25 @@ class CacheBank(Cache):
         self._open_misses[rows] = 0
         return accesses, misses
 
-    def _classify_by_mask(self, blocks, max_accesses, hits) -> None:
+    def _classify_by_mask(self, blocks, max_accesses, parts) -> None:
         """One per-mask pass per class of leaders sharing a set mask, then
-        the class's first probes on its leaders' rows at once."""
+        the class's first probes on its leaders' rows at once.  A leader
+        misses at its class's shared misses and at its own first probes
+        that miss, merged into program order."""
         for start in range(0, blocks.shape[0], max_accesses):
             block = blocks[start : start + max_accesses]
             for mask, rows, offsets, shifts in self._classes:
-                common, positions, sets, firsts, lasts = _direct_mapped_pass(block, mask)
+                shared, positions, sets, firsts, lasts = _direct_mapped_pass(block, mask)
                 _, first_hits = _first_probes(self._dm_plane, offsets + sets, firsts, lasts, shifts)
-                hits[rows, start : start + block.shape[0]] = common
-                hits[rows[:, None], positions + start] = first_hits
+                shared, positions = shared + start, positions + start
+                for row, row_hits in zip(rows.tolist(), first_hits):
+                    misses = np.concatenate((shared, positions[~row_hits]))
+                    misses.sort()
+                    parts[row].append(misses)
 
-    def _classify_composite(self, blocks, max_probes, hits) -> None:
+    def _classify_composite(self, blocks, max_probes, parts) -> None:
         """The leaders' composite probes through one wavefront call per
-        at most ``max_probes`` of them."""
+        at most ``max_probes`` of them; a leader's misses are its row's."""
         leaders = self.leaders
         masks, shifts = self._keys[leaders, :1], self._keys[leaders, 1:]
         offsets = self._offsets[leaders]
@@ -749,8 +767,9 @@ class CacheBank(Cache):
         for start in range(0, blocks.shape[0], step):
             block = blocks[start : start + step]
             sets = (block & masks) + offsets
-            probe_hits = self._classify_chunk_assoc(sets.ravel(), (block >> shifts).ravel())
-            hits[leaders, start : start + step] = probe_hits.reshape(leaders.size, -1)
+            hits = self._classify_chunk_assoc(sets.ravel(), (block >> shifts).ravel())
+            for row, row_hits in zip(leaders.tolist(), hits.reshape(leaders.size, -1)):
+                parts[row].append(np.flatnonzero(~row_hits) + start)
 
     def settle(self) -> None:
         """Write each follower's rows from its leader, then charge each

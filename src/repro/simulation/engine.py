@@ -11,8 +11,8 @@ scalar and batched:
   classified hit/miss vectorised through
   :meth:`~repro.memory.cache.Cache.access_batch`, DRI resize decisions are
   applied at sense-interval boundaries only — exactly where the scalar
-  loop applies them — and the buffered L1 misses are drained through the
-  L2 in one vectorised call
+  loop applies them — and the buffered L1 miss addresses are drained
+  through the L2 in one vectorised call
   (:meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch_from_l1_misses`)
   per :data:`DEFAULT_CHUNK_ACCESSES` accesses, across sense intervals;
 * :func:`replay_lockstep` — the same loop for every run that shares one
@@ -54,7 +54,9 @@ only L1 state, and an i-cache never writes back), so draining once per
 same order, in fewer calls.  A drain falls at the end of a piece that
 completes an interval (before that interval closes) once that many
 accesses are pending, or at the end of any piece when no run takes
-decisions, plus once at the end.
+decisions, plus once at the end.  Between drains the engine keeps only
+copies of the L1 misses' addresses, never a piece, so a source may
+refill one buffer for every piece it yields.
 """
 
 from __future__ import annotations
@@ -85,8 +87,10 @@ BANK_PROBES_PER_CALL = 1 << 14
 asks its source for: accesses per per-mask pass for a direct-mapped bank
 (one pass serves every member with that set mask) and per
 ``access_batch`` call for a single run, composite probes per call for a
-set-associative bank.  The cap bounds the scratch arrays and keeps each
-call where numpy's cost per probe is lowest: on a 2-vCPU Xeon (4 MiB L2
+set-associative bank.  The engine keeps nothing of a piece past its
+classifier calls but copies of its misses (1-10% of its accesses in the
+paper's runs), so the cap bounds every per-access array.  It also keeps
+each call where numpy's cost per probe is lowest: on a 2-vCPU Xeon (4 MiB L2
 per core, numpy 2.4) composite calls of 65,536 probes, whose arrays
 outgrow the L2, made the streamed paper-scale campaign (perfbench's
 ``paper-scale-dm``) about 20% slower than calls of 16,384.  Reading the
@@ -227,20 +231,21 @@ def replay_lockstep(
     miss counts, before gating wipes any rows.  When the replay returns,
     every follower holds its leader's rows (``settle``) and L2.
 
-    Drain rule: the pieces and their ``(K, n)`` hit masks are kept until
-    :data:`DEFAULT_CHUNK_ACCESSES` accesses are pending at the end of a
-    piece that completes an interval, before that interval closes (at the
-    end of any piece when no member takes decisions), plus once at the
-    end; then the pieces are concatenated and each leader's misses are
-    taken from them in order and drained through its own
+    Drain rule: the bank returns each leader's miss positions in a piece,
+    and each leader keeps the addresses at those positions (a copy) in a
+    list until :data:`DEFAULT_CHUNK_ACCESSES` accesses are pending at the
+    end of a piece that completes an interval, before that interval
+    closes (at the end of any piece when no member takes decisions), plus
+    once at the end; then each leader's list is concatenated and drained
+    through its own
     :meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch_from_l1_misses`
     in one call.  Exact because L1 hits and resize decisions read only L1
     state and the i-cache never writes back: the L2 sees the same misses
-    in the same order.  A split needs no fix-up of the kept masks: a
-    follower's rows there are its leader's, and draining before the close
-    hands a split's new leader an L2 that has already seen them.  The
-    buffer holds at most one drain period plus one interval, so a source
-    must not overwrite a piece it has yielded.
+    in the same order.  A split's new leader takes a copy of its old
+    leader's list with its L2 as of the last drain, so its next drain
+    sends its L2 exactly the misses its own run would.  The lists hold the
+    misses of at most one drain period plus one interval, and no piece: a
+    source may refill one buffer for every piece it yields.
     """
     source = as_trace_source(trace)
     instructions_per_line = source.instructions_per_line
@@ -267,42 +272,42 @@ def replay_lockstep(
     miss_memory = [0] * len(members)
     accesses = 0
     interval_fill = 0
-    # The pieces not yet drained, each with its (K, n) hit mask.
-    pending: List[Tuple[np.ndarray, np.ndarray]] = []
+    # Each leader's L1 miss addresses since the last drain, as copies.
+    pending: List[List[np.ndarray]] = [[] for _ in members]
     undrained = 0
 
     def classify(piece: np.ndarray) -> None:
         nonlocal undrained
         if bank is None:
-            hits = caches[0].access_batch(piece)[None]
+            pending[0].append(piece[~caches[0].access_batch(piece)])
         else:
-            hits = bank.classify(piece, BANK_PROBES_PER_CALL)
-        pending.append((piece, hits))
+            misses = bank.classify(piece, BANK_PROBES_PER_CALL)
+            for leader, positions in zip(bank.leaders.tolist(), misses):
+                pending[leader].append(piece[positions])
         undrained += piece.shape[0]
 
     def drain(due: int = 1) -> None:
         nonlocal undrained
         if undrained < due:
             return
-        if len(pending) == 1:
-            addresses, hits = pending[0]
-        else:
-            addresses = np.concatenate([piece for piece, _ in pending])
-            hits = np.concatenate([piece_hits for _, piece_hits in pending], axis=1)
-        pending.clear()
         undrained = 0
-        misses = np.logical_not(hits, out=hits)
-        for index in bank.leaders.tolist() if bank is not None else [0]:
-            member_misses = addresses[misses[index]]
-            if member_misses.size:
-                l2_hits, l2_misses = members[index][1].access_batch_from_l1_misses(member_misses)
+        # Only leaders hold misses, so this drains them in member order.
+        for index, misses in enumerate(pending):
+            if not misses:
+                continue
+            addresses = misses[0] if len(misses) == 1 else np.concatenate(misses)
+            misses.clear()
+            if addresses.size:
+                l2_hits, l2_misses = members[index][1].access_batch_from_l1_misses(addresses)
                 miss_l2[index] += l2_hits
                 miss_memory[index] += l2_misses
 
     def share_below(leader: int, follower: int) -> None:
-        # A follower's L2 and memory are its leader's, as of the last drain.
+        # A follower's L2 and memory are its leader's, as of the last drain,
+        # and its undrained misses are its leader's since then.
         _copy_hierarchy(members[leader][1], members[follower][1])
         miss_l2[follower], miss_memory[follower] = miss_l2[leader], miss_memory[leader]
+        pending[follower] = list(pending[leader])
 
     def close_interval(instructions: int) -> None:
         if group is None:

@@ -255,7 +255,8 @@ class TestDirectMappedBank:
         with mock.patch.object(
             cache_module, "_direct_mapped_pass", wraps=cache_module._direct_mapped_pass
         ) as spy:
-            hits = bank.classify(addresses, max_probes)
+            misses = dict(zip(bank.leaders.tolist(), bank.classify(addresses, max_probes)))
+        leader_of = {row: row for row in misses} | dict(bank.followers())
         bank.settle()
 
         # One pass per distinct set mask per classifier call.
@@ -263,10 +264,11 @@ class TestDirectMappedBank:
         assert sorted(call.args[1] for call in spy.call_args_list) == sorted(
             [15, 63, 127] * calls
         )
-        for member, reference, member_hits, reference_hits in zip(
-            members, references, hits, expected
+        for row, (member, reference, reference_hits) in enumerate(
+            zip(members, references, expected)
         ):
-            assert member_hits.tolist() == reference_hits.tolist()
+            # A member misses where its leader does.
+            assert misses[leader_of[row]].tolist() == np.flatnonzero(~reference_hits).tolist()
             assert member.stats == reference.stats
             assert np.array_equal(member._tag_plane, reference._tag_plane)
         for member, reference in zip(members[1:], references[1:]):

@@ -893,6 +893,58 @@ class TestMisalignedSource:
         assert _interval_tuples(a.dri_stats) == _interval_tuples(b.dri_stats)
 
 
+class TestBufferReusingSource:
+    """A source may refill one buffer for every piece it yields: the
+    batched engine keeps copies of the misses it has not drained, never a
+    yielded piece."""
+
+    class _RefillingSource(TraceSource):
+        """Copies each piece of a trace into one buffer and yields a view
+        of it, overwriting the previous piece."""
+
+        def __init__(self, trace):
+            self.trace = trace
+            self.name = trace.name
+            self.instructions_per_line = trace.instructions_per_line
+            self.line_size = trace.line_size
+
+        @property
+        def num_accesses(self):
+            return len(self.trace)
+
+        def chunks(self, chunk_accesses=1 << 16):
+            addresses = self.trace.line_addresses
+            buffer = np.empty(chunk_accesses, dtype=np.uint64)
+            for start in range(0, addresses.shape[0], chunk_accesses):
+                piece = addresses[start : start + chunk_accesses]
+                buffer[: piece.shape[0]] = piece
+                yield buffer[: piece.shape[0]]
+
+    def test_refilled_pieces_replay_like_the_materialised_trace(self):
+        """Conventional plus miss-bound 20 and 200 on gcc: 96 intervals
+        over more than two drain periods, so undrained misses outlive the
+        pieces they came from.  Lockstep and single runs on the refilling
+        source equal the lockstep runs on the trace itself."""
+        trace = generate_trace(get_benchmark("gcc"), total_instructions=1_200_000, seed=2001)
+        parameter_sets = [None] + [
+            DRIParameters(miss_bound=miss_bound, size_bound=1024, sense_interval=12_500)
+            for miss_bound in (20, 200)
+        ]
+        simulator = Simulator(engine="batched")
+
+        def key(result):
+            intervals = _interval_tuples(result.dri_stats) if result.dri_stats else None
+            return (result.cycles, result.l1_accesses, result.l1_misses,
+                    result.l2_accesses, result.l2_misses, intervals)
+
+        expected = [key(result) for result in simulator.run_many(trace, 0.75, parameter_sets)]
+        source = self._RefillingSource(trace)
+        lockstep = simulator.run_many(source, 0.75, parameter_sets)
+        assert [key(result) for result in lockstep] == expected
+        singles = [simulator.run_many(source, 0.75, [parameters])[0] for parameters in parameter_sets]
+        assert [key(result) for result in singles] == expected
+
+
 class TestDeferredL2Drain:
     """The batched engine buffers L1 misses across sense intervals and
     drains them through the L2 once per ``DEFAULT_CHUNK_ACCESSES``

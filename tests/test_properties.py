@@ -23,7 +23,7 @@ from repro.dri.dri_cache import DRIICache
 from repro.dri.mask import SizeMask
 from repro.dri.policies import policy_names
 from repro.energy.model import EnergyModel, RunStatistics
-from repro.memory.cache import Cache, _direct_mapped_pass
+from repro.memory.cache import Cache, CacheBank, _direct_mapped_pass
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.simulation.engine import (
     BANK_PROBES_PER_CALL,
@@ -223,15 +223,24 @@ class TestReferenceLRUDifferential:
 # ----------------------------------------------------------------------
 def _argsort_pass(blocks, mask):
     """``_direct_mapped_pass`` as a stable argsort of int64 set keys: the
-    formulation the packed keys replaced, kept as the oracle."""
+    formulation the packed keys replaced, kept as the oracle.  Its misses
+    are the probes that neither repeat their set's previous block nor
+    start their set's run, read off a program-order outcome array."""
     keys = blocks & mask
     order = np.argsort(keys, kind="stable")
     sorted_keys, sorted_blocks = keys[order], blocks[order]
     starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
     lasts = np.r_[starts[1:], blocks.shape[0]] - 1
-    hits = np.zeros(blocks.shape[0], dtype=bool)
-    hits[order[1:]] = sorted_blocks[1:] == sorted_blocks[:-1]
-    return hits, order[starts], sorted_keys[starts], sorted_blocks[starts], sorted_blocks[lasts]
+    settled = np.zeros(blocks.shape[0], dtype=bool)
+    settled[order[1:]] = sorted_blocks[1:] == sorted_blocks[:-1]
+    settled[order[starts]] = True
+    return (
+        np.flatnonzero(~settled),
+        order[starts],
+        sorted_keys[starts],
+        sorted_blocks[starts],
+        sorted_blocks[lasts],
+    )
 
 
 @st.composite
@@ -256,11 +265,107 @@ class TestDirectMappedPassDifferential:
     @given(case=direct_mapped_chunks())
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_packed_keys_match_the_stable_argsort(self, case):
-        """Hits, first-probe positions, touched sets and their first and
-        last blocks equal the stable-argsort oracle's, value for value."""
+        """Miss positions, first-probe positions, touched sets and their
+        first and last blocks equal the stable-argsort oracle's, value for
+        value."""
         blocks, mask = case
         for got, expected in zip(_direct_mapped_pass(blocks, mask), _argsort_pass(blocks, mask)):
             assert np.array_equal(got, expected)
+
+
+# ----------------------------------------------------------------------
+# The cache bank's miss positions against each member replayed alone
+# ----------------------------------------------------------------------
+@st.composite
+def bank_scripts(draw):
+    """A direct-mapped or 4-way bank of 1-6 conventional and DRI members,
+    each fresh (flagged so, at a drawn start size) or preloaded by a
+    warm-up chunk (not flagged), and a script of ``classify`` calls of
+    1-200 accesses under ``max_probes`` of 1-64, between which some DRI
+    members change size: a downsize gates its sets off.  Chunks of a few
+    accesses often touch each set once, so a mask class has no shared
+    miss and its leaders' misses are first probes alone."""
+    ways = draw(st.sampled_from([1, 4]))
+    sets_log = draw(st.integers(1, 6))
+    set_bytes = 32 * ways
+    geometry = CacheGeometry(size_bytes=set_bytes << sets_log, block_size=32, associativity=ways)
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        bound_log = draw(st.one_of(st.none(), st.integers(0, sets_log)))
+        start_log = sets_log if bound_log is None else draw(st.integers(bound_log, sets_log))
+        members.append((bound_log, start_log, draw(st.booleans())))
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        resizes = {
+            row: draw(st.integers(bound_log, sets_log))
+            for row, (bound_log, _, _) in enumerate(members)
+            if bound_log is not None and draw(st.booleans())
+        }
+        steps.append((draw(st.integers(1, 200)), draw(st.integers(1, 64)), resizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    footprint = int(rng.integers(1, 4 * ways << sets_log))
+    lines = [rng.integers(0, footprint, size=length) for length, _, _ in steps]
+    warm_up = rng.integers(0, footprint, size=int(rng.integers(1, 64)))
+    chunks = [(chunk.astype(np.uint64) * 32, probes, resizes)
+              for chunk, (_, probes, resizes) in zip(lines, steps)]
+    return geometry, members, warm_up.astype(np.uint64) * 32, chunks
+
+
+def _bank_member(geometry, bound_log, start_log):
+    """A conventional cache (``bound_log`` None) or a DRI cache with size
+    bound ``2**bound_log`` sets, started at ``2**start_log`` sets."""
+    if bound_log is None:
+        return Cache(geometry)
+    set_bytes = geometry.block_size * geometry.associativity
+    icache = DRIICache(geometry, DRIParameters(size_bound=set_bytes << bound_log))
+    icache.controller.force_size(set_bytes << start_log)
+    return icache
+
+
+class TestCacheBankDifferential:
+    @given(script=bank_scripts())
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_leader_misses_match_each_member_alone(self, script):
+        """After every ``classify`` call, each leader's miss positions are
+        strictly increasing and equal the misses of each of its members
+        replayed alone through ``access_batch`` under the same size
+        changes (``set_masks`` splits, ``invalidate_from`` on downsizes);
+        after ``settle``, every member's statistics and rows equal its
+        replica's."""
+        geometry, layout, warm_up, chunks = script
+        set_bytes = geometry.block_size * geometry.associativity
+        members = [_bank_member(geometry, bound, start) for bound, start, _ in layout]
+        replicas = [_bank_member(geometry, bound, start) for bound, start, _ in layout]
+        for (_, _, fresh), member, replica in zip(layout, members, replicas):
+            if not fresh:
+                member.access_batch(warm_up)
+                replica.access_batch(warm_up)
+        bank = CacheBank(members, [fresh for _, _, fresh in layout])
+        sets = [start for _, start, _ in layout]
+        for addresses, max_probes, resizes in chunks:
+            misses = dict(zip(bank.leaders.tolist(), bank.classify(addresses, max_probes)))
+            leader_of = {row: row for row in misses} | dict(bank.followers())
+            for row, replica in enumerate(replicas):
+                positions = misses[leader_of[row]]
+                assert np.all(positions[1:] > positions[:-1])
+                expected = np.flatnonzero(~replica.access_batch(addresses))
+                assert positions.tolist() == expected.tolist()
+            rows = np.array(sorted(resizes), dtype=np.intp)
+            if rows.size:
+                bank.set_masks(rows, np.array([(1 << resizes[row]) - 1 for row in rows]))
+            downsized = [row for row in rows.tolist() if resizes[row] < sets[row]]
+            if downsized:
+                first = np.array([1 << resizes[row] for row in downsized])
+                bank.invalidate_from(np.array(downsized, dtype=np.intp), first)
+            for row in rows.tolist():
+                replicas[row].controller.force_size(set_bytes << resizes[row])
+                if resizes[row] < sets[row]:
+                    replicas[row].invalidate_range(1 << resizes[row], geometry.num_sets)
+                sets[row] = resizes[row]
+        bank.settle()
+        for member, replica in zip(members, replicas):
+            assert member.stats == replica.stats
+            assert np.array_equal(member._tag_plane, replica._tag_plane)
 
 
 # ----------------------------------------------------------------------
