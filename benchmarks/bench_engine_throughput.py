@@ -419,13 +419,13 @@ def measure_sweep(
         for _ in range(repeats):
             simulator = Simulator(trace_instructions=instructions, engine="scalar")
             sweep = ParameterSweep(
-                simulator, base_parameters=DRIParameters(sense_interval=SENSE_INTERVAL)
+                simulator,
+                base_parameters=DRIParameters(sense_interval=SENSE_INTERVAL),
+                jobs=jobs,
             )
             sweep.conventional_baseline(BENCHMARK)  # shared baseline out of the timing
             start = time.perf_counter()
-            result = sweep.grid(
-                BENCHMARK, miss_bounds=miss_bounds, size_bounds=size_bounds, jobs=jobs
-            )
+            result = sweep.grid(BENCHMARK, miss_bounds=miss_bounds, size_bounds=size_bounds)
             best = min(best, time.perf_counter() - start)
             sweep.close()
         wall_clock[f"jobs={jobs}"] = best

@@ -7,9 +7,10 @@ down to a structured ``TaskError``) — and asserts the acceptance
 contract from DESIGN.md §11:
 
 * the campaign completes instead of raising,
-* every healthy point is bit-identical to a serial run,
-* the poisoned task is reported as a ``TaskError`` with its retries
-  counted, and
+* every healthy point is memoized and bit-identical to a serial run,
+* the poisoned task is bisected out of its chunk (the benchmark's tasks
+  travel as whole-group chunks, so the poison shares one) and reported
+  as a ``TaskError`` with its retries counted, and
 * the broken pool was replaced, never reused.
 
 Faults are injected through the ``_fault_hook`` module seam, which the
@@ -84,11 +85,9 @@ def main() -> int:
     executor_module.DEFAULT_BACKOFF = 0.0  # retry at once; the smoke counts retries
     with tempfile.TemporaryDirectory() as scratch:
         _install_hook(os.path.join(scratch, "attempts"))
-        sweep = _sweep(jobs=2, chunk=2, max_retries=2)
+        sweep = _sweep(jobs=2, max_retries=2)
         with sweep:
-            streamed = {
-                task: result for task, result in sweep.prefetch_iter(pairs)
-            }
+            completed = sweep.prefetch(pairs)
         health = sweep.health
     executor_module._fault_hook = None
 
@@ -100,11 +99,12 @@ def main() -> int:
             f"attempts={error.attempts}"
         )
 
-    assert len(streamed) == len(pairs) - 1, (
-        f"expected {len(pairs) - 1} healthy completions, got {len(streamed)}"
+    assert completed == len(pairs) - 1, (
+        f"expected {len(pairs) - 1} healthy completions, got {completed}"
     )
     assert health.retries >= 1, "the crash-once task was never retried"
     assert health.respawns >= 1, "the broken pool was never replaced"
+    assert health.bisections >= 1, "the poison's chunk was never bisected"
     assert health.tasks_failed == 1, "exactly the poison should fail"
     assert not health.degraded, "isolated faults must not degrade the pool"
     (error,) = health.task_errors
@@ -112,12 +112,22 @@ def main() -> int:
     assert error.kind == "crash"
     assert error.attempts == 3  # initial try + max_retries
 
+    # Read every result back from the sweep's memo: healthy points must
+    # equal a serial run, and the poison must be absent.
     serial = _sweep(jobs=1)
-    for (name, parameters), result in streamed.items():
+    for name, parameters in pairs:
         if parameters is None:
+            result = sweep._conventional_cache.get(name)
             want = serial.conventional_baseline(name)
+        elif parameters.miss_bound == POISON_BOUND:
+            assert sweep._dri_key(name, parameters) not in sweep._dri_cache, (
+                "the poisoned task was memoized"
+            )
+            continue
         else:
+            result = sweep._dri_cache.get(sweep._dri_key(name, parameters))
             want = serial.evaluate(name, parameters).simulation
+        assert result is not None, f"no result memoized for {name} {parameters}"
         assert (result.cycles, result.l1_misses, result.l2_accesses) == (
             want.cycles,
             want.l1_misses,
@@ -126,7 +136,7 @@ def main() -> int:
 
     print(
         "fault-injection smoke ok:",
-        f"{len(streamed)} healthy points bit-identical to serial,",
+        f"{completed} healthy points bit-identical to serial,",
         "poison isolated as TaskError",
     )
     return 0

@@ -27,9 +27,8 @@ optional options, e.g. ``miss-bound``, ``hysteresis:consecutive=2`` or
 The architectural commands accept ``--benchmarks`` (comma-separated
 names), ``--instructions`` (trace length), ``--quick`` (a reduced scale
 for a fast sanity pass), ``--jobs`` (worker processes for the parameter
-sweeps; 0 means all cores, clamped to the task count), ``--chunk``
-(tasks per pool chunk; default adaptive), ``--max-retries`` and
-``--chunk-timeout`` (the pool's fault tolerance), and ``--engine``
+sweeps; 0 means all cores, clamped to the task count), ``--max-retries``
+and ``--chunk-timeout`` (the pool's fault tolerance), and ``--engine``
 (``auto``/``batched``/``scalar`` replay engine; ``auto`` means
 ``batched``).  Each command builds one sweep from these flags
 (:meth:`~repro.simulation.experiments.ExperimentScale.sweep`; a bad value
@@ -148,15 +147,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--chunk",
-        type=int,
-        default=None,
-        help=(
-            "tasks per worker-pool chunk (escape hatch; default: adaptive "
-            "— about four chunks per worker, capped at 32 tasks)"
-        ),
-    )
-    parser.add_argument(
         "--max-retries",
         type=int,
         default=DEFAULT_MAX_RETRIES,
@@ -203,6 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("table2", help="Table 2: gated-Vdd circuit trade-offs")
     subparsers.add_parser("ratios", help="Section 5.2.1: energy-ratio analysis")
 
+    # The sweep commands take whole flag names only, so a mistyped or
+    # retired flag that prefixes a real one (``--max`` of
+    # ``--max-retries``) is a usage error instead of that flag.
     for name, help_text in (
         ("figure3", "Figure 3: base energy-delay and average cache size"),
         ("figure4", "Figure 4: miss-bound sensitivity"),
@@ -210,11 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("figure6", "Figure 6: conventional cache parameters"),
         ("interval", "Section 5.6: sense-interval robustness"),
     ):
-        sub = subparsers.add_parser(name, help=help_text)
+        sub = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
         _add_common_arguments(sub)
 
     shootout = subparsers.add_parser(
-        "shootout", help="resize-policy zoo head-to-head over the Figure 3 suite"
+        "shootout",
+        help="resize-policy zoo head-to-head over the Figure 3 suite",
+        allow_abbrev=False,
     )
     _add_common_arguments(shootout)
     shootout.add_argument(
@@ -382,7 +377,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sweep = scale.sweep(
             engine=args.engine,
             jobs=args.jobs,
-            chunk=args.chunk,
             max_retries=args.max_retries,
             chunk_timeout=args.chunk_timeout,
         )

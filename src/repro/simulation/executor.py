@@ -18,17 +18,16 @@ and one IPC round trip per grid point.  The executor amortizes all three:
   :class:`~repro.workloads.source.TraceStore` holding a pre-built trace,
   which it memory-maps.  Either way the trace is made once per (worker,
   benchmark), not once per task.
-* **Group dispatch** — with no fixed ``chunk``, each benchmark's tasks
-  form one chunk (split only when a group holds more than a worker's
-  share of the tasks), submitted largest first; idle workers pull the
-  next chunk, so assignment is dynamic (work-stealing-style: a worker
-  that lands cheap points takes more chunks) while each IPC message
-  amortizes over a whole chunk.  Inside a chunk, each benchmark's tasks
-  replay in one lockstep pass (:meth:`Simulator.run_many`).
+* **Group dispatch** — each benchmark's tasks form one chunk (split
+  only when a group holds more than a worker's share of the tasks),
+  submitted largest first; idle workers pull the next chunk, so
+  assignment is dynamic (work-stealing-style: a worker that lands cheap
+  points takes more chunks) while each IPC message amortizes over a
+  whole chunk.  Inside a chunk, each benchmark's tasks replay in one
+  lockstep pass (:meth:`Simulator.run_many`).
 * **Incremental results** — :meth:`run` is an ``as_completed``-style
-  generator yielding ``(task index, result)`` as chunks finish, so a
-  caller can stream points (the sweep-service direction in ROADMAP.md);
-  :meth:`map` drains it into input order.
+  generator yielding ``(task index, result)`` as chunks finish; the
+  sweep memoizes each result as it arrives.
 
 Fault tolerance (DESIGN.md §11) turns worker crashes from campaign
 killers into retried, reported, isolated events:
@@ -72,18 +71,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.config.parameters import DRIParameters
 from repro.config.system import SystemConfig
@@ -120,13 +108,8 @@ retry waits ``DEFAULT_BACKOFF * 2**(n-1)`` before resubmission.  Read at
 each retry, so the fault tests and the fault-injection smoke set it to 0."""
 
 
-def check_fault_settings(
-    chunk: Optional[int], max_retries: int, chunk_timeout: Optional[float]
-) -> None:
-    """Reject a ``chunk`` below one task, a negative ``max_retries`` or a
-    non-positive ``chunk_timeout``."""
-    if chunk is not None and chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
+def check_fault_settings(max_retries: int, chunk_timeout: Optional[float]) -> None:
+    """Reject a negative ``max_retries`` or a non-positive ``chunk_timeout``."""
     if max_retries < 0:
         raise ValueError(f"max_retries must be at least 0, got {max_retries}")
     if chunk_timeout is not None and chunk_timeout <= 0:
@@ -337,10 +320,8 @@ class SweepExecutor:
         :class:`Simulator` and keeps it).
     jobs:
         Worker-process count.  Callers clamp this to the first call's
-        task count (see :func:`repro.simulation.sweep._resolve_jobs`).
-    chunk:
-        Fixed tasks-per-chunk (at least 1), or ``None`` for one chunk per
-        benchmark group (:meth:`chunks`).
+        task count (see :func:`repro.simulation.sweep._resolve_jobs`);
+        it also sets how :meth:`chunks` cuts the work.
     max_retries:
         Retries per chunk before bisection (singleton chunks become
         :class:`TaskError` records instead); at least 0.
@@ -360,18 +341,16 @@ class SweepExecutor:
         system: SystemConfig,
         engine: str,
         jobs: int,
-        chunk: Optional[int] = None,
         max_retries: int = DEFAULT_MAX_RETRIES,
         chunk_timeout: Optional[float] = None,
         health: Optional[CampaignHealth] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("SweepExecutor needs at least one worker")
-        check_fault_settings(chunk, max_retries, chunk_timeout)
+        check_fault_settings(max_retries, chunk_timeout)
         self.system = system
         self.engine = engine
         self.jobs = jobs
-        self.chunk = chunk
         self.max_retries = max_retries
         self.chunk_timeout = chunk_timeout
         self.health = health if health is not None else CampaignHealth()
@@ -382,7 +361,6 @@ class SweepExecutor:
         self._serial_simulator: Optional[Simulator] = None
         self._serial_sources: Dict[str, Tuple[TraceLike, float, WorkloadRef]] = {}
         self.pools_spawned = 0
-        self.tasks_run = 0
         self.worker_pids: Set[int] = set()
 
     # -- lifecycle -----------------------------------------------------
@@ -437,11 +415,6 @@ class SweepExecutor:
             return set()
         return set(self._pool._processes or ())
 
-    @property
-    def degraded(self) -> bool:
-        """True once the executor has fallen back to in-process serial."""
-        return self._degraded
-
     def close(self) -> None:
         """Shut the pool down; the next :meth:`run` would spawn a fresh one.
 
@@ -461,57 +434,36 @@ class SweepExecutor:
         self.close()
 
     # -- dispatch ------------------------------------------------------
-    def chunk_size(self, task_count: int) -> int:
-        """Most tasks in one chunk: the fixed ``chunk``, else a worker's
-        share, ``ceil(task_count / jobs)``."""
-        if self.chunk is not None:
-            return self.chunk
-        return math.ceil(task_count / self.jobs)
-
     def chunks(self, tasks: Sequence[SweepTask]) -> List[List[int]]:
         """The task indices of each chunk, in submission order.
 
-        A fixed ``chunk`` cuts the list into runs of that size.  Otherwise
-        each benchmark group (:func:`group_by_benchmark`) is one chunk, so
-        its runs share one lockstep pass over its trace; a group holding
-        more than :meth:`chunk_size` tasks is split into near-equal pieces
-        of at most that many, which keeps every worker busy on a
-        one-benchmark grid.  Chunks go largest first, so the longest
-        passes start while the short ones fill in behind them.
+        Each benchmark group (:func:`group_by_benchmark`) is one chunk, so
+        its runs share one lockstep pass over its trace.  A group holding
+        more than a worker's share, ``ceil(len(tasks) / jobs)`` tasks, is
+        split into near-equal pieces of at most that many, which keeps
+        every worker busy on a one-benchmark grid.  Chunks go largest
+        first, so the longest passes start while the short ones fill in
+        behind them.
         """
-        size = self.chunk_size(len(tasks))
-        if self.chunk is not None:
-            indices = range(len(tasks))
-            return [list(indices[start : start + size]) for start in indices[::size]]
+        share = math.ceil(len(tasks) / self.jobs)
         pieces: List[List[int]] = []
         for group in group_by_benchmark(tasks):
-            count = math.ceil(len(group) / size)
+            count = math.ceil(len(group) / share)
             pieces.extend(
                 group[part * len(group) // count : (part + 1) * len(group) // count]
                 for part in range(count)
             )
         return sorted(pieces, key=len, reverse=True)
 
-    def run(
-        self,
-        tasks: Sequence[SweepTask],
-        stores: StoreMap,
-        on_result: Optional[Callable[[int, SimulationResult], None]] = None,
-    ) -> Iterator[_RunItem]:
+    def run(self, tasks: Sequence[SweepTask], stores: StoreMap) -> Iterator[_RunItem]:
         """Yield ``(task index, result-or-TaskError)`` pairs as work completes.
 
-        Completion order is whatever the workers produce, so callers that
-        need input order should use :meth:`map` (or index into their own
-        task list, as the sweep's memo fill does).  A task that exhausts
-        its retry budget yields a :class:`TaskError` in its slot instead
-        of raising; the same record lands in :attr:`health`.
-
-        ``on_result`` is invoked with every *successful* ``(index,
-        result)`` before it is yielded — and also for results collected
-        while cleaning up an abandoned iteration, which can no longer be
-        yielded.  The sweep uses it to memoize, so closing a streaming
-        consumer mid-campaign never drops a result a worker already paid
-        for.
+        Completion order is whatever the workers produce; callers index
+        into their own task list, as the sweep's memo fill does.  A task
+        that exhausts its retry budget yields a :class:`TaskError` in its
+        slot instead of raising; the same record lands in :attr:`health`.
+        Closing the generator early abandons the rest of the campaign
+        (:meth:`_drain_abandoned`).
         """
         if not tasks:
             return
@@ -530,7 +482,7 @@ class SweepExecutor:
                 if self._degraded:
                     queue.extend(job for job, _, _ in dead)
                     dead.clear()
-                    yield from self._run_serial(queue, stores, on_result)
+                    yield from self._run_serial(queue, stores)
                     break
                 now = time.monotonic()
                 limit = self._max_inflight(probing)
@@ -593,7 +545,6 @@ class SweepExecutor:
                         self._job_failed(job, "error", exc, queue, dead)
                         continue
                     self.worker_pids.add(pid)
-                    self.tasks_run += len(job.items)
                     self.health.tasks_run += len(job.items)
                     self.health.chunk_wall_times.append(
                         time.monotonic() - submitted_at
@@ -601,8 +552,6 @@ class SweepExecutor:
                     self._consecutive_pool_failures = 0
                     probing = False
                     for (index, _), result in zip(job.items, results):
-                        if on_result is not None:
-                            on_result(index, result)
                         yield index, result
                 if pool_broke:
                     probing = self._handle_pool_failure(inflight, queue, dead)
@@ -610,19 +559,10 @@ class SweepExecutor:
                 if self._check_deadlines(inflight, queue, dead):
                     probing = True
         finally:
-            self._drain_abandoned(inflight, on_result)
+            self._drain_abandoned(inflight)
         # Report what stayed dead (the degraded path consumed its own).
         for job, kind, exc in dead:
             yield self._task_error(job, kind, exc)
-
-    def map(
-        self, tasks: Sequence[SweepTask], stores: StoreMap
-    ) -> List[Union[SimulationResult, TaskError]]:
-        """Run every task; results (or :class:`TaskError`) in input order."""
-        out: List[Optional[Union[SimulationResult, TaskError]]] = [None] * len(tasks)
-        for index, result in self.run(tasks, stores):
-            out[index] = result
-        return out  # type: ignore[return-value]
 
     # -- scheduling internals ------------------------------------------
     def _max_inflight(self, probing: bool) -> int:
@@ -788,12 +728,7 @@ class SweepExecutor:
         return index, error
 
     # -- degraded serial path ------------------------------------------
-    def _run_serial(
-        self,
-        queue: Deque[_ChunkJob],
-        stores: StoreMap,
-        on_result: Optional[Callable[[int, SimulationResult], None]],
-    ) -> Iterator[_RunItem]:
+    def _run_serial(self, queue: Deque[_ChunkJob], stores: StoreMap) -> Iterator[_RunItem]:
         """In-process fallback: run the remaining tasks in the parent.
 
         The pool kept dying without progress, so the campaign finishes on
@@ -826,49 +761,25 @@ class SweepExecutor:
                         exc,
                     )
                     continue
-                self.tasks_run += 1
                 self.health.tasks_run += 1
                 self.health.chunk_wall_times.append(time.monotonic() - started)
-                if on_result is not None:
-                    on_result(index, result)
                 yield index, result
 
     # -- cleanup -------------------------------------------------------
-    def _drain_abandoned(
-        self,
-        inflight: Dict[Future, Tuple[_ChunkJob, float]],
-        on_result: Optional[Callable[[int, SimulationResult], None]],
-    ) -> None:
-        """Never leak submitted work: cancel or collect every future.
+    def _drain_abandoned(self, inflight: Dict[Future, Tuple[_ChunkJob, float]]) -> None:
+        """Never leak submitted work, and never wait for it.
 
         Runs on *every* exit from :meth:`run` — normal completion (no-op:
         nothing is in flight), an exception, or the consumer closing the
-        generator mid-stream.  Unstarted chunks are cancelled; running
-        chunks are waited for (bounded by ``chunk_timeout`` if set) and
-        their results handed to ``on_result`` so paid-for work still
-        lands in the sweep's memo even though it can no longer be
-        yielded.
+        generator mid-stream.  Unstarted chunks are cancelled and finished
+        but unread ones dropped; if any chunk is still running, the pool
+        is killed, because a hung or slow chunk would otherwise hold the
+        caller for as long as it runs.  The next :meth:`run` spawns a
+        fresh pool.
         """
-        if not inflight:
-            return
-        remaining = [future for future in inflight if not future.cancel()]
-        if remaining:
-            done, not_done = wait(remaining, timeout=self.chunk_timeout)
-            for future in done:
-                job, _ = inflight[future]
-                try:
-                    pid, results = future.result()
-                except Exception:
-                    continue
-                self.worker_pids.add(pid)
-                self.tasks_run += len(job.items)
-                self.health.tasks_run += len(job.items)
-                if on_result is not None:
-                    for (index, _), result in zip(job.items, results):
-                        on_result(index, result)
-            if not_done:
-                # Still running past the deadline: the pool is hung or
-                # slow and the campaign is abandoned — kill it rather
-                # than strand the generator's caller.
-                self._discard_pool(kill=True)
+        running = [
+            future for future in inflight if not future.cancel() and not future.done()
+        ]
+        if running:
+            self._discard_pool(kill=True)
         inflight.clear()

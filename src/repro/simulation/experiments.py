@@ -72,8 +72,8 @@ class ExperimentScale:
         """A sweep at this scale: a :class:`Simulator` of the default system
         with this trace length and seed on ``engine``, the default energy
         model, and :meth:`base_parameters`.  ``settings`` (``jobs``,
-        ``chunk``, ...) go to :class:`ParameterSweep` as given; close the
-        sweep if they make it run a pool."""
+        ``max_retries``, ``chunk_timeout``) go to :class:`ParameterSweep`
+        as given; close the sweep if they make it run a pool."""
         simulator = Simulator(
             trace_instructions=self.trace_instructions, seed=self.seed, engine=engine
         )

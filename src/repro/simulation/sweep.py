@@ -17,7 +17,7 @@ selected.  Figures 4 and 5 reuse the same machinery with fixed parameter
 scalings instead of a search.
 
 Grid points are independent simulations, so the sweep can fan them out
-over worker processes (``jobs`` in the constructor, or per call).  The
+over worker processes (``jobs``, set when the sweep is built).  The
 pool itself is a persistent :class:`~repro.simulation.executor.SweepExecutor`
 owned by the sweep: workers are forked once, on the first parallel call,
 and reused by every later ``prefetch``/``grid``/``grid_many``/
@@ -32,8 +32,7 @@ mmap-backed :class:`~repro.workloads.source.TraceStore`, and the
 executor ships only the store *path* — every worker memory-maps the same
 file, so the trace data exists once in the page cache no matter how many
 workers replay it.  Each benchmark's tasks travel as one chunk with
-dynamic assignment (``chunk`` fixes the size instead), and results
-stream back as chunks finish (:meth:`ParameterSweep.prefetch_iter`).
+dynamic assignment, and each result is memoized as its chunk finishes.
 Every completed point lands in a per-(benchmark, geometry, parameters)
 memo, so repeated evaluations — the Figures 4–6 sensitivity studies all
 revisit the Figure 3 base points — never re-simulate.  The work unit of
@@ -50,13 +49,15 @@ from __future__ import annotations
 import os
 import tempfile
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config.parameters import DRIParameters
 from repro.config.system import CacheGeometry, SystemConfig
 from repro.energy.comparison import PERFORMANCE_CONSTRAINT, ComparisonResult, compare_runs
 from repro.energy.model import EnergyModel
+from repro.simulation.engine import TraceLike
 from repro.simulation.executor import (
     DEFAULT_MAX_RETRIES,
     CampaignHealth,
@@ -71,11 +72,9 @@ from repro.simulation.executor import (
 from repro.simulation.results import SimulationResult
 from repro.simulation.simulator import Simulator, WorkloadLike
 from repro.workloads.phases import WorkloadSpec
-from repro.workloads.source import TraceSource, TraceStore
+from repro.workloads.source import TraceStore
 from repro.workloads.spec95 import get_benchmark
 from repro.workloads.trace import InstructionTrace
-
-TraceLike = Union[InstructionTrace, TraceSource]
 
 Identified = Union[WorkloadSpec, TraceLike]
 """A workload as the sweep keeps it: a named workload's spec (its trace
@@ -86,11 +85,6 @@ DEFAULT_MISS_BOUNDS = (10, 30, 80, 200)
 
 DEFAULT_SIZE_BOUNDS = (1024, 4096, 16384, 65536)
 """Default size-bound grid (bytes)."""
-
-_SweepTask = SweepTask
-"""One pool work unit: (benchmark name, parameters); ``None`` parameters
-mean the conventional baseline run.  (Worker plumbing lives in
-:mod:`repro.simulation.executor`.)"""
 
 
 def _trace_fingerprint(trace: TraceLike) -> Tuple:
@@ -223,12 +217,9 @@ class ParameterSweep:
     simulator / energy_model / base_parameters:
         The shared simulation machinery (defaults match the paper's).
     jobs:
-        Default worker-process count for :meth:`grid` and
-        :meth:`best_configuration`; 1 (the default) runs serially in
-        process, values below 1 mean "all cores".
-    chunk:
-        Tasks per pool chunk (the ``--chunk`` escape hatch), at least 1;
-        ``None`` (the default) sends each benchmark's tasks as one chunk.
+        Worker-process count for every call that simulates; 1 (the
+        default) runs serially in process, values below 1 mean "all
+        cores".  Each call clamps it to its task count.
     max_retries / chunk_timeout:
         The executor's fault-tolerance knobs (DESIGN.md §11): retries
         per chunk before bisection (at least 0), and the optional
@@ -250,16 +241,14 @@ class ParameterSweep:
         energy_model: Optional[EnergyModel] = None,
         base_parameters: DRIParameters = DRIParameters(),
         jobs: int = 1,
-        chunk: Optional[int] = None,
         max_retries: int = DEFAULT_MAX_RETRIES,
         chunk_timeout: Optional[float] = None,
     ) -> None:
-        check_fault_settings(chunk, max_retries, chunk_timeout)
+        check_fault_settings(max_retries, chunk_timeout)
         self.simulator = simulator if simulator is not None else Simulator()
         self.energy_model = energy_model if energy_model is not None else EnergyModel()
         self.base_parameters = base_parameters
         self.jobs = jobs
-        self.chunk = chunk
         self.max_retries = max_retries
         self.chunk_timeout = chunk_timeout
         self._health = CampaignHealth()
@@ -292,7 +281,6 @@ class ParameterSweep:
                 self.simulator.system,
                 self.simulator.engine,
                 jobs,
-                chunk=self.chunk,
                 max_retries=self.max_retries,
                 chunk_timeout=self.chunk_timeout,
                 health=self._health,
@@ -314,7 +302,6 @@ class ParameterSweep:
             energy_model,
             self.base_parameters,
             jobs=self.jobs,
-            chunk=self.chunk,
             max_retries=self.max_retries,
             chunk_timeout=self.chunk_timeout,
         )
@@ -575,11 +562,11 @@ class ParameterSweep:
 
     def _pending_tasks(
         self, pairs: Sequence[Tuple[WorkloadLike, Optional[DRIParameters]]]
-    ) -> Tuple[List[_SweepTask], Dict[str, Tuple[Identified, float]]]:
+    ) -> Tuple[List[SweepTask], Dict[str, Tuple[Identified, float]]]:
         """Deduplicated not-yet-memoized tasks plus each benchmark's
         ``(workload, base CPI)``, named workloads left as specs."""
         resolved: Dict[str, Tuple[Identified, float]] = {}
-        tasks: List[_SweepTask] = []
+        tasks: List[SweepTask] = []
         seen: set = set()
         for workload, parameters in pairs:
             name, workload, base_cpi = self._identify(workload)
@@ -589,50 +576,47 @@ class ParameterSweep:
                     continue
             elif self._dri_key(name, parameters) in self._dri_cache:
                 continue
-            task: _SweepTask = (name, parameters)
+            task: SweepTask = (name, parameters)
             if task not in seen:
                 seen.add(task)
                 tasks.append(task)
         return tasks, resolved
 
-    def _memoize(self, task: _SweepTask, result: SimulationResult) -> None:
+    def _memoize(self, task: SweepTask, result: SimulationResult) -> None:
         name, parameters = task
         if parameters is None:
             self._conventional_cache[name] = result
         else:
             self._dri_cache[self._dri_key(name, parameters)] = result
 
-    def prefetch_iter(
-        self,
-        pairs: Sequence[Tuple[WorkloadLike, Optional[DRIParameters]]],
-        jobs: Optional[int] = None,
-    ) -> Iterator[Tuple[_SweepTask, SimulationResult]]:
-        """Simulate not-yet-memoized pairs, yielding each as it completes.
+    def prefetch(self, pairs: Sequence[Tuple[WorkloadLike, Optional[DRIParameters]]]) -> int:
+        """Simulate the not-yet-memoized (workload, parameters) pairs.
 
-        The incremental face of :meth:`prefetch`: an ``as_completed``-style
-        generator over ``((benchmark, parameters), result)`` pairs —
-        completion order, not input order — with every result memoized
-        before it is yielded, so a streaming consumer (the sweep-service
-        direction) can report points while the pool keeps working.  With
-        ``jobs`` at 1 (or clamped to 1 by the task count) the simulations
-        run serially in process, each benchmark's tasks in one lockstep
-        pass over its trace (:meth:`Simulator.run_many`), and yield
-        grouped by benchmark, in order of first appearance; the health
-        ledger records one chunk wall time per pass.
+        ``None`` parameters mean the workload's conventional baseline.
+        The pairs are flattened into one task list — *across* benchmarks —
+        so a figure driver's whole workload keeps every worker busy until
+        the queue drains, instead of pooling within one benchmark's grid
+        at a time.  When ``jobs``, clamped to the task count, is 1, the
+        tasks run in process, each benchmark's in one lockstep pass over
+        its trace (:meth:`Simulator.run_many`), and the health ledger
+        records one chunk wall time per pass.  Otherwise they flow
+        through the sweep's persistent :class:`SweepExecutor` (warm
+        across calls): workers generate named workloads from their specs,
+        and any other trace is spilled once into an mmap-backed store
+        whose path they receive.  Each result is memoized as it arrives,
+        into the memos :meth:`evaluate` and :meth:`conventional_baseline`
+        read, so later calls on these pairs are pure lookups.
 
         A task that fails for good under the fault-tolerant executor
-        (DESIGN.md §11) is *not* yielded and *not* memoized: it lands as
-        a structured :class:`TaskError` in :attr:`health` and the
-        campaign keeps going, so one poisoned point never kills the
-        healthy ones.  Every successful result is memoized before it is
-        yielded — including results collected while unwinding an
-        abandoned iteration, which is why breaking out of this generator
-        mid-stream never discards work a worker already finished.
+        (DESIGN.md §11) is *not* memoized: it lands as a structured
+        :class:`TaskError` in :attr:`health` and the campaign keeps going,
+        so one poisoned point never kills the healthy ones.  Returns the
+        number of simulations that completed.
         """
         tasks, resolved = self._pending_tasks(pairs)
         if not tasks:
-            return
-        jobs = _resolve_jobs(self.jobs if jobs is None else jobs, task_count=len(tasks))
+            return 0
+        jobs = _resolve_jobs(self.jobs, task_count=len(tasks))
         if jobs <= 1:
             for group in group_by_benchmark(tasks):
                 group_tasks = [tasks[index] for index in group]
@@ -647,67 +631,28 @@ class ParameterSweep:
                 self._health.chunk_wall_times.append(time.monotonic() - started)
                 for task, result in zip(group_tasks, results):
                     self._memoize(task, result)
-                yield from zip(group_tasks, results)
-            return
+            return len(tasks)
         stores: StoreMap = {
             name: (self._shipped(resolved[name][0]), resolved[name][1])
             for name in {name for name, _ in tasks}
         }
-        executor = self._executor_for(jobs)
-
-        def _memoize_result(index: int, result: SimulationResult) -> None:
-            self._memoize(tasks[index], result)
-
-        for index, result in executor.run(tasks, stores, on_result=_memoize_result):
-            if isinstance(result, TaskError):
-                continue
-            yield tasks[index], result
-
-    def prefetch(
-        self,
-        pairs: Sequence[Tuple[WorkloadLike, Optional[DRIParameters]]],
-        jobs: Optional[int] = None,
-    ) -> int:
-        """Simulate not-yet-memoized (workload, parameters) pairs in one pool.
-
-        ``None`` parameters mean the workload's conventional baseline.
-        The pairs are flattened into one task list — *across* benchmarks —
-        so a figure driver's whole workload keeps every worker busy until
-        the queue drains, instead of pooling within one benchmark's grid
-        at a time.  With more than one worker the tasks flow through the
-        sweep's persistent :class:`SweepExecutor` (warm across calls);
-        workers generate named workloads from their specs, and any other
-        trace is spilled once into an mmap-backed store whose path they
-        receive.  Results land in the same
-        memos the serial path uses, so the subsequent
-        :meth:`evaluate`/:meth:`grid` calls are pure lookups; returns the
-        number of simulations actually run.
-        """
-        return sum(1 for _ in self.prefetch_iter(pairs, jobs=jobs))
+        completed = 0
+        with closing(self._executor_for(jobs).run(tasks, stores)) as results:
+            for index, result in results:
+                if not isinstance(result, TaskError):
+                    self._memoize(tasks[index], result)
+                    completed += 1
+        return completed
 
     def grid(
         self,
         workload: WorkloadLike,
         miss_bounds: Sequence[int] = DEFAULT_MISS_BOUNDS,
         size_bounds: Sequence[int] = DEFAULT_SIZE_BOUNDS,
-        jobs: Optional[int] = None,
     ) -> SweepResult:
-        """Evaluate every (miss-bound, size-bound) pair in the grid.
-
-        ``jobs`` (default: the sweep's ``jobs`` attribute) sets the number
-        of worker processes; with more than one, the grid points that are
-        not already memoized are simulated in parallel, and serially they
-        replay in one lockstep pass.  The returned points are identical to
-        a serial sweep's, in the same order.
-        """
-        parameters_list = self._grid_parameters(miss_bounds, size_bounds)
-        pairs: List[Tuple[WorkloadLike, Optional[DRIParameters]]] = [(workload, None)]
-        pairs.extend((workload, parameters) for parameters in parameters_list)
-        self.prefetch(pairs, jobs=jobs)
-        conventional = self.conventional_baseline(workload)
-        result = SweepResult(benchmark=conventional.benchmark, conventional=conventional)
-        for parameters in parameters_list:
-            result.points.append(self.evaluate(workload, parameters))
+        """Evaluate every (miss-bound, size-bound) pair in the grid: a
+        :meth:`grid_many` of one workload."""
+        (result,) = self.grid_many([workload], miss_bounds, size_bounds).values()
         return result
 
     def grid_many(
@@ -715,46 +660,47 @@ class ParameterSweep:
         workloads: Sequence[WorkloadLike],
         miss_bounds: Sequence[int] = DEFAULT_MISS_BOUNDS,
         size_bounds: Sequence[int] = DEFAULT_SIZE_BOUNDS,
-        jobs: Optional[int] = None,
     ) -> Dict[str, SweepResult]:
-        """Evaluate the same grid for many benchmarks over one process pool.
+        """Evaluate the same grid for many benchmarks in one :meth:`prefetch`.
 
         The (benchmark, grid point) pairs — baselines included — are
-        flattened into a single task list, so the pool stays saturated
-        across benchmark boundaries.  Returns one :class:`SweepResult`
-        per workload, keyed by benchmark name, each identical to what a
-        serial :meth:`grid` call would produce.
+        flattened into a single task list, so a pool stays saturated
+        across benchmark boundaries; the points are then compared from
+        the memo.  Returns one :class:`SweepResult` per workload, keyed by
+        benchmark name, its points in grid order whatever ``jobs`` is.
         """
         parameters_list = self._grid_parameters(miss_bounds, size_bounds)
-        pairs: List[Tuple[WorkloadLike, Optional[DRIParameters]]] = []
-        for workload in workloads:
-            pairs.append((workload, None))
-            pairs.extend((workload, parameters) for parameters in parameters_list)
-        self.prefetch(pairs, jobs=jobs)
+        self.prefetch(
+            [
+                (workload, parameters)
+                for workload in workloads
+                for parameters in [None, *parameters_list]
+            ]
+        )
         results: Dict[str, SweepResult] = {}
         for workload in workloads:
-            results[self._identify(workload)[0]] = self.grid(
-                workload, miss_bounds=miss_bounds, size_bounds=size_bounds, jobs=1
+            conventional = self.conventional_baseline(workload)
+            result = SweepResult(benchmark=conventional.benchmark, conventional=conventional)
+            result.points.extend(
+                self.evaluate(workload, parameters) for parameters in parameters_list
             )
+            results[self._identify(workload)[0]] = result
         return results
 
     def evaluate_many(
-        self,
-        pairs: Sequence[Tuple[WorkloadLike, DRIParameters]],
-        jobs: Optional[int] = None,
+        self, pairs: Sequence[Tuple[WorkloadLike, DRIParameters]]
     ) -> List[SweepPoint]:
-        """Evaluate many (workload, parameters) pairs over one process pool.
+        """Evaluate many (workload, parameters) pairs in one :meth:`prefetch`.
 
         The flattened pairs (plus any missing conventional baselines) are
-        simulated in parallel, then compared serially from the memo;
-        returns the points in input order, identical to serial
-        :meth:`evaluate` calls.
+        simulated first, then compared from the memo; returns the points
+        in input order, identical to :meth:`evaluate` calls one by one.
         """
         prefetch_pairs: List[Tuple[WorkloadLike, Optional[DRIParameters]]] = []
         for workload, parameters in pairs:
             prefetch_pairs.append((workload, None))
             prefetch_pairs.append((workload, parameters))
-        self.prefetch(prefetch_pairs, jobs=jobs)
+        self.prefetch(prefetch_pairs)
         return [self.evaluate(workload, parameters) for workload, parameters in pairs]
 
     def best_configuration(
@@ -763,12 +709,9 @@ class ParameterSweep:
         constrained: bool = True,
         miss_bounds: Sequence[int] = DEFAULT_MISS_BOUNDS,
         size_bounds: Sequence[int] = DEFAULT_SIZE_BOUNDS,
-        jobs: Optional[int] = None,
     ) -> Tuple[DRIParameters, SweepPoint]:
         """Search the grid and return the best parameters and their point."""
-        sweep = self.grid(
-            workload, miss_bounds=miss_bounds, size_bounds=size_bounds, jobs=jobs
-        )
+        sweep = self.grid(workload, miss_bounds=miss_bounds, size_bounds=size_bounds)
         best = sweep.best(constrained=constrained)
         if best is None:
             raise RuntimeError(f"no configurations evaluated for {sweep.benchmark}")

@@ -31,14 +31,18 @@ class TestParser:
         assert args.quick
         assert args.instructions == 50000
 
-    def test_figure_commands_accept_jobs_and_chunk(self):
-        args = build_parser().parse_args(["figure4", "--jobs", "2", "--chunk", "8"])
+    def test_figure_commands_accept_jobs(self):
+        args = build_parser().parse_args(["figure4", "--jobs", "2"])
         assert args.jobs == 2
-        assert args.chunk == 8
 
-    def test_chunk_defaults_to_adaptive(self):
-        args = build_parser().parse_args(["figure3"])
-        assert args.chunk is None
+    @pytest.mark.parametrize("command", ["figure3", "shootout"])
+    def test_chunk_is_an_unrecognised_argument(self, command, capsys):
+        # Not even as a prefix of --chunk-timeout: work is cut only by the
+        # executor's group rule.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--chunk", "2"])
+        assert excinfo.value.code == 2
+        assert "error: unrecognized arguments: --chunk 2" in capsys.readouterr().err
 
     def test_engine_choices_exclude_the_retired_kernel_engine(self):
         assert build_parser().parse_args(["figure3", "--engine", "scalar"]).engine == "scalar"
@@ -119,8 +123,9 @@ class TestCommands:
         assert "Mean energy-delay reduction" in output
 
     def test_figure3_parallel_with_chunk(self, capsys):
-        # The --jobs/--chunk path end to end: a pooled quick figure must
-        # print the same kind of table the serial path does.
+        # The --jobs path end to end, its work cut into chunks by the
+        # executor's group rule: a pooled quick figure must print the same
+        # kind of table the serial path does.
         exit_code = main(
             [
                 "figure3",
@@ -130,8 +135,6 @@ class TestCommands:
                 "--instructions",
                 "60000",
                 "--jobs",
-                "2",
-                "--chunk",
                 "2",
             ]
         )
@@ -174,22 +177,17 @@ class TestCommands:
             (["figure3", "--quick", "--max-retries", "-1", "--jobs", "2"], "--max-retries"),
             (["figure3", "--quick", "--chunk-timeout", "0"], "--chunk-timeout"),
             (["figure3", "--quick", "--chunk-timeout", "0", "--jobs", "2"], "--chunk-timeout"),
-            (["figure3", "--quick", "--chunk", "0"], "--chunk"),
-            (["figure3", "--quick", "--chunk", "0", "--jobs", "2"], "--chunk"),
-            (["figure3", "--quick", "--chunk", "-3"], "--chunk"),
-            (["figure3", "--quick", "--chunk", "-3", "--jobs", "2"], "--chunk"),
         ],
         ids=["run-instructions", "figure3-instructions", "size-bound", "sense-interval", "miss-bound",
              "trajectory", "max-retries-jobs1", "max-retries-jobs2", "chunk-timeout-jobs1",
-             "chunk-timeout-jobs2", "chunk-zero-jobs1", "chunk-zero-jobs2", "chunk-negative-jobs1",
-             "chunk-negative-jobs2"],
+             "chunk-timeout-jobs2"],
     )
     def test_bad_numeric_flag_exits_with_usage_error(self, argv, flag, capsys):
         # A usage error (status 2) naming the flag, not a ValueError
         # traceback, and raised before anything is simulated.
         simulated = AssertionError("simulated before the usage error")
         with mock.patch("repro.cli.ParameterSweep.evaluate", side_effect=simulated), \
-                mock.patch("repro.cli.ParameterSweep.prefetch_iter", side_effect=simulated):
+                mock.patch("repro.cli.ParameterSweep.prefetch", side_effect=simulated):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
         assert excinfo.value.code == 2

@@ -1171,9 +1171,8 @@ class TestParallelSweep:
         serial = self._sweep().grid(
             "compress", miss_bounds=miss_bounds, size_bounds=size_bounds
         )
-        parallel = self._sweep().grid(
-            "compress", miss_bounds=miss_bounds, size_bounds=size_bounds, jobs=2
-        )
+        with self._sweep(jobs=2) as sweep:
+            parallel = sweep.grid("compress", miss_bounds=miss_bounds, size_bounds=size_bounds)
         assert len(serial.points) == len(parallel.points)
         for a, b in zip(serial.points, parallel.points):
             assert a.parameters == b.parameters
@@ -1191,9 +1190,10 @@ class TestParallelSweep:
         params_serial, point_serial = self._sweep().best_configuration(
             "compress", miss_bounds=miss_bounds, size_bounds=size_bounds
         )
-        params_parallel, point_parallel = self._sweep().best_configuration(
-            "compress", miss_bounds=miss_bounds, size_bounds=size_bounds, jobs=2
-        )
+        with self._sweep(jobs=2) as sweep:
+            params_parallel, point_parallel = sweep.best_configuration(
+                "compress", miss_bounds=miss_bounds, size_bounds=size_bounds
+            )
         assert params_serial == params_parallel
         assert point_serial.energy_delay == pytest.approx(point_parallel.energy_delay, abs=0.0)
 
@@ -1205,8 +1205,9 @@ class TestParallelSweep:
         assert len(sweep._dri_cache) == cached_before
 
     def test_constructor_jobs_default_is_used(self):
-        sweep = self._sweep(jobs=2)
-        result = sweep.grid("compress", miss_bounds=(10, 80), size_bounds=(1024,))
+        with self._sweep(jobs=2) as sweep:
+            result = sweep.grid("compress", miss_bounds=(10, 80), size_bounds=(1024,))
+            assert sweep._executor is not None and sweep._executor.jobs == 2
         assert len(result.points) == 2
 
     def test_grid_many_matches_individual_grids(self):
@@ -1218,9 +1219,8 @@ class TestParallelSweep:
             name: serial_sweep.grid(name, miss_bounds=(10, 80), size_bounds=(1024, 8192))
             for name in names
         }
-        many = self._sweep().grid_many(
-            names, miss_bounds=(10, 80), size_bounds=(1024, 8192), jobs=2
-        )
+        with self._sweep(jobs=2) as sweep:
+            many = sweep.grid_many(names, miss_bounds=(10, 80), size_bounds=(1024, 8192))
         assert list(many) == names
         for name in names:
             for a, b in zip(individual[name].points, many[name].points):
@@ -1237,7 +1237,8 @@ class TestParallelSweep:
         pairs = [(name, p) for name in ("compress", "swim") for p in parameters]
         serial_sweep = self._sweep()
         serial = [serial_sweep.evaluate(name, p) for name, p in pairs]
-        parallel = self._sweep().evaluate_many(pairs, jobs=2)
+        with self._sweep(jobs=2) as sweep:
+            parallel = sweep.evaluate_many(pairs)
         for a, b in zip(serial, parallel):
             assert a.parameters == b.parameters
             assert a.simulation.l1_misses == b.simulation.l1_misses
@@ -1274,6 +1275,6 @@ class TestParallelSweep:
         sweep = self._sweep()
         parameters = DRIParameters(miss_bound=10, size_bound=1024, sense_interval=5_000)
         pairs = [("compress", None), ("compress", parameters)]
-        assert sweep.prefetch(pairs, jobs=1) == 2
+        assert sweep.prefetch(pairs) == 2
         # Everything is memoized now; a second prefetch runs nothing.
-        assert sweep.prefetch(pairs, jobs=1) == 0
+        assert sweep.prefetch(pairs) == 0

@@ -362,10 +362,10 @@ class TestSweepStoreShipping:
     """Parallel sweeps spill one mmapped store per pre-built trace and ship
     its path; named workloads travel as specs and spill nothing."""
 
-    def _sweep(self):
+    def _sweep(self, jobs=1):
         simulator = Simulator(trace_instructions=40_000, seed=11)
         return ParameterSweep(
-            simulator, base_parameters=DRIParameters(sense_interval=5_000)
+            simulator, base_parameters=DRIParameters(sense_interval=5_000), jobs=jobs
         )
 
     @staticmethod
@@ -374,9 +374,9 @@ class TestSweepStoreShipping:
         return generate_trace(get_benchmark(name), total_instructions=40_000, seed=11)
 
     def test_parallel_grid_uses_one_store_per_benchmark(self):
-        with self._sweep() as sweep:
+        with self._sweep(jobs=2) as sweep:
             result = sweep.grid(
-                self._trace("compress"), miss_bounds=(10, 80), size_bounds=(1024, 8192), jobs=2
+                self._trace("compress"), miss_bounds=(10, 80), size_bounds=(1024, 8192)
             )
             assert len(result.points) == 4
             assert set(sweep._stores) == {"compress"}
@@ -390,8 +390,8 @@ class TestSweepStoreShipping:
         grid = dict(miss_bounds=(10, 80), size_bounds=(1024, 8192))
         with monkeypatch.context() as patch:
             patch.setattr(TraceStore, "save", no_spill)
-            with self._sweep() as sweep:
-                parallel = sweep.grid("compress", jobs=2, **grid)
+            with self._sweep(jobs=2) as sweep:
+                parallel = sweep.grid("compress", **grid)
                 assert sweep._stores == {} and sweep._store_dir is None
         serial = self._sweep().grid("compress", **grid)
         for a, b in zip(serial.points, parallel.points, strict=True):
@@ -403,9 +403,8 @@ class TestSweepStoreShipping:
         serial = self._sweep().grid(
             "compress", miss_bounds=(10, 80), size_bounds=(1024, 8192)
         )
-        parallel = self._sweep().grid(
-            "compress", miss_bounds=(10, 80), size_bounds=(1024, 8192), jobs=2
-        )
+        with self._sweep(jobs=2) as sweep:
+            parallel = sweep.grid("compress", miss_bounds=(10, 80), size_bounds=(1024, 8192))
         for a, b in zip(serial.points, parallel.points):
             assert a.parameters == b.parameters
             assert a.simulation.l1_misses == b.simulation.l1_misses
@@ -418,23 +417,23 @@ class TestSweepStoreShipping:
     def test_store_workload_is_shipped_by_its_own_path(self, tmp_path):
         trace = generate_trace(get_benchmark("li"), total_instructions=40_000, seed=11)
         store = TraceStore.save(trace, tmp_path / "li")
-        sweep = self._sweep()
-        assert sweep._store_for(store) is store
-        result = sweep.grid(store, miss_bounds=(10, 80), size_bounds=(1024,), jobs=2)
-        assert len(result.points) == 2
-        assert sweep._stores == {}  # nothing was spilled
+        with self._sweep(jobs=2) as sweep:
+            assert sweep._store_for(store) is store
+            result = sweep.grid(store, miss_bounds=(10, 80), size_bounds=(1024,))
+            assert len(result.points) == 2
+            assert sweep._stores == {}  # nothing was spilled
 
     def test_closing_deletes_the_spilled_stores_and_the_sweep_respills(self):
         grid = dict(miss_bounds=(10, 80), size_bounds=(1024, 8192))
-        with self._sweep() as sweep:
-            sweep.grid(self._trace("compress"), jobs=2, **grid)
+        with self._sweep(jobs=2) as sweep:
+            sweep.grid(self._trace("compress"), **grid)
             first_dir = sweep._store_dir.name
             assert os.path.isdir(first_dir)
         assert not os.path.exists(first_dir)
         assert sweep._stores == {} and sweep._store_dir is None
         # Still usable after close: a new pooled call spills afresh.
         with sweep:
-            parallel = sweep.grid(self._trace("li"), jobs=2, **grid)
+            parallel = sweep.grid(self._trace("li"), **grid)
             assert set(sweep._stores) == {"li"}
             second_dir = sweep._store_dir.name
             assert os.path.isdir(second_dir)

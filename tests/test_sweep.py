@@ -182,8 +182,6 @@ class TestSettings:
             ({"max_retries": -1}, "max_retries must be at least 0, got -1"),
             ({"chunk_timeout": 0.0}, "chunk_timeout must be positive, got 0.0"),
             ({"chunk_timeout": -2.5}, "chunk_timeout must be positive, got -2.5"),
-            ({"chunk": 0}, "chunk must be at least 1, got 0"),
-            ({"chunk": -3}, "chunk must be at least 1, got -3"),
         ],
     )
     def test_bad_fault_tolerance_settings_fail_at_build(self, setting, message, jobs):
@@ -197,7 +195,6 @@ class TestSettings:
         [
             ({"max_retries": -1}, "max_retries must be at least 0, got -1"),
             ({"chunk_timeout": 0.0}, "chunk_timeout must be positive, got 0.0"),
-            ({"chunk": 0}, "chunk must be at least 1, got 0"),
         ],
     )
     def test_an_executor_built_directly_rejects_them_too(self, setting, message):
@@ -215,7 +212,6 @@ class TestSettings:
             Simulator(trace_instructions=40_000, seed=11, engine="scalar"),
             base_parameters=DRIParameters(sense_interval=5_000),
             jobs=2,
-            chunk=3,
             max_retries=4,
             chunk_timeout=9.0,
         )
@@ -227,7 +223,6 @@ class TestSettings:
                     simulator.engine) == (system, 40_000, 11, "scalar")
             assert sibling.energy_model is model
             assert sibling.base_parameters == parent.base_parameters
-            assert (sibling.jobs, sibling.chunk, sibling.max_retries, sibling.chunk_timeout) == (
-                2, 3, 4, 9.0)
+            assert (sibling.jobs, sibling.max_retries, sibling.chunk_timeout) == (2, 4, 9.0)
             assert sibling.health is parent.health
             assert sibling._dri_cache == {} and sibling._executor is None

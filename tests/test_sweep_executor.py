@@ -3,19 +3,26 @@
 Pin the contract of the warm-pool subsystem: the jobs clamp, one chunk
 per benchmark group, pool reuse across consecutive sweep calls (asserted
 via worker-pid capture — the regression is a fresh pool per call),
-streamed ``prefetch_iter`` results, workers that generate named
-workloads themselves, and bit-identity of every parallel/chunked variant
-with the serial path, pickled ``PolicySpec``s included.
+pooled ``prefetch`` results memoized once, workers that generate named
+workloads themselves, an interrupted ``prefetch`` that never waits for
+a running chunk, and bit-identity of every parallel variant with the
+serial path, pickled ``PolicySpec``s included.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
 from dataclasses import replace
 
 import pytest
+
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # CI's fault-injection job runs this file without Hypothesis
+    given = None
 
 from repro.config.parameters import DRIParameters
 from repro.config.system import DEFAULT_SYSTEM
@@ -43,13 +50,26 @@ def _retry_without_backoff(monkeypatch):
     monkeypatch.setattr(executor_module, "DEFAULT_BACKOFF", 0.0)
 
 
-def _sweep(jobs: int = 1, chunk=None) -> ParameterSweep:
+def _sweep(jobs: int = 1) -> ParameterSweep:
     return ParameterSweep(
         Simulator(trace_instructions=INSTRUCTIONS, seed=7),
         base_parameters=DRIParameters(sense_interval=SENSE_INTERVAL),
         jobs=jobs,
-        chunk=chunk,
     )
+
+
+def _memoized(sweep, pairs):
+    """``{(benchmark, parameters): result}`` for every pair ``sweep`` has
+    in its memo; a pair that was never simulated is left out."""
+    found = {}
+    for name, parameters in pairs:
+        if parameters is None:
+            result = sweep._conventional_cache.get(name)
+        else:
+            result = sweep._dri_cache.get(sweep._dri_key(name, parameters))
+        if result is not None:
+            found[(name, parameters)] = result
+    return found
 
 
 def _point_key(point):
@@ -134,14 +154,51 @@ class TestChunkSize:
             ["li"] * 2,
         ]
 
-    def test_explicit_chunk_wins(self):
-        executor = SweepExecutor(DEFAULT_SYSTEM, "batched", jobs=4, chunk=7)
-        assert executor.chunk_size(64) == 7
+    @pytest.mark.skipif(given is None, reason="needs Hypothesis")
+    def test_chunks_follow_the_group_rule(self):
+        base = DRIParameters(size_bound=1024, sense_interval=SENSE_INTERVAL)
 
-    def test_explicit_chunk_cuts_the_list_in_order(self):
-        tasks = _interleaved_tasks(("compress", "li"), 3)
-        chunks = SweepExecutor(DEFAULT_SYSTEM, "batched", jobs=2, chunk=4).chunks(tasks)
-        assert chunks == [[0, 1, 2, 3], [4, 5]]
+        @given(
+            names=st.lists(
+                st.sampled_from(("compress", "li", "gcc", "go", "swim", "fpppp")),
+                min_size=1,
+                max_size=40,
+            ),
+            jobs=st.integers(min_value=1, max_value=8),
+        )
+        def check(names, jobs):
+            tasks = [
+                (name, replace(base, miss_bound=index + 1))
+                for index, name in enumerate(names)
+            ]
+            executor = SweepExecutor(DEFAULT_SYSTEM, "batched", jobs=jobs)
+            chunks = executor.chunks(tasks)
+            share = math.ceil(len(tasks) / jobs)
+            # The chunks partition the task indices.
+            assert all(chunks)
+            assert sorted(index for chunk in chunks for index in chunk) == list(
+                range(len(tasks))
+            )
+            # Each holds one benchmark's tasks, in task order, at most a
+            # worker's share of them.
+            for chunk in chunks:
+                assert len({tasks[index][0] for index in chunk}) == 1
+                assert chunk == sorted(chunk)
+                assert len(chunk) <= share
+            # A group is split only above that share, then near-evenly.
+            for name in set(names):
+                sizes = [len(chunk) for chunk in chunks if tasks[chunk[0]][0] == name]
+                if names.count(name) <= share:
+                    assert sizes == [names.count(name)]
+                else:
+                    assert max(sizes) - min(sizes) <= 1
+            # Largest first.
+            sizes = [len(chunk) for chunk in chunks]
+            assert sizes == sorted(sizes, reverse=True)
+            # Cutting the work forks nothing.
+            assert executor.pools_spawned == 0 and executor.pool_pids == set()
+
+        check()
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
@@ -218,17 +275,21 @@ class TestExecutorReuse:
 
 class TestChunking:
     def test_all_chunk_sizes_are_bit_identical_to_serial(self):
+        # Seven tasks of one benchmark: the group rule cuts them into
+        # chunks of 4+3 at two workers, 3+2+2 at three and 2+2+2+1 at
+        # four.
         miss_bounds = (10, 40, 80)
         size_bounds = (1024, 8192)
         expected = _grid_keys(
             _sweep().grid("compress", miss_bounds=miss_bounds, size_bounds=size_bounds)
         )
-        for chunk in (1, 5, None):
-            with _sweep(jobs=2, chunk=chunk) as sweep:
+        for jobs, chunks in ((2, 2), (3, 3), (4, 4)):
+            with _sweep(jobs=jobs) as sweep:
                 result = sweep.grid(
                     "compress", miss_bounds=miss_bounds, size_bounds=size_bounds
                 )
-            assert _grid_keys(result) == expected, f"chunk={chunk}"
+            assert _grid_keys(result) == expected, f"jobs={jobs}"
+            assert len(sweep.health.chunk_wall_times) == chunks, f"jobs={jobs}"
 
 
 class TestWorkerGeneration:
@@ -265,7 +326,7 @@ class TestWorkerGeneration:
         assert pooled.unconstrained == serial.unconstrained
 
 
-class TestPrefetchIter:
+class TestPrefetch:
     PAIRS_BOUNDS = ((10, 80), (1024, 8192))
 
     def _pairs(self):
@@ -285,35 +346,29 @@ class TestPrefetchIter:
                 )
         return pairs
 
-    def test_streams_every_task_exactly_once_and_memoizes(self):
+    def test_pooled_run_memoizes_every_task_once(self):
         pairs = self._pairs()
         with _sweep(jobs=2) as sweep:
-            seen = list(sweep.prefetch_iter(pairs))
-            assert len(seen) == len(pairs)
-            assert {task for task, _ in seen} == {
-                ("compress", parameters) for _, parameters in pairs
-            }
-            # Every yielded result is already in the memo, so a second
-            # prefetch runs nothing.
+            assert sweep.prefetch(pairs) == len(pairs)
+            assert sweep.health.tasks_run == len(pairs)
+            assert set(_memoized(sweep, pairs)) == set(pairs)
+            # Every result is already in the memo, so a second prefetch
+            # runs nothing.
             assert sweep.prefetch(pairs) == 0
+            assert sweep.health.tasks_run == len(pairs)
 
-    def test_serial_iterator_yields_in_input_order(self):
-        pairs = self._pairs()
-        sweep = _sweep()
-        tasks = [task for task, _ in sweep.prefetch_iter(pairs, jobs=1)]
-        assert tasks == [("compress", parameters) for _, parameters in pairs]
-
-    def test_streamed_results_match_serial_evaluate(self):
+    def test_pooled_results_match_serial_evaluate(self):
         pairs = self._pairs()
         with _sweep(jobs=2) as sweep:
-            streamed = dict(sweep.prefetch_iter(pairs))
+            sweep.prefetch(pairs)
+        pooled = _memoized(sweep, pairs)
         serial = _sweep()
         for _, parameters in pairs:
             if parameters is None:
                 expected = serial.conventional_baseline("compress")
             else:
                 expected = serial.evaluate("compress", parameters).simulation
-            result = streamed[("compress", parameters)]
+            result = pooled[("compress", parameters)]
             assert result.cycles == expected.cycles
             assert result.l1_misses == expected.l1_misses
             assert result.l2_accesses == expected.l2_accesses
@@ -423,13 +478,12 @@ class TestWorkerCrashRecovery:
             "_fault_hook",
             _crash_once_hook(counter, os.getpid()),
         )
-        sweep = _fault_sweep(chunk=1)
+        sweep = _fault_sweep()
         with sweep:
-            streamed = {
-                task: result for task, result in sweep.prefetch_iter(pairs)
-            }
+            completed = sweep.prefetch(pairs)
+        recovered = _memoized(sweep, pairs)
         health = sweep.health
-        assert len(streamed) == len(pairs)
+        assert completed == len(recovered) == len(pairs)
         assert health.tasks_failed == 0
         assert health.retries >= 1
         assert health.respawns >= 1
@@ -437,7 +491,7 @@ class TestWorkerCrashRecovery:
 
         monkeypatch.setattr(executor_module, "_fault_hook", None)
         expected = _serial_reference(pairs)
-        for key, result in streamed.items():
+        for key, result in recovered.items():
             want = expected[key]
             assert result.cycles == want.cycles
             assert result.l1_misses == want.l1_misses
@@ -451,7 +505,7 @@ class TestWorkerCrashRecovery:
             "_fault_hook",
             _crash_once_hook(counter, os.getpid()),
         )
-        sweep = _fault_sweep(chunk=1)
+        sweep = _fault_sweep()
         with sweep:
             sweep.prefetch(pairs)
             executor = sweep._executor
@@ -473,13 +527,14 @@ class TestPoisonedTaskBisection:
                 os._exit(1)
 
         monkeypatch.setattr(executor_module, "_fault_hook", poison_hook)
-        sweep = _fault_sweep(chunk=4, max_retries=2)
+        sweep = _fault_sweep(max_retries=2)
         with sweep:
-            completed = list(sweep.prefetch_iter(pairs))
+            completed = sweep.prefetch(pairs)
+        memoized = _memoized(sweep, pairs)
         health = sweep.health
 
-        assert len(completed) == len(pairs) - 1
-        assert all(not _is_marker(task[1]) for task, _ in completed)
+        assert completed == len(memoized) == len(pairs) - 1
+        assert all(not _is_marker(parameters) for _, parameters in memoized)
         assert health.tasks_failed == 1
         assert health.bisections >= 1
         assert health.degraded is False
@@ -500,17 +555,16 @@ class TestPoisonedTaskBisection:
                 os._exit(1)
 
         monkeypatch.setattr(executor_module, "_fault_hook", poison_hook)
-        sweep = _fault_sweep(chunk=4)
+        sweep = _fault_sweep()
         with sweep:
-            streamed = {
-                task: result for task, result in sweep.prefetch_iter(pairs)
-            }
+            sweep.prefetch(pairs)
+        recovered = _memoized(sweep, pairs)
 
         monkeypatch.setattr(executor_module, "_fault_hook", None)
         healthy_pairs = [p for p in pairs if not _is_marker(p[1])]
         expected = _serial_reference(healthy_pairs)
-        assert set(streamed) == set(expected)
-        for key, result in streamed.items():
+        assert set(recovered) == set(expected)
+        for key, result in recovered.items():
             want = expected[key]
             assert result.cycles == want.cycles
             assert result.l1_misses == want.l1_misses
@@ -533,7 +587,7 @@ class TestChunkTimeout:
                 time.sleep(120.0)
 
         monkeypatch.setattr(executor_module, "_fault_hook", hang_once_hook)
-        sweep = _fault_sweep(chunk=1, chunk_timeout=3.0)
+        sweep = _fault_sweep(chunk_timeout=3.0)
         start = time.monotonic()
         with sweep:
             completed = sweep.prefetch(pairs)
@@ -561,45 +615,61 @@ class TestSerialDegradation:
         monkeypatch.setattr(executor_module, "DEFAULT_MAX_RESPAWNS", 1)
         sweep = _fault_sweep(max_retries=1)
         with sweep:
-            streamed = {
-                task: result for task, result in sweep.prefetch_iter(pairs)
-            }
+            completed = sweep.prefetch(pairs)
+        recovered = _memoized(sweep, pairs)
         health = sweep.health
 
         # Degradation runs everything in the parent, where the hook is
         # inert — the campaign completes with zero failed tasks.
         assert health.degraded is True
-        assert len(streamed) == len(pairs)
+        assert completed == len(recovered) == len(pairs)
         assert health.tasks_failed == 0
         assert "degraded to serial" in health.summary()
 
         monkeypatch.setattr(executor_module, "_fault_hook", None)
         expected = _serial_reference(pairs)
-        for key, result in streamed.items():
+        for key, result in recovered.items():
             assert result.cycles == expected[key].cycles
 
 
-class TestAbandonedIteration:
-    def test_closing_the_stream_keeps_the_pool_and_paid_results(self):
-        pairs = _fault_pairs()
+@fork_only
+class TestInterruptedPrefetch:
+    def test_an_interrupt_kills_the_running_chunks_at_once(self, monkeypatch):
+        # li's chunk sleeps 20 s in its worker; compress's finishes first,
+        # and memoizing it raises.  The interrupt must reach the caller
+        # without waiting for li, and leave no worker behind.
+        pairs = [("compress", None), ("li", None)]
+        parent = os.getpid()
+
+        def slow_li(name, parameters):
+            if os.getpid() != parent and name == "li":
+                time.sleep(20.0)
+
+        def interrupt(sweep, task, result):
+            raise KeyboardInterrupt
+
         sweep = _fault_sweep(jobs=2)
         with sweep:
-            iterator = sweep.prefetch_iter(pairs)
-            first_task, first_result = next(iterator)
-            iterator.close()
-
+            with monkeypatch.context() as patch:
+                patch.setattr(executor_module, "_fault_hook", slow_li)
+                patch.setattr(ParameterSweep, "_memoize", interrupt)
+                start = time.monotonic()
+                with pytest.raises(KeyboardInterrupt):
+                    sweep.prefetch(pairs)
+                elapsed = time.monotonic() - start
             executor = sweep._executor
-            assert executor is not None
-            assert executor.pools_spawned == 1
+            assert elapsed < 10.0
+            assert executor.pool_pids == set()
 
-            # The yielded result (at minimum) must have been memoized;
-            # inflight chunks that finished during cleanup count too.
-            remaining = sweep.prefetch(pairs)
-            assert remaining <= len(pairs) - 1
-            # Abandonment must not have broken the warm pool.
-            assert executor.pools_spawned == 1
-            assert first_result.cycles > 0
-            assert first_task[0] == "compress"
+            # The sweep stays usable: the next prefetch spawns a new pool
+            # and runs both tasks, as serial would.
+            assert sweep.prefetch(pairs) == 2
+            assert executor.pools_spawned == 2
+        recovered = _memoized(sweep, pairs)
+        expected = _serial_reference(pairs)
+        assert set(recovered) == set(pairs)
+        for key, result in recovered.items():
+            assert _run_key(result) == _run_key(expected[key])
 
 
 class TestCampaignHealth:
@@ -695,14 +765,13 @@ class TestLockstepGrouping:
                 pairs.append((name, DRIParameters(
                     miss_bound=miss_bound, size_bound=1024, sense_interval=SENSE_INTERVAL
                 )))
-        serial = list(_sweep(jobs=1).prefetch_iter(pairs))
-        # The serial path yields grouped by benchmark, in order of first appearance.
-        names = [name for (name, _), _ in serial]
-        assert names == sorted(names, key=["compress", "li", "gcc"].index)
-        with _sweep(jobs=2, chunk=4) as sweep:
-            pooled = dict(sweep.prefetch_iter(pairs))
-        assert len(serial) == len(pooled) == 9
-        for task, result in serial:
+        serial = _sweep(jobs=1)
+        assert serial.prefetch(pairs) == 9
+        with _sweep(jobs=2) as sweep:
+            assert sweep.prefetch(pairs) == 9
+        expected, pooled = _memoized(serial, pairs), _memoized(sweep, pairs)
+        assert len(expected) == len(pooled) == 9
+        for task, result in expected.items():
             assert _run_key(pooled[task]) == _run_key(result)
 
     def test_custom_workload_baseline_keeps_its_base_cpi_in_the_pool(self):
